@@ -36,6 +36,7 @@
 
 #include "sim/simulation.h"
 #include "smr/command.h"
+#include "smr/pipeline.h"
 
 namespace consensus40::consensus {
 
@@ -128,6 +129,79 @@ class ReplicaGroup {
  protected:
   std::vector<sim::NodeId> members_;
   GroupTuning tuning_;
+};
+
+/// The ReplicaGroup plumbing shared by the log-based SMR facades (Raft,
+/// Multi-Paxos, Crossword): one replica type per group, whose RequestMsg
+/// and ReplyMsg derive from the smr pipeline's client messages.
+template <class Replica>
+class LogReplicaGroup : public ReplicaGroup {
+ public:
+  sim::MessagePtr MakeRequest(const smr::Command& cmd) const override {
+    return std::make_shared<typename Replica::RequestMsg>(cmd);
+  }
+
+  std::optional<Reply> ParseReply(const sim::Message& msg) const override {
+    const auto* m = dynamic_cast<const typename Replica::ReplyMsg*>(&msg);
+    if (m == nullptr) return std::nullopt;
+    Reply reply;
+    reply.client_seq = m->client_seq;
+    reply.leader_hint = m->leader_hint;
+    if (m->result == smr::kRedirect) {
+      reply.redirected = true;
+    } else {
+      reply.result = m->result;
+    }
+    return reply;
+  }
+
+  sim::NodeId LeaderHint() const override {
+    for (const Replica* r : replicas_) {
+      if (r->IsLeader()) return r->id();
+    }
+    return sim::kInvalidNode;
+  }
+
+  /// Executed commands, not the raw log: batch entries arrive flattened,
+  /// and a checkpoint-truncated log still reports what it applied.
+  std::vector<smr::Command> CommittedPrefix(int replica) const override {
+    return replicas_[static_cast<size_t>(replica)]->CommittedCommands();
+  }
+
+  std::vector<std::string> Violations() const override {
+    std::vector<std::string> all = probe_violations_;
+    for (const Replica* r : replicas_) {
+      const std::string who = "replica " + std::to_string(r->id());
+      for (const std::string& v : r->violations()) {
+        all.push_back(who + ": " + v);
+      }
+      if constexpr (requires { r->log().violations(); }) {
+        for (const std::string& v : r->log().violations()) {
+          all.push_back(who + " log: " + v);
+        }
+      }
+    }
+    return all;
+  }
+
+ protected:
+  /// Claims the next `replicas` process ids of `sim` as members_.
+  void ClaimMembers(sim::Simulation* sim, int replicas) {
+    const sim::NodeId base = sim->num_processes();
+    for (int i = 0; i < replicas; ++i) members_.push_back(base + i);
+  }
+
+  /// Spawns one replica per member, in member order.
+  template <class Options>
+  void SpawnReplicas(sim::Simulation* sim, const Options& options) {
+    for (size_t i = 0; i < members_.size(); ++i) {
+      replicas_.push_back(sim->Spawn<Replica>(options));
+    }
+  }
+
+  std::vector<Replica*> replicas_;
+  /// Breaches Probe() found, reported ahead of the replicas' own.
+  std::vector<std::string> probe_violations_;
 };
 
 using GroupFactory = std::function<std::unique_ptr<ReplicaGroup>()>;

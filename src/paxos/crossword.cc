@@ -5,11 +5,6 @@
 
 namespace consensus40::paxos {
 
-namespace {
-/// Sentinel result telling a client to retry against the hinted leader.
-const char kRedirect[] = "\x01REDIRECT";
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Messages
 // ---------------------------------------------------------------------------
@@ -106,51 +101,17 @@ struct CrosswordReplica::PullReplyMsg : sim::Message {
   smr::Command cmd;
 };
 
-struct CrosswordReplica::CatchupRequestMsg : sim::Message {
-  explicit CatchupRequestMsg(uint64_t f) : from_index(f) {}
-  const char* TypeName() const override { return "cw-catchup-request"; }
-  int ByteSize() const override { return 16; }
-  uint64_t from_index;  ///< Requester's chosen-through frontier.
-};
-
-struct CrosswordReplica::CatchupReplyMsg : sim::Message {
-  const char* TypeName() const override { return "cw-catchup-reply"; }
-  int ByteSize() const override {
-    int size = 16;
-    for (const auto& [index, cmd] : entries) size += 16 + cmd.ByteSize();
-    return size;
-  }
-  std::vector<std::pair<uint64_t, smr::Command>> entries;  ///< Chosen slots.
-};
-
-/// Full-state transfer for a follower whose gap was checkpoint-truncated
-/// away on the leader, as in Multi-Paxos.
-struct CrosswordReplica::SnapshotMsg : sim::Message {
-  const char* TypeName() const override { return "cw-snapshot"; }
-  int ByteSize() const override {
-    int size = 64;
-    for (const auto& [k, v] : data) {
-      size += 16 + static_cast<int>(k.size()) + static_cast<int>(v.size());
-    }
-    for (const auto& [client, s] : sessions) {
-      size += 24;
-      for (const auto& [seq, result] : s.above) {
-        size += 16 + static_cast<int>(result.size());
-      }
-    }
-    return size;
-  }
-  uint64_t end = 0;  ///< The snapshot covers slots [0, end).
-  std::map<std::string, std::string> data;
-  smr::DedupingExecutor::Sessions sessions;
-};
-
 // ---------------------------------------------------------------------------
 // Replica
 // ---------------------------------------------------------------------------
 
 CrosswordReplica::CrosswordReplica(CrosswordOptions options)
-    : options_(options) {
+    : options_(options),
+      pipeline_(
+          {options.batch_size, options.batch_delay,
+           options.checkpoint_interval},
+          PipelineHooks<ReplyMsg>([this] { ProposeNext(); }),
+          {"cw-catchup-request", "cw-catchup-reply", "cw-snapshot"}) {
   if (options_.members.empty()) {
     assert(options_.n > 0);
     for (int i = 0; i < options_.n; ++i) options_.members.push_back(i);
@@ -482,11 +443,7 @@ std::optional<smr::Command> CrosswordReplica::ResolveRecovered(
 void CrosswordReplica::Deposed() {
   leader_active_ = false;
   CancelTimer(heartbeat_timer_);
-  CancelTimer(batch_timer_);
-  batch_timer_ = 0;
-  pending_.clear();
-  queued_.clear();
-  assigned_.clear();
+  pipeline_.Depose();
 }
 
 void CrosswordReplica::SendHeartbeat() {
@@ -504,31 +461,10 @@ void CrosswordReplica::SendHeartbeat() {
 
 void CrosswordReplica::ProposeNext() {
   if (!leader_active_) return;
-  CancelTimer(batch_timer_);
-  batch_timer_ = 0;
-  size_t max_take = static_cast<size_t>(std::max(1, options_.batch_size));
-  while (!pending_.empty()) {
-    size_t take = std::min(pending_.size(), max_take);
+  pipeline_.DisarmLinger();
+  while (pipeline_.HasQueued()) {
     uint64_t index = next_index_++;
-    smr::Command entry;
-    if (take == 1) {
-      entry = std::move(pending_.front());
-      pending_.pop_front();
-      queued_.erase({entry.client, entry.client_seq});
-      assigned_[{entry.client, entry.client_seq}] = index;
-    } else {
-      std::vector<smr::Command> cmds(
-          pending_.begin(), pending_.begin() + static_cast<long>(take));
-      pending_.erase(pending_.begin(),
-                     pending_.begin() + static_cast<long>(take));
-      for (const smr::Command& cmd : cmds) {
-        queued_.erase({cmd.client, cmd.client_seq});
-        assigned_[{cmd.client, cmd.client_seq}] = index;
-      }
-      entry = smr::EncodeBatch(cmds);
-      ++batches_cut_;
-    }
-    AcceptSlot(index, entry);
+    AcceptSlot(index, pipeline_.CutNext(index));
   }
 }
 
@@ -602,7 +538,7 @@ void CrosswordReplica::LearnChosen(uint64_t index, const smr::Command& cmd) {
     log_.CommitThrough(frontier);
     ++frontier;
   }
-  ApplyAndReply();
+  pipeline_.ApplySlots(&log_, &slots_);
 }
 
 void CrosswordReplica::TryCompleteRecon(uint64_t index) {
@@ -660,38 +596,7 @@ void CrosswordReplica::DisplaceInFlight(uint64_t index,
   // Our in-flight proposal lost this slot to an earlier decision we are
   // only now being taught: the client commands it carried must re-enter
   // the queue for a fresh slot instead of dying with the proposal.
-  for (const smr::Command& cmd : smr::FlattenCommand(displaced)) {
-    auto key = std::make_pair(cmd.client, cmd.client_seq);
-    assigned_.erase(key);
-    if (dedup_.Lookup(cmd.client, cmd.client_seq) != nullptr) continue;
-    if (queued_.insert(key).second) pending_.push_back(cmd);
-  }
-}
-
-void CrosswordReplica::ApplyAndReply() {
-  log_.ApplyCommitted(
-      &kv_, &dedup_,
-      [this](uint64_t, const smr::Command& cmd, const std::string& result) {
-        executed_commands_.push_back(cmd);
-        auto key = std::make_pair(cmd.client, cmd.client_seq);
-        assigned_.erase(key);  // The dedup session covers it from here on.
-        auto it = awaiting_client_.find(key);
-        if (it != awaiting_client_.end()) {
-          Send(it->second,
-               std::make_shared<ReplyMsg>(cmd.client_seq, result, id()));
-          awaiting_client_.erase(it);
-        }
-      });
-  MaybeCheckpoint();
-}
-
-void CrosswordReplica::MaybeCheckpoint() {
-  if (options_.checkpoint_interval == 0) return;
-  uint64_t applied = log_.applied_frontier();
-  if (applied - log_.start() < options_.checkpoint_interval) return;
-  log_.TruncatePrefix(applied);
-  slots_.erase(slots_.begin(), slots_.lower_bound(applied));
-  ++checkpoints_taken_;
+  pipeline_.Requeue(displaced);
 }
 
 uint64_t CrosswordReplica::ChosenThrough() const {
@@ -713,29 +618,11 @@ uint64_t CrosswordReplica::ChosenThrough() const {
 void CrosswordReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
   if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
     if (!leader_active_ && !phase1_pending_) {
-      Send(from, std::make_shared<ReplyMsg>(m->cmd.client_seq, kRedirect,
-                                            LeaderHint()));
+      Send(from, std::make_shared<ReplyMsg>(m->cmd.client_seq,
+                                            smr::kRedirect, LeaderHint()));
       return;
     }
-    if (const std::string* cached =
-            dedup_.Lookup(m->cmd.client, m->cmd.client_seq)) {
-      Send(from,
-           std::make_shared<ReplyMsg>(m->cmd.client_seq, *cached, id()));
-      return;
-    }
-    auto key = std::make_pair(m->cmd.client, m->cmd.client_seq);
-    awaiting_client_[key] = from;
-    if (assigned_.count(key) > 0 || queued_.count(key) > 0) {
-      return;  // In flight: the apply path replies.
-    }
-    queued_.insert(key);
-    pending_.push_back(m->cmd);
-    if (!leader_active_ || options_.batch_delay == 0 ||
-        pending_.size() >= static_cast<size_t>(options_.batch_size)) {
-      ProposeNext();
-    } else if (pending_.size() == 1) {
-      batch_timer_ = SetTimer(options_.batch_delay, [this] { ProposeNext(); });
-    }
+    pipeline_.Admit(from, m->cmd, leader_active_);
     return;
   }
 
@@ -790,11 +677,7 @@ void CrosswordReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       if (m->ballot.pid != id() && leader_active_) Deposed();
       if (m->index < log_.start()) {
         // Checkpoint-truncated slot: refuse and re-base the proposer.
-        auto snap = std::make_shared<SnapshotMsg>();
-        snap->end = log_.applied_frontier();
-        snap->data = kv_.Snapshot();
-        snap->sessions = dedup_.sessions();
-        Send(from, snap);
+        pipeline_.SendSnapshot(from, log_);
         if (m->ballot.pid != id()) ResetLeaderTimer();
         return;
       }
@@ -881,7 +764,7 @@ void CrosswordReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       // leader would re-create the full-copy fan-out sharding removed.
       const uint64_t known = ChosenThrough();
       if (m->frontier > known && from != id()) {
-        Send(from, std::make_shared<CatchupRequestMsg>(known));
+        pipeline_.RequestCatchup(from, known);
       }
     }
     return;
@@ -890,11 +773,7 @@ void CrosswordReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
   if (const auto* m = dynamic_cast<const PullMsg*>(&msg)) {
     if (m->index < log_.start()) {
       // Truncated away: the puller is far behind — re-base it.
-      auto snap = std::make_shared<SnapshotMsg>();
-      snap->end = log_.applied_frontier();
-      snap->data = kv_.Snapshot();
-      snap->sessions = dedup_.sessions();
-      Send(from, snap);
+      pipeline_.SendSnapshot(from, log_);
       ++pulls_served_;
       return;
     }
@@ -964,42 +843,23 @@ void CrosswordReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
     return;
   }
 
-  if (const auto* m = dynamic_cast<const CatchupRequestMsg*>(&msg)) {
-    if (!leader_active_) return;
-    if (m->from_index < log_.start()) {
-      auto snap = std::make_shared<SnapshotMsg>();
-      snap->end = log_.applied_frontier();
-      snap->data = kv_.Snapshot();
-      snap->sessions = dedup_.sessions();
-      Send(from, snap);
-      return;
-    }
-    auto reply = std::make_shared<CatchupReplyMsg>();
-    constexpr size_t kMaxCatchupEntries = 128;
-    for (uint64_t i = m->from_index;
-         i < log_.commit_frontier() &&
-         reply->entries.size() < kMaxCatchupEntries;
-         ++i) {
-      const smr::Command* cmd = log_.Get(i);
-      if (cmd == nullptr) break;  // Gap within our own retained prefix.
-      reply->entries.emplace_back(i, *cmd);
-    }
-    if (!reply->entries.empty()) Send(from, reply);
+  if (const auto* m = dynamic_cast<const smr::CatchupRequestMsg*>(&msg)) {
+    if (leader_active_) pipeline_.ServeCatchup(from, m->from_index, log_);
     return;
   }
 
-  if (const auto* m = dynamic_cast<const CatchupReplyMsg*>(&msg)) {
+  if (const auto* m = dynamic_cast<const smr::CatchupReplyMsg*>(&msg)) {
     // Every entry is a chosen value; learning outright is safe.
     for (const auto& [index, cmd] : m->entries) LearnChosen(index, cmd);
     return;
   }
 
-  if (const auto* m = dynamic_cast<const SnapshotMsg*>(&msg)) {
-    if (m->end <= log_.applied_frontier()) return;  // Already as fresh.
-    kv_.Restore(m->data);
-    dedup_.Restore(m->sessions);
-    log_.ResetToSnapshot(m->end);
-    slots_.erase(slots_.begin(), slots_.lower_bound(m->end));
+  if (const auto* m = dynamic_cast<const smr::SnapshotMsg*>(&msg)) {
+    if (!pipeline_.InstallSnapshot(*m, &log_, &slots_,
+                                   leader_active_ ? &next_index_ : nullptr)) {
+      return;
+    }
+    // Reconstructions the snapshot covers are moot.
     for (auto it = pending_recon_.begin(); it != pending_recon_.end();) {
       if (it->first < m->end) {
         CancelTimer(it->second.timer);
@@ -1008,21 +868,6 @@ void CrosswordReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
         ++it;
       }
     }
-    ++snapshots_installed_;
-    if (leader_active_) {
-      // As in Multi-Paxos: a snapshot refusing our Accept means we won an
-      // election while lagging; drop the dead in-flight tracking and
-      // re-base the cursor.
-      for (auto it = assigned_.begin(); it != assigned_.end();) {
-        if (it->second < m->end) {
-          it = assigned_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      next_index_ = std::max(next_index_, m->end);
-    }
-    ApplyAndReply();  // Retained chosen slots past `end` may now apply.
     return;
   }
 }
@@ -1034,11 +879,7 @@ void CrosswordReplica::OnRestart() {
   promisers_.clear();
   recovered_.clear();
   recovered_chosen_.clear();
-  pending_.clear();
-  queued_.clear();
-  assigned_.clear();
-  awaiting_client_.clear();
-  batch_timer_ = 0;
+  pipeline_.Restart();
   heartbeat_timer_ = 0;
   // The adaptive controller restarts conservative (full copies).
   c_now_ = k_;

@@ -1,7 +1,6 @@
 #ifndef CONSENSUS40_PAXOS_CROSSWORD_H_
 #define CONSENSUS40_PAXOS_CROSSWORD_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -13,6 +12,7 @@
 #include "sim/simulation.h"
 #include "smr/command.h"
 #include "smr/erasure.h"
+#include "smr/pipeline.h"
 #include "smr/state_machine.h"
 
 namespace consensus40::paxos {
@@ -82,37 +82,28 @@ struct CrosswordOptions {
 /// missing shards from peers (never the full payload from the leader),
 /// and a recovering leader reassembles possibly-chosen entries from the
 /// shard fragments its phase-1 promises carry.
-class CrosswordReplica : public sim::Process {
+class CrosswordReplica : public smr::PipelineProcess {
  public:
   explicit CrosswordReplica(CrosswordOptions options);
 
   // --- Client-facing messages (public so clients can construct them) ---
-  struct RequestMsg : sim::Message {
-    explicit RequestMsg(smr::Command c) : cmd(std::move(c)) {}
+  struct RequestMsg : smr::ClientRequestMsg {
+    using smr::ClientRequestMsg::ClientRequestMsg;
     const char* TypeName() const override { return "cw-request"; }
-    int ByteSize() const override { return 8 + cmd.ByteSize(); }
-    smr::Command cmd;
   };
-  struct ReplyMsg : sim::Message {
-    ReplyMsg(uint64_t s, std::string r, sim::NodeId l)
-        : client_seq(s), result(std::move(r)), leader_hint(l) {}
+  struct ReplyMsg : smr::ClientReplyMsg {
+    using smr::ClientReplyMsg::ClientReplyMsg;
     const char* TypeName() const override { return "cw-reply"; }
-    int ByteSize() const override {
-      return 16 + static_cast<int>(result.size());
-    }
-    uint64_t client_seq;
-    std::string result;
-    sim::NodeId leader_hint;
   };
 
   bool IsLeader() const { return leader_active_; }
   sim::NodeId LeaderHint() const { return ballot_num_.pid; }
 
   const smr::ReplicatedLog& log() const { return log_; }
-  const smr::KvStore& kv() const { return kv_; }
+  const smr::KvStore& kv() const { return pipeline_.kv(); }
   const std::vector<std::string>& violations() const { return violations_; }
   const std::vector<smr::Command>& CommittedCommands() const {
-    return executed_commands_;
+    return pipeline_.executed();
   }
   int phase1_rounds() const { return phase1_rounds_; }
   /// Slots this replica applied via shard reconstruction (vs full copy).
@@ -123,8 +114,11 @@ class CrosswordReplica : public sim::Process {
   int escalations() const { return escalations_; }
   /// The controller's current shards-per-acceptor choice.
   int current_shards() const { return c_now_; }
-  int checkpoints_taken() const { return checkpoints_taken_; }
-  int snapshots_installed() const { return snapshots_installed_; }
+  int checkpoints_taken() const { return pipeline_.checkpoints_taken(); }
+  int snapshots_installed() const { return pipeline_.snapshots_installed(); }
+  /// Commands queued awaiting a batch cut, and cut but not yet applied.
+  size_t queued_ops() const { return pipeline_.queued_ops(); }
+  size_t inflight_ops() const { return pipeline_.inflight_ops(); }
 
   void OnStart() override;
   void OnMessage(sim::NodeId from, const sim::Message& msg) override;
@@ -138,9 +132,6 @@ class CrosswordReplica : public sim::Process {
   struct CommitMsg;
   struct PullMsg;
   struct PullReplyMsg;
-  struct CatchupRequestMsg;
-  struct CatchupReplyMsg;
-  struct SnapshotMsg;
 
   struct SlotState {
     Ballot accept_num;
@@ -202,8 +193,6 @@ class CrosswordReplica : public sim::Process {
   /// Installs the full chosen value into the log and applies.
   void LearnChosen(uint64_t index, const smr::Command& cmd);
   void SchedulePull(uint64_t index);
-  void ApplyAndReply();
-  void MaybeCheckpoint();
   void ResetLeaderTimer();
   void SendHeartbeat();
   std::vector<sim::NodeId> Everyone() const;
@@ -231,16 +220,10 @@ class CrosswordReplica : public sim::Process {
   std::set<uint64_t> recovered_chosen_;
   Ballot my_ballot_;
   uint64_t next_index_ = 0;
-  std::deque<smr::Command> pending_;
-  std::map<std::pair<int32_t, uint64_t>, uint64_t> assigned_;
-  std::set<std::pair<int32_t, uint64_t>> queued_;
-  std::map<std::pair<int32_t, uint64_t>, sim::NodeId> awaiting_client_;
 
   // Learner / execution state.
   smr::ReplicatedLog log_;
-  smr::KvStore kv_;
-  smr::DedupingExecutor dedup_;
-  std::vector<smr::Command> executed_commands_;
+  smr::LeaderPipeline pipeline_;
   std::map<uint64_t, PendingRecon> pending_recon_;
   /// (index, puller) -> time our last reply finishes serializing; repeat
   /// pulls before then are the puller's impatience, not a loss, and are
@@ -254,14 +237,10 @@ class CrosswordReplica : public sim::Process {
 
   uint64_t leader_timer_ = 0;
   uint64_t heartbeat_timer_ = 0;
-  uint64_t batch_timer_ = 0;
   int phase1_rounds_ = 0;
-  int batches_cut_ = 0;
   int reconstructions_ = 0;
   int pulls_served_ = 0;
   int escalations_ = 0;
-  int checkpoints_taken_ = 0;
-  int snapshots_installed_ = 0;
   std::vector<std::string> violations_;
 };
 

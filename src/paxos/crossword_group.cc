@@ -19,10 +19,7 @@
 namespace consensus40::paxos {
 namespace {
 
-/// Must match the sentinel in crossword.cc (protocol wire constant).
-const char kRedirect[] = "\x01REDIRECT";
-
-class CrosswordGroup : public consensus::ReplicaGroup {
+class CrosswordGroup : public consensus::LogReplicaGroup<CrosswordReplica> {
  public:
   enum class Variant { kAdaptive, kRs, kFull, kUnsafe };
 
@@ -43,10 +40,7 @@ class CrosswordGroup : public consensus::ReplicaGroup {
   }
 
   void Create(sim::Simulation* sim, int replicas) override {
-    sim::NodeId base = sim->num_processes();
-    for (int i = 0; i < replicas; ++i) {
-      members_.push_back(base + i);
-    }
+    ClaimMembers(sim, replicas);
     CrosswordOptions options;
     options.members = members_;
     options.batch_size = tuning_.batch_size;
@@ -75,56 +69,11 @@ class CrosswordGroup : public consensus::ReplicaGroup {
         options.unsafe_majority_quorum = true;
         break;
     }
-    for (int i = 0; i < replicas; ++i) {
-      replicas_.push_back(sim->Spawn<CrosswordReplica>(options));
-    }
-  }
-
-  sim::MessagePtr MakeRequest(const smr::Command& cmd) const override {
-    return std::make_shared<CrosswordReplica::RequestMsg>(cmd);
-  }
-
-  std::optional<Reply> ParseReply(const sim::Message& msg) const override {
-    const auto* m = dynamic_cast<const CrosswordReplica::ReplyMsg*>(&msg);
-    if (m == nullptr) return std::nullopt;
-    Reply reply;
-    reply.client_seq = m->client_seq;
-    reply.leader_hint = m->leader_hint;
-    if (m->result == kRedirect) {
-      reply.redirected = true;
-    } else {
-      reply.result = m->result;
-    }
-    return reply;
-  }
-
-  sim::NodeId LeaderHint() const override {
-    for (const CrosswordReplica* r : replicas_) {
-      if (r->IsLeader()) return r->id();
-    }
-    return sim::kInvalidNode;
-  }
-
-  std::vector<smr::Command> CommittedPrefix(int replica) const override {
-    return replicas_[static_cast<size_t>(replica)]->CommittedCommands();
-  }
-
-  std::vector<std::string> Violations() const override {
-    std::vector<std::string> all;
-    for (const CrosswordReplica* r : replicas_) {
-      for (const std::string& v : r->violations()) {
-        all.push_back("replica " + std::to_string(r->id()) + ": " + v);
-      }
-      for (const std::string& v : r->log().violations()) {
-        all.push_back("replica " + std::to_string(r->id()) + " log: " + v);
-      }
-    }
-    return all;
+    SpawnReplicas(sim, options);
   }
 
  private:
   Variant variant_;
-  std::vector<CrosswordReplica*> replicas_;
 };
 
 }  // namespace

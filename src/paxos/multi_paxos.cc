@@ -5,11 +5,6 @@
 
 namespace consensus40::paxos {
 
-namespace {
-/// Sentinel result telling a client to retry against the hinted leader.
-const char kRedirect[] = "\x01REDIRECT";
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Messages
 // ---------------------------------------------------------------------------
@@ -31,11 +26,18 @@ struct MultiPaxosReplica::PromiseMsg : sim::Message {
     for (const auto& [index, entry] : accepted) {
       size += 32 + entry.second.ByteSize();
     }
+    for (const auto& [index, cmd] : chosen) size += 16 + cmd.ByteSize();
     return size;
   }
   Ballot ballot;
   /// index -> (AcceptNum, AcceptVal) for every unchosen accepted slot.
   std::map<uint64_t, std::pair<Ballot, smr::Command>> accepted;
+  /// index -> value for every slot this replica knows is decided. A
+  /// promiser that learned a decision no longer reports the slot as
+  /// merely accepted, so without these a new leader that missed the
+  /// decisions would see the slots as empty and propose fresh commands
+  /// into them.
+  std::map<uint64_t, smr::Command> chosen;
 };
 
 struct MultiPaxosReplica::AcceptMsg : sim::Message {
@@ -69,53 +71,17 @@ struct MultiPaxosReplica::CommitMsg : sim::Message {
   uint64_t frontier = 0;
 };
 
-struct MultiPaxosReplica::CatchupRequestMsg : sim::Message {
-  explicit CatchupRequestMsg(uint64_t f) : from_index(f) {}
-  const char* TypeName() const override { return "catchup-request"; }
-  int ByteSize() const override { return 16; }
-  uint64_t from_index;  ///< Requester's commit frontier.
-};
-
-struct MultiPaxosReplica::CatchupReplyMsg : sim::Message {
-  const char* TypeName() const override { return "catchup-reply"; }
-  int ByteSize() const override {
-    int size = 16;
-    for (const auto& [index, cmd] : entries) size += 16 + cmd.ByteSize();
-    return size;
-  }
-  std::vector<std::pair<uint64_t, smr::Command>> entries;  ///< Chosen slots.
-};
-
-/// Full-state transfer for a follower whose gap was checkpoint-truncated
-/// away on the leader (the Multi-Paxos analogue of Raft's InstallSnapshot).
-struct MultiPaxosReplica::SnapshotMsg : sim::Message {
-  const char* TypeName() const override { return "snapshot"; }
-  int ByteSize() const override {
-    // True framed size: actual key/value bytes plus cached session
-    // results, not a per-entry constant (values can be megabytes).
-    int size = 64;
-    for (const auto& [k, v] : data) {
-      size += 16 + static_cast<int>(k.size()) + static_cast<int>(v.size());
-    }
-    for (const auto& [client, s] : sessions) {
-      size += 24;
-      for (const auto& [seq, result] : s.above) {
-        size += 16 + static_cast<int>(result.size());
-      }
-    }
-    return size;
-  }
-  uint64_t end = 0;  ///< The snapshot covers slots [0, end).
-  std::map<std::string, std::string> data;  ///< KV state.
-  smr::DedupingExecutor::Sessions sessions;
-};
-
 // ---------------------------------------------------------------------------
 // Replica
 // ---------------------------------------------------------------------------
 
 MultiPaxosReplica::MultiPaxosReplica(MultiPaxosOptions options)
-    : options_(options) {
+    : options_(options),
+      pipeline_(
+          {options.batch_size, options.batch_delay,
+           options.checkpoint_interval},
+          PipelineHooks<ReplyMsg>([this] { ProposeNext(); }),
+          {"catchup-request", "catchup-reply", "snapshot"}) {
   if (options_.members.empty()) {
     assert(options_.n > 0);
     for (int i = 0; i < options_.n; ++i) options_.members.push_back(i);
@@ -159,6 +125,7 @@ void MultiPaxosReplica::StartPhase1() {
   leader_active_ = false;
   promisers_.clear();
   recovered_.clear();
+  recovered_chosen_.clear();
   ++phase1_rounds_;
   Multicast(Everyone(), std::make_shared<PrepareMsg>(my_ballot_));
   ResetLeaderTimer();  // Retry if this attempt stalls.
@@ -169,10 +136,18 @@ void MultiPaxosReplica::OnLeadershipAcquired() {
   leader_active_ = true;
   CancelTimer(leader_timer_);
 
+  // Learn the slots some promiser knows are decided before placing the
+  // proposal cursor: re-proposing into them, or no-op filling them, could
+  // overwrite a decided value.
+  uint64_t max_idx = next_index_;
+  for (const auto& [index, cmd] : recovered_chosen_) {
+    Chosen(index, cmd);
+    max_idx = std::max(max_idx, index + 1);
+  }
+
   // Re-propose every value learned during phase 1 ("learn outcome of all
   // smaller ballots"): the value accepted in the highest ballot might have
   // been decided.
-  uint64_t max_idx = next_index_;
   for (const auto& [index, entry] : recovered_) {
     // Slots below our own truncation frontier are already applied (their
     // chosen value is baked into the checkpoint); re-proposing there
@@ -201,15 +176,11 @@ void MultiPaxosReplica::OnLeadershipAcquired() {
   SendHeartbeat();  // Also self-reschedules while leader.
 
   if (!options_.skip_phase1_when_stable && slot_in_flight_ &&
-      !pending_.empty()) {
+      pipeline_.HasQueued()) {
     // Per-command phase-1 mode: this phase 1 was run for the head command;
     // now send its accept.
-    smr::Command cmd = std::move(pending_.front());
-    pending_.pop_front();
     uint64_t index = next_index_++;
-    queued_.erase({cmd.client, cmd.client_seq});
-    assigned_[{cmd.client, cmd.client_seq}] = index;
-    AcceptSlot(index, cmd);
+    AcceptSlot(index, pipeline_.CutNext(index, /*single=*/true));
     return;
   }
   slot_in_flight_ = false;
@@ -218,18 +189,10 @@ void MultiPaxosReplica::OnLeadershipAcquired() {
 
 void MultiPaxosReplica::Deposed() {
   // Mirrors Raft's BecomeFollower: a higher ballot exists, so nothing we
-  // queued will be proposed by us — drop it (clients re-transmit to the
-  // new leader) instead of re-proposing stale duplicates if we ever
-  // regain leadership, and stop the linger timer that would otherwise
-  // keep firing. In-flight assignment tracking goes too: a stale entry
-  // would make a later retry look "in flight" forever and never re-enqueue.
+  // queued will be proposed by us.
   leader_active_ = false;
   CancelTimer(heartbeat_timer_);
-  CancelTimer(batch_timer_);
-  batch_timer_ = 0;
-  pending_.clear();
-  queued_.clear();
-  assigned_.clear();
+  pipeline_.Depose();
   slot_in_flight_ = false;
 }
 
@@ -248,40 +211,17 @@ void MultiPaxosReplica::SendHeartbeat() {
 void MultiPaxosReplica::ProposeNext() {
   if (!leader_active_) return;
   if (options_.skip_phase1_when_stable) {
-    // Steady state: cut the pending queue into slots (batch_size commands
-    // per slot), pipelined.
-    CancelTimer(batch_timer_);
-    batch_timer_ = 0;
-    size_t max_take = static_cast<size_t>(std::max(1, options_.batch_size));
-    while (!pending_.empty()) {
-      size_t take = std::min(pending_.size(), max_take);
+    // Steady state: cut the queue into slots (batch_size commands per
+    // slot), pipelined.
+    pipeline_.DisarmLinger();
+    while (pipeline_.HasQueued()) {
       uint64_t index = next_index_++;
-      smr::Command entry;
-      if (take == 1) {
-        // A lone command ships raw, keeping the untuned log shape.
-        entry = std::move(pending_.front());
-        pending_.pop_front();
-        queued_.erase({entry.client, entry.client_seq});
-        assigned_[{entry.client, entry.client_seq}] = index;
-      } else {
-        std::vector<smr::Command> cmds(pending_.begin(),
-                                       pending_.begin() +
-                                           static_cast<long>(take));
-        pending_.erase(pending_.begin(),
-                       pending_.begin() + static_cast<long>(take));
-        for (const smr::Command& cmd : cmds) {
-          queued_.erase({cmd.client, cmd.client_seq});
-          assigned_[{cmd.client, cmd.client_seq}] = index;
-        }
-        entry = smr::EncodeBatch(cmds);
-        ++batches_cut_;
-      }
-      AcceptSlot(index, entry);
+      AcceptSlot(index, pipeline_.CutNext(index));
     }
   } else {
     // Ablation: full Basic Paxos per entry — re-run phase 1 first; the
     // accept for the head command is sent from OnLeadershipAcquired.
-    if (slot_in_flight_ || pending_.empty()) return;
+    if (slot_in_flight_ || !pipeline_.HasQueued()) return;
     slot_in_flight_ = true;
     StartPhase1();
   }
@@ -314,68 +254,19 @@ void MultiPaxosReplica::Chosen(uint64_t index, const smr::Command& cmd) {
     log_.CommitThrough(frontier);
     ++frontier;
   }
-  ApplyAndReply();
-}
-
-void MultiPaxosReplica::ApplyAndReply() {
   // Batch slots fan out: each client command is deduped, recorded, and
   // answered individually.
-  log_.ApplyCommitted(
-      &kv_, &dedup_,
-      [this](uint64_t, const smr::Command& cmd, const std::string& result) {
-        executed_commands_.push_back(cmd);
-        auto key = std::make_pair(cmd.client, cmd.client_seq);
-        assigned_.erase(key);  // The dedup session covers it from here on.
-        auto it = awaiting_client_.find(key);
-        if (it != awaiting_client_.end()) {
-          Send(it->second,
-               std::make_shared<ReplyMsg>(cmd.client_seq, result, id()));
-          awaiting_client_.erase(it);
-        }
-      });
-  MaybeCheckpoint();
-}
-
-void MultiPaxosReplica::MaybeCheckpoint() {
-  if (options_.checkpoint_interval == 0) return;
-  uint64_t applied = log_.applied_frontier();
-  if (applied - log_.start() < options_.checkpoint_interval) return;
-  // The applied state machine (plus its dedup sessions) IS the
-  // checkpoint: truncate the log prefix and the matching acceptor slots.
-  log_.TruncatePrefix(applied);
-  slots_.erase(slots_.begin(), slots_.lower_bound(applied));
-  ++checkpoints_taken_;
+  pipeline_.ApplySlots(&log_, &slots_);
 }
 
 void MultiPaxosReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
   if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
     if (!leader_active_ && !phase1_pending_) {
-      Send(from, std::make_shared<ReplyMsg>(m->cmd.client_seq, kRedirect,
-                                            LeaderHint()));
+      Send(from, std::make_shared<ReplyMsg>(m->cmd.client_seq,
+                                            smr::kRedirect, LeaderHint()));
       return;
     }
-    // Already executed (possibly checkpoint-truncated): answer from cache.
-    if (const std::string* cached =
-            dedup_.Lookup(m->cmd.client, m->cmd.client_seq)) {
-      Send(from,
-           std::make_shared<ReplyMsg>(m->cmd.client_seq, *cached, id()));
-      return;
-    }
-    auto key = std::make_pair(m->cmd.client, m->cmd.client_seq);
-    awaiting_client_[key] = from;
-    if (assigned_.count(key) > 0 || queued_.count(key) > 0) {
-      return;  // In flight: the apply path replies.
-    }
-    queued_.insert(key);
-    pending_.push_back(m->cmd);
-    // PBFT-style cut-or-linger: cut immediately when batching is off or
-    // the batch is full; otherwise arm the linger timer on first enqueue.
-    if (!leader_active_ || options_.batch_delay == 0 ||
-        pending_.size() >= static_cast<size_t>(options_.batch_size)) {
-      ProposeNext();
-    } else if (pending_.size() == 1) {
-      batch_timer_ = SetTimer(options_.batch_delay, [this] { ProposeNext(); });
-    }
+    pipeline_.Admit(from, m->cmd, leader_active_);
     return;
   }
 
@@ -388,7 +279,10 @@ void MultiPaxosReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       auto promise = std::make_shared<PromiseMsg>();
       promise->ballot = m->ballot;
       for (const auto& [index, slot] : slots_) {
-        if (slot.has_value && !slot.chosen) {
+        if (!slot.has_value) continue;
+        if (slot.chosen) {
+          promise->chosen.emplace(index, slot.value);
+        } else {
           promise->accepted[index] = {slot.accept_num, slot.value};
         }
       }
@@ -407,6 +301,7 @@ void MultiPaxosReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
         recovered_[index] = entry;
       }
     }
+    recovered_chosen_.insert(m->chosen.begin(), m->chosen.end());
     if (static_cast<int>(promisers_.size()) >= q1_) OnLeadershipAcquired();
     return;
   }
@@ -422,11 +317,7 @@ void MultiPaxosReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
         // divergence. Refuse, and ship our applied state instead so the
         // stale proposer re-bases past the truncation frontier before
         // proposing again.
-        auto snap = std::make_shared<SnapshotMsg>();
-        snap->end = log_.applied_frontier();
-        snap->data = kv_.Snapshot();
-        snap->sessions = dedup_.sessions();
-        Send(from, snap);
+        pipeline_.SendSnapshot(from, log_);
         if (m->ballot.pid != id()) ResetLeaderTimer();
         return;
       }
@@ -493,73 +384,27 @@ void MultiPaxosReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
         // We trail the leader's commit frontier (e.g. healed partition, or
         // commits we missed): pull the gap. Re-requested every heartbeat
         // until closed, so a lost reply self-heals.
-        Send(from,
-             std::make_shared<CatchupRequestMsg>(log_.commit_frontier()));
+        pipeline_.RequestCatchup(from, log_.commit_frontier());
       }
     }
     return;
   }
 
-  if (const auto* m = dynamic_cast<const CatchupRequestMsg*>(&msg)) {
-    if (!leader_active_) return;
-    if (m->from_index < log_.start()) {
-      // The requester's gap was checkpoint-truncated away: ship the full
-      // applied state instead.
-      auto snap = std::make_shared<SnapshotMsg>();
-      snap->end = log_.applied_frontier();
-      snap->data = kv_.Snapshot();
-      snap->sessions = dedup_.sessions();
-      Send(from, snap);
-      return;
-    }
-    auto reply = std::make_shared<CatchupReplyMsg>();
-    // Cap the transfer; the follower's next heartbeat round pulls more.
-    constexpr size_t kMaxCatchupEntries = 128;
-    for (uint64_t i = m->from_index; i < log_.commit_frontier() &&
-                                     reply->entries.size() < kMaxCatchupEntries;
-         ++i) {
-      const smr::Command* cmd = log_.Get(i);
-      if (cmd == nullptr) break;  // Gap within our own retained prefix.
-      reply->entries.emplace_back(i, *cmd);
-    }
-    if (!reply->entries.empty()) Send(from, reply);
+  if (const auto* m = dynamic_cast<const smr::CatchupRequestMsg*>(&msg)) {
+    if (leader_active_) pipeline_.ServeCatchup(from, m->from_index, log_);
     return;
   }
 
-  if (const auto* m = dynamic_cast<const CatchupReplyMsg*>(&msg)) {
+  if (const auto* m = dynamic_cast<const smr::CatchupReplyMsg*>(&msg)) {
     // Every entry is a chosen (committed) value, so learning it outright
     // is safe regardless of ballot.
     for (const auto& [index, cmd] : m->entries) Chosen(index, cmd);
     return;
   }
 
-  if (const auto* m = dynamic_cast<const SnapshotMsg*>(&msg)) {
-    if (m->end <= log_.applied_frontier()) return;  // Already as fresh.
-    kv_.Restore(m->data);
-    dedup_.Restore(m->sessions);
-    log_.ResetToSnapshot(m->end);
-    slots_.erase(slots_.begin(), slots_.lower_bound(m->end));
-    ++snapshots_installed_;
-    if (leader_active_) {
-      // A snapshot reaching an ACTIVE leader is an acceptor's refusal of
-      // an Accept below its truncation frontier: we won an election while
-      // lagging and proposed into slots that were already decided and
-      // checkpointed elsewhere. Those proposals are abandoned — the slot
-      // bookkeeping below `end` is gone — and their commands must not be
-      // resurrected at the dead indices, so drop the in-flight tracking
-      // (client retries re-enqueue them above the frontier; retries of
-      // commands the snapshot shows as executed hit the dedup cache) and
-      // re-base the proposal cursor past the snapshot.
-      for (auto it = assigned_.begin(); it != assigned_.end();) {
-        if (it->second < m->end) {
-          it = assigned_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      next_index_ = std::max(next_index_, m->end);
-    }
-    ApplyAndReply();  // Retained chosen slots past `end` may now apply.
+  if (const auto* m = dynamic_cast<const smr::SnapshotMsg*>(&msg)) {
+    pipeline_.InstallSnapshot(*m, &log_, &slots_,
+                              leader_active_ ? &next_index_ : nullptr);
     return;
   }
 }
@@ -570,12 +415,9 @@ void MultiPaxosReplica::OnRestart() {
   phase1_pending_ = false;
   promisers_.clear();
   recovered_.clear();
-  pending_.clear();
-  queued_.clear();  // Matches pending_: clients re-transmit.
-  assigned_.clear();
-  awaiting_client_.clear();
+  recovered_chosen_.clear();
+  pipeline_.Restart();  // Clients re-transmit.
   slot_in_flight_ = false;
-  batch_timer_ = 0;  // Timers died with the crash.
   ResetLeaderTimer();
 }
 
@@ -618,7 +460,7 @@ void MultiPaxosClient::OnMessage(sim::NodeId from,
                                  const sim::Message& msg) {
   const auto* m = dynamic_cast<const MultiPaxosReplica::ReplyMsg*>(&msg);
   if (m == nullptr || m->client_seq != seq_ || done()) return;
-  if (m->result == kRedirect) {
+  if (m->result == smr::kRedirect) {
     for (size_t i = 0; i < members_.size(); ++i) {
       if (members_[i] == m->leader_hint && m->leader_hint != from) {
         target_idx_ = i;

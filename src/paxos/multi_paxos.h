@@ -1,7 +1,6 @@
 #ifndef CONSENSUS40_PAXOS_MULTI_PAXOS_H_
 #define CONSENSUS40_PAXOS_MULTI_PAXOS_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -12,6 +11,7 @@
 #include "paxos/ballot.h"
 #include "sim/simulation.h"
 #include "smr/command.h"
+#include "smr/pipeline.h"
 #include "smr/state_machine.h"
 
 namespace consensus40::paxos {
@@ -60,27 +60,18 @@ struct MultiPaxosOptions {
 /// A Multi-Paxos replica: a separate Basic Paxos instance per log entry
 /// (Prepare/Accept carry an index), a stable leader elected via phase 1,
 /// and a replicated KvStore applied in log order.
-class MultiPaxosReplica : public sim::Process {
+class MultiPaxosReplica : public smr::PipelineProcess {
  public:
   explicit MultiPaxosReplica(MultiPaxosOptions options);
 
   // --- Client-facing messages (public so clients can construct them) ---
-  struct RequestMsg : sim::Message {
-    explicit RequestMsg(smr::Command c) : cmd(std::move(c)) {}
+  struct RequestMsg : smr::ClientRequestMsg {
+    using smr::ClientRequestMsg::ClientRequestMsg;
     const char* TypeName() const override { return "request"; }
-    int ByteSize() const override { return 8 + cmd.ByteSize(); }
-    smr::Command cmd;
   };
-  struct ReplyMsg : sim::Message {
-    ReplyMsg(uint64_t s, std::string r, sim::NodeId l)
-        : client_seq(s), result(std::move(r)), leader_hint(l) {}
+  struct ReplyMsg : smr::ClientReplyMsg {
+    using smr::ClientReplyMsg::ClientReplyMsg;
     const char* TypeName() const override { return "reply"; }
-    int ByteSize() const override {
-      return 16 + static_cast<int>(result.size());
-    }
-    uint64_t client_seq;
-    std::string result;
-    sim::NodeId leader_hint;
   };
 
   /// True if this replica currently believes it is the leader.
@@ -90,22 +81,22 @@ class MultiPaxosReplica : public sim::Process {
   sim::NodeId LeaderHint() const { return ballot_num_.pid; }
 
   const smr::ReplicatedLog& log() const { return log_; }
-  const smr::KvStore& kv() const { return kv_; }
+  const smr::KvStore& kv() const { return pipeline_.kv(); }
   const std::vector<std::string>& violations() const { return violations_; }
   int phase1_rounds() const { return phase1_rounds_; }
   /// Commands this replica executed, in order, batch entries flattened (a
   /// replica that bootstrapped from a snapshot only knows its suffix).
   const std::vector<smr::Command>& CommittedCommands() const {
-    return executed_commands_;
+    return pipeline_.executed();
   }
-  /// In-flight duplicate-suppression entries (bounded: erased on apply).
-  size_t assigned_entries() const { return assigned_.size(); }
-  /// Commands queued awaiting a batch cut (cleared on deposition).
-  size_t pending_ops() const { return pending_.size(); }
+  /// Commands queued awaiting a batch cut, and cut but not yet applied
+  /// (both dropped on deposition; the latter also drains on apply).
+  size_t queued_ops() const { return pipeline_.queued_ops(); }
+  size_t inflight_ops() const { return pipeline_.inflight_ops(); }
   /// Multi-command slots cut by this replica while leader.
-  int batches_cut() const { return batches_cut_; }
-  int checkpoints_taken() const { return checkpoints_taken_; }
-  int snapshots_installed() const { return snapshots_installed_; }
+  int batches_cut() const { return pipeline_.batches_cut(); }
+  int checkpoints_taken() const { return pipeline_.checkpoints_taken(); }
+  int snapshots_installed() const { return pipeline_.snapshots_installed(); }
 
   void OnStart() override;
   void OnMessage(sim::NodeId from, const sim::Message& msg) override;
@@ -117,9 +108,6 @@ class MultiPaxosReplica : public sim::Process {
   struct AcceptMsg;
   struct AcceptedMsg;
   struct CommitMsg;
-  struct CatchupRequestMsg;
-  struct CatchupReplyMsg;
-  struct SnapshotMsg;
 
   struct SlotState {
     Ballot accept_num;
@@ -137,9 +125,6 @@ class MultiPaxosReplica : public sim::Process {
   void ProposeNext();
   void AcceptSlot(uint64_t index, const smr::Command& cmd);
   void Chosen(uint64_t index, const smr::Command& cmd);
-  void ApplyAndReply();
-  /// Truncates the applied log prefix once checkpoint_interval is hit.
-  void MaybeCheckpoint();
   void ResetLeaderTimer();
   void SendHeartbeat();
   std::vector<sim::NodeId> Everyone() const;
@@ -158,33 +143,19 @@ class MultiPaxosReplica : public sim::Process {
   std::set<sim::NodeId> promisers_;
   /// Highest-ballot accepted value per index, merged from promises.
   std::map<uint64_t, std::pair<Ballot, smr::Command>> recovered_;
+  /// Slots some promiser knows are decided, with their values.
+  std::map<uint64_t, smr::Command> recovered_chosen_;
   Ballot my_ballot_;
   uint64_t next_index_ = 0;
-  std::deque<smr::Command> pending_;
-  /// (client, client_seq) -> slot index for commands proposed but not yet
-  /// applied (a retry just re-registers its reply address). Erased on
-  /// apply — the dedup session covers the command from then on — so the
-  /// map is bounded by the in-flight pipeline.
-  std::map<std::pair<int32_t, uint64_t>, uint64_t> assigned_;
-  /// Commands sitting in pending_ awaiting a batch cut.
-  std::set<std::pair<int32_t, uint64_t>> queued_;
-  /// (client, client_seq) -> client node awaiting a reply.
-  std::map<std::pair<int32_t, uint64_t>, sim::NodeId> awaiting_client_;
   bool slot_in_flight_ = false;  ///< Used when re-preparing per command.
 
   // Learner / execution state.
   smr::ReplicatedLog log_;
-  smr::KvStore kv_;
-  smr::DedupingExecutor dedup_;
-  std::vector<smr::Command> executed_commands_;
+  smr::LeaderPipeline pipeline_;
 
   uint64_t leader_timer_ = 0;
   uint64_t heartbeat_timer_ = 0;
-  uint64_t batch_timer_ = 0;
   int phase1_rounds_ = 0;
-  int batches_cut_ = 0;
-  int checkpoints_taken_ = 0;
-  int snapshots_installed_ = 0;
   std::vector<std::string> violations_;
 };
 

@@ -12,74 +12,19 @@
 namespace consensus40::paxos {
 namespace {
 
-/// Must match the sentinel in multi_paxos.cc (protocol wire constant).
-const char kRedirect[] = "\x01REDIRECT";
-
-class MultiPaxosGroup : public consensus::ReplicaGroup {
+class MultiPaxosGroup : public consensus::LogReplicaGroup<MultiPaxosReplica> {
  public:
   const char* protocol() const override { return "multi_paxos"; }
 
   void Create(sim::Simulation* sim, int replicas) override {
-    sim::NodeId base = sim->num_processes();
-    for (int i = 0; i < replicas; ++i) {
-      members_.push_back(base + i);
-    }
+    ClaimMembers(sim, replicas);
     MultiPaxosOptions options;
     options.members = members_;
     options.batch_size = tuning_.batch_size;
     options.batch_delay = tuning_.batch_delay;
     options.checkpoint_interval = tuning_.snapshot_threshold;
-    for (int i = 0; i < replicas; ++i) {
-      replicas_.push_back(sim->Spawn<MultiPaxosReplica>(options));
-    }
+    SpawnReplicas(sim, options);
   }
-
-  sim::MessagePtr MakeRequest(const smr::Command& cmd) const override {
-    return std::make_shared<MultiPaxosReplica::RequestMsg>(cmd);
-  }
-
-  std::optional<Reply> ParseReply(const sim::Message& msg) const override {
-    const auto* m = dynamic_cast<const MultiPaxosReplica::ReplyMsg*>(&msg);
-    if (m == nullptr) return std::nullopt;
-    Reply reply;
-    reply.client_seq = m->client_seq;
-    reply.leader_hint = m->leader_hint;
-    if (m->result == kRedirect) {
-      reply.redirected = true;
-    } else {
-      reply.result = m->result;
-    }
-    return reply;
-  }
-
-  sim::NodeId LeaderHint() const override {
-    for (const MultiPaxosReplica* r : replicas_) {
-      if (r->IsLeader()) return r->id();
-    }
-    return sim::kInvalidNode;
-  }
-
-  std::vector<smr::Command> CommittedPrefix(int replica) const override {
-    // Executed commands, not the raw log: batch slots arrive flattened and
-    // a checkpoint-truncated log still reports what it applied.
-    return replicas_[static_cast<size_t>(replica)]->CommittedCommands();
-  }
-
-  std::vector<std::string> Violations() const override {
-    std::vector<std::string> all;
-    for (const MultiPaxosReplica* r : replicas_) {
-      for (const std::string& v : r->violations()) {
-        all.push_back("replica " + std::to_string(r->id()) + ": " + v);
-      }
-      for (const std::string& v : r->log().violations()) {
-        all.push_back("replica " + std::to_string(r->id()) + " log: " + v);
-      }
-    }
-    return all;
-  }
-
- private:
-  std::vector<MultiPaxosReplica*> replicas_;
 };
 
 }  // namespace

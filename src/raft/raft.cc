@@ -5,10 +5,6 @@
 
 namespace consensus40::raft {
 
-namespace {
-const char kRedirect[] = "\x01REDIRECT";
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Messages
 // ---------------------------------------------------------------------------
@@ -58,26 +54,13 @@ struct RaftReplica::AppendReplyMsg : sim::Message {
 struct RaftReplica::InstallSnapshotMsg : sim::Message {
   const char* TypeName() const override { return "install-snapshot"; }
   int ByteSize() const override {
-    // True framed size: actual key/value bytes plus cached session
-    // results, not a per-entry constant (values can be megabytes).
-    int size = 64 + static_cast<int>(config.size()) * 8;
-    for (const auto& [k, v] : data) {
-      size += 16 + static_cast<int>(k.size()) + static_cast<int>(v.size());
-    }
-    for (const auto& [client, s] : sessions) {
-      size += 24;
-      for (const auto& [seq, result] : s.above) {
-        size += 16 + static_cast<int>(result.size());
-      }
-    }
-    return size;
+    return 64 + static_cast<int>(config.size()) * 8 + state.ByteSize();
   }
   int64_t term = 0;
   sim::NodeId leader = sim::kInvalidNode;
   uint64_t last_index = 0;  ///< Global index the snapshot covers through.
   int64_t last_term = 0;
-  std::map<std::string, std::string> data;  ///< KV state.
-  smr::DedupingExecutor::Sessions sessions;
+  smr::StateTransfer state;
   std::vector<sim::NodeId> config;  ///< Configuration at last_index.
 };
 
@@ -85,7 +68,11 @@ struct RaftReplica::InstallSnapshotMsg : sim::Message {
 // Replica
 // ---------------------------------------------------------------------------
 
-RaftReplica::RaftReplica(RaftOptions options) : options_(options) {
+RaftReplica::RaftReplica(RaftOptions options)
+    : options_(options),
+      pipeline_(
+          {options.batch_size, options.batch_delay},
+          PipelineHooks<ReplyMsg>([this] { FlushBatch(); })) {
   if (options_.initial_config.empty()) {
     assert(options_.n > 0);
     for (int i = 0; i < options_.n; ++i) {
@@ -179,10 +166,7 @@ void RaftReplica::OnRestart() {
   votes_.clear();
   next_index_.clear();
   match_index_.clear();
-  awaiting_client_.clear();
-  proposed_.clear();
-  batch_queue_.clear();  // Volatile: clients re-transmit unlogged commands.
-  batch_timer_ = 0;
+  pipeline_.Restart();  // Volatile: clients re-transmit unlogged commands.
   pending_reads_.clear();  // Volatile: clients re-issue reads.
   waiting_reads_.clear();
   ae_round_ = 0;  // Safe: regaining leadership requires a higher term.
@@ -204,9 +188,7 @@ void RaftReplica::BecomeFollower(int64_t term) {
   }
   if (role_ == Role::kLeader) {
     CancelTimer(heartbeat_timer_);
-    CancelTimer(batch_timer_);
-    batch_queue_.clear();  // Unlogged commands: clients retry elsewhere.
-    proposed_.clear();
+    pipeline_.Depose();  // Unlogged commands: clients retry elsewhere.
     FailPendingReads();  // Leadership lost: reads must go to the new leader.
   }
   role_ = Role::kFollower;
@@ -246,7 +228,11 @@ void RaftReplica::BecomeLeader() {
     next_index_[peer] = LogEnd();
     match_index_[peer] = 0;
   }
-  RebuildProposed();
+  // A retried command already in the unapplied suffix must not be
+  // appended again: track it as in flight.
+  for (uint64_t i = last_applied_; i < LogEnd(); ++i) {
+    pipeline_.Track(EntryAt(i + 1).cmd, i + 1);
+  }
   // AdvanceCommitIndex may only count replicas for entries of the
   // current term, so a leader whose log ends in an uncommitted
   // prior-term tail can never commit it without new traffic — and a
@@ -261,34 +247,12 @@ void RaftReplica::BecomeLeader() {
   BroadcastAppendEntries();  // Immediate heartbeat asserts leadership.
 }
 
-void RaftReplica::RebuildProposed() {
-  proposed_.clear();
-  for (uint64_t i = last_applied_; i < LogEnd(); ++i) {
-    for (const smr::Command& cmd : smr::FlattenCommand(EntryAt(i + 1).cmd)) {
-      if (cmd.client >= 0) proposed_.insert({cmd.client, cmd.client_seq});
-    }
-  }
-}
-
 void RaftReplica::FlushBatch() {
-  CancelTimer(batch_timer_);
-  batch_timer_ = 0;
-  if (role_ != Role::kLeader || batch_queue_.empty()) return;
-  size_t max_take = static_cast<size_t>(std::max(1, options_.batch_size));
-  while (!batch_queue_.empty()) {
-    size_t take = std::min(batch_queue_.size(), max_take);
-    if (take == 1) {
-      // A lone command ships raw, keeping the untuned log shape.
-      log_.push_back(LogEntry{current_term_, batch_queue_.front()});
-    } else {
-      std::vector<smr::Command> cmds(batch_queue_.begin(),
-                                     batch_queue_.begin() +
-                                         static_cast<long>(take));
-      log_.push_back(LogEntry{current_term_, smr::EncodeBatch(cmds)});
-      ++batches_cut_;
-    }
-    batch_queue_.erase(batch_queue_.begin(),
-                       batch_queue_.begin() + static_cast<long>(take));
+  pipeline_.DisarmLinger();
+  if (role_ != Role::kLeader || !pipeline_.HasQueued()) return;
+  while (pipeline_.HasQueued()) {
+    const uint64_t index = LogEnd() + 1;
+    log_.push_back(LogEntry{current_term_, pipeline_.CutNext(index)});
   }
   BroadcastAppendEntries();
 }
@@ -303,8 +267,7 @@ void RaftReplica::SendAppendEntries(sim::NodeId peer) {
     snap->leader = id();
     snap->last_index = log_start_;
     snap->last_term = snapshot_term_;
-    snap->data = kv_.Snapshot();
-    snap->sessions = dedup_.sessions();
+    snap->state = pipeline_.Capture();
     snap->config = snapshot_config_;
     Send(peer, snap);
     return;
@@ -365,7 +328,6 @@ void RaftReplica::ApplyCommitted() {
   while (last_applied_ < commit_index_) {
     const LogEntry& entry = EntryAt(last_applied_ + 1);
     ++last_applied_;
-    if (smr::IsNoop(entry.cmd)) continue;  // Leader term-start no-op.
     auto config = ParseConfig(entry.cmd);
     if (config) {
       // A committed configuration that no longer contains us (leader
@@ -376,34 +338,8 @@ void RaftReplica::ApplyCommitted() {
       continue;  // Config entries do not touch the state machine.
     }
     // Batch entries fan out: each client command is deduped, recorded,
-    // and answered individually. A batch that fails to decode must
-    // surface, not silently apply zero commands for the entry.
-    std::vector<smr::Command> subs;
-    if (smr::IsBatch(entry.cmd)) {
-      std::optional<std::vector<smr::Command>> decoded =
-          smr::DecodeBatch(entry.cmd);
-      if (!decoded.has_value()) {
-        violations_.push_back("malformed batch entry at index " +
-                              std::to_string(last_applied_) +
-                              " dropped on apply");
-        continue;
-      }
-      subs = std::move(*decoded);
-    } else {
-      subs = {entry.cmd};
-    }
-    for (const smr::Command& cmd : subs) {
-      std::string result = dedup_.Apply(&kv_, cmd);
-      executed_commands_.push_back(cmd);
-      auto cmd_key = std::make_pair(cmd.client, cmd.client_seq);
-      proposed_.erase(cmd_key);
-      auto it = awaiting_client_.find(cmd_key);
-      if (it != awaiting_client_.end()) {
-        Send(it->second,
-             std::make_shared<ReplyMsg>(cmd.client_seq, result, id()));
-        awaiting_client_.erase(it);
-      }
-    }
+    // and answered individually.
+    pipeline_.ApplyEntry(last_applied_, entry.cmd, &violations_);
   }
   MaybeTakeSnapshot();
 }
@@ -478,10 +414,10 @@ void RaftReplica::MaybeServeReads() {
     // fence must be consulted explicitly: a migrated-away key bounces
     // with "MOVED <epoch>" exactly as the logged GET would.
     std::string result;
-    if (std::optional<uint64_t> moved = kv_.MovedEpoch(read.key)) {
+    if (std::optional<uint64_t> moved = pipeline_.kv().MovedEpoch(read.key)) {
       result = "MOVED " + std::to_string(*moved);
     } else {
-      std::optional<std::string> value = kv_.Get(read.key);
+      std::optional<std::string> value = pipeline_.kv().Get(read.key);
       result = value.has_value() ? *value : "NIL";
     }
     Send(read.client_node,
@@ -493,12 +429,12 @@ void RaftReplica::MaybeServeReads() {
 
 void RaftReplica::FailPendingReads() {
   for (const PendingRead& read : pending_reads_) {
-    Send(read.client_node,
-         std::make_shared<ReplyMsg>(read.client_seq, kRedirect, leader_hint_));
+    Send(read.client_node, std::make_shared<ReplyMsg>(
+                               read.client_seq, smr::kRedirect, leader_hint_));
   }
   for (const WaitingRead& read : waiting_reads_) {
-    Send(read.client_node,
-         std::make_shared<ReplyMsg>(read.client_seq, kRedirect, leader_hint_));
+    Send(read.client_node, std::make_shared<ReplyMsg>(
+                               read.client_seq, smr::kRedirect, leader_hint_));
   }
   pending_reads_.clear();
   waiting_reads_.clear();
@@ -507,8 +443,8 @@ void RaftReplica::FailPendingReads() {
 void RaftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
   if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
     if (role_ != Role::kLeader) {
-      Send(from, std::make_shared<ReplyMsg>(m->cmd.client_seq, kRedirect,
-                                            leader_hint_));
+      Send(from, std::make_shared<ReplyMsg>(m->cmd.client_seq,
+                                            smr::kRedirect, leader_hint_));
       return;
     }
     if (m->cmd.kind == smr::Command::Kind::kRead) {
@@ -519,25 +455,7 @@ void RaftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       HandleRead(from, m->cmd.client, m->cmd.client_seq, m->cmd.op.substr(4));
       return;
     }
-    // Already executed (possibly compacted away): answer from cache.
-    if (const std::string* cached =
-            dedup_.Lookup(m->cmd.client, m->cmd.client_seq)) {
-      Send(from, std::make_shared<ReplyMsg>(m->cmd.client_seq, *cached, id()));
-      return;
-    }
-    auto key = std::make_pair(m->cmd.client, m->cmd.client_seq);
-    awaiting_client_[key] = from;
-    if (proposed_.count(key) > 0) return;  // In flight: reply lands on apply.
-    proposed_.insert(key);
-    batch_queue_.push_back(m->cmd);
-    // PBFT-style cut-or-linger: cut immediately when batching is off or
-    // the batch is full; otherwise arm the linger timer on first enqueue.
-    if (options_.batch_delay == 0 ||
-        batch_queue_.size() >= static_cast<size_t>(options_.batch_size)) {
-      FlushBatch();
-    } else if (batch_queue_.size() == 1) {
-      batch_timer_ = SetTimer(options_.batch_delay, [this] { FlushBatch(); });
-    }
+    pipeline_.Admit(from, m->cmd, /*leading=*/true);
     return;
   }
 
@@ -660,8 +578,7 @@ void RaftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       Send(from, reply);
       return;
     }
-    kv_.Restore(m->data);
-    dedup_.Restore(m->sessions);
+    pipeline_.Install(m->state);
     if (m->last_index >= LogEnd()) {
       log_.clear();
     } else {
@@ -674,7 +591,6 @@ void RaftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
     RecomputeConfig();
     commit_index_ = std::max(commit_index_, m->last_index);
     last_applied_ = m->last_index;
-    ++snapshots_installed_;
     reply->success = true;
     reply->match_index = m->last_index;
     Send(from, reply);
@@ -710,10 +626,6 @@ void RaftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
   }
 }
 
-std::vector<smr::Command> RaftReplica::CommittedCommands() const {
-  return executed_commands_;
-}
-
 // ---------------------------------------------------------------------------
 // Client
 // ---------------------------------------------------------------------------
@@ -741,7 +653,7 @@ void RaftClient::SendCurrent() {
 void RaftClient::OnMessage(sim::NodeId from, const sim::Message& msg) {
   const auto* m = dynamic_cast<const RaftReplica::ReplyMsg*>(&msg);
   if (m == nullptr || m->client_seq != seq_ || done()) return;
-  if (m->result == kRedirect) {
+  if (m->result == smr::kRedirect) {
     if (m->leader_hint >= 0 && m->leader_hint < n_ && m->leader_hint != from) {
       target_ = m->leader_hint;
       SendCurrent();

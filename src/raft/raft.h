@@ -2,7 +2,6 @@
 #define CONSENSUS40_RAFT_RAFT_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -13,11 +12,8 @@
 
 #include "sim/simulation.h"
 #include "smr/command.h"
+#include "smr/pipeline.h"
 #include "smr/state_machine.h"
-
-namespace consensus40::smr {
-class KvStore;
-}
 
 namespace consensus40::raft {
 
@@ -57,7 +53,7 @@ struct RaftOptions {
 /// A Raft replica (Ongaro & Ousterhout 2014): the deck presents Raft as the
 /// understandability-first equivalent of Multi-Paxos — terms instead of
 /// ballots, leader-integrated log management, randomized elections.
-class RaftReplica : public sim::Process {
+class RaftReplica : public smr::PipelineProcess {
  public:
   enum class Role { kFollower, kCandidate, kLeader };
 
@@ -69,22 +65,13 @@ class RaftReplica : public sim::Process {
   };
 
   // --- Client-facing messages ---
-  struct RequestMsg : sim::Message {
-    explicit RequestMsg(smr::Command c) : cmd(std::move(c)) {}
+  struct RequestMsg : smr::ClientRequestMsg {
+    using smr::ClientRequestMsg::ClientRequestMsg;
     const char* TypeName() const override { return "request"; }
-    int ByteSize() const override { return 8 + cmd.ByteSize(); }
-    smr::Command cmd;
   };
-  struct ReplyMsg : sim::Message {
-    ReplyMsg(uint64_t s, std::string r, sim::NodeId hint)
-        : client_seq(s), result(std::move(r)), leader_hint(hint) {}
+  struct ReplyMsg : smr::ClientReplyMsg {
+    using smr::ClientReplyMsg::ClientReplyMsg;
     const char* TypeName() const override { return "reply"; }
-    int ByteSize() const override {
-      return 16 + static_cast<int>(result.size());
-    }
-    uint64_t client_seq;
-    std::string result;
-    sim::NodeId leader_hint;
   };
   Role role() const { return role_; }
   bool IsLeader() const { return role_ == Role::kLeader; }
@@ -96,23 +83,28 @@ class RaftReplica : public sim::Process {
   sim::NodeId LeaderHint() const { return leader_hint_; }
   uint64_t commit_index() const { return commit_index_; }
   const std::vector<LogEntry>& raft_log() const { return log_; }
-  const smr::KvStore& kv() const { return kv_; }
+  const smr::KvStore& kv() const { return pipeline_.kv(); }
   int elections_started() const { return elections_started_; }
   /// Multi-command log entries cut by this replica while leader.
-  int batches_cut() const { return batches_cut_; }
+  int batches_cut() const { return pipeline_.batches_cut(); }
+  /// Commands queued awaiting a batch cut, and cut but not yet applied.
+  size_t queued_ops() const { return pipeline_.queued_ops(); }
+  size_t inflight_ops() const { return pipeline_.inflight_ops(); }
   const std::vector<std::string>& violations() const { return violations_; }
   /// First global index still held in the log (compaction frontier).
   uint64_t log_start() const { return log_start_; }
   /// Entries currently held in memory (compaction shrinks this).
   size_t LogEntriesHeld() const { return log_.size(); }
   int snapshots_taken() const { return snapshots_taken_; }
-  int snapshots_installed() const { return snapshots_installed_; }
+  int snapshots_installed() const { return pipeline_.snapshots_installed(); }
   /// Read-index reads answered by this replica while leader.
   int reads_served() const { return reads_served_; }
 
   /// Commands this replica applied, in order (for shared checkers; a
   /// replica that bootstrapped from a snapshot only knows its suffix).
-  std::vector<smr::Command> CommittedCommands() const;
+  const std::vector<smr::Command>& CommittedCommands() const {
+    return pipeline_.executed();
+  }
 
   // --- Membership reconfiguration (single-server-change rule) ---
 
@@ -149,8 +141,6 @@ class RaftReplica : public sim::Process {
   /// Cuts the queued client commands into log entries (one raw entry for
   /// a single command, a batch entry otherwise) and replicates them.
   void FlushBatch();
-  /// Re-derives proposed_ from the unapplied log suffix (new leader).
-  void RebuildProposed();
   /// Read-index machinery (read-index, no leader lease): the leader
   /// records commit_index as the read index, confirms it is still the
   /// leader with one round of AppendEntries acks, waits until the read
@@ -213,15 +203,6 @@ class RaftReplica : public sim::Process {
   // Leader volatile state.
   std::map<sim::NodeId, uint64_t> next_index_;
   std::map<sim::NodeId, uint64_t> match_index_;
-  /// (client, client_seq) -> client node awaiting a reply.
-  std::map<std::pair<int32_t, uint64_t>, sim::NodeId> awaiting_client_;
-  /// Client commands accepted into the batch queue or the unapplied log
-  /// suffix; a retried request already here just re-registers its reply
-  /// address instead of appending again. Erased on apply, so the set is
-  /// bounded by the in-flight pipeline.
-  std::set<std::pair<int32_t, uint64_t>> proposed_;
-  /// Client commands waiting for the next batch cut.
-  std::deque<smr::Command> batch_queue_;
 
   /// One registered read-index read awaiting leadership confirmation.
   struct PendingRead {
@@ -245,17 +226,12 @@ class RaftReplica : public sim::Process {
   /// echoed in replies so a read can demand post-registration acks.
   uint64_t ae_round_ = 0;
 
-  smr::KvStore kv_;
-  smr::DedupingExecutor dedup_;
-  std::vector<smr::Command> executed_commands_;
+  smr::LeaderPipeline pipeline_;
 
   uint64_t election_timer_ = 0;
   uint64_t heartbeat_timer_ = 0;
-  uint64_t batch_timer_ = 0;
   int elections_started_ = 0;
-  int batches_cut_ = 0;
   int snapshots_taken_ = 0;
-  int snapshots_installed_ = 0;
   int reads_served_ = 0;
   std::vector<std::string> violations_;
 };

@@ -1,6 +1,9 @@
 /// \file
 /// Raft's ReplicaGroup facade (see consensus/replica_group.h). Lives next
 /// to the protocol so the message-type mapping stays with its owner.
+/// Reads and writes share RequestMsg; the replica diverts kind == kRead
+/// commands into the read-index path (no log entry — the ack frontier
+/// rides on the next logged command instead).
 
 #include <map>
 #include <string>
@@ -11,47 +14,18 @@
 namespace consensus40::raft {
 namespace {
 
-/// Must match the sentinel in raft.cc (protocol wire constant).
-const char kRedirect[] = "\x01REDIRECT";
-
-class RaftGroup : public consensus::ReplicaGroup {
+class RaftGroup : public consensus::LogReplicaGroup<RaftReplica> {
  public:
   const char* protocol() const override { return "raft"; }
 
   void Create(sim::Simulation* sim, int replicas) override {
-    sim::NodeId base = sim->num_processes();
-    for (int i = 0; i < replicas; ++i) {
-      members_.push_back(base + i);
-    }
+    ClaimMembers(sim, replicas);
     RaftOptions options;
     options.initial_config = members_;
     options.batch_size = tuning_.batch_size;
     options.batch_delay = tuning_.batch_delay;
     options.snapshot_threshold = tuning_.snapshot_threshold;
-    for (int i = 0; i < replicas; ++i) {
-      replicas_.push_back(sim->Spawn<RaftReplica>(options));
-    }
-  }
-
-  sim::MessagePtr MakeRequest(const smr::Command& cmd) const override {
-    // Reads and writes share RequestMsg; the replica diverts
-    // kind == kRead commands into the read-index path (no log entry —
-    // the ack frontier rides on the next logged command instead).
-    return std::make_shared<RaftReplica::RequestMsg>(cmd);
-  }
-
-  std::optional<Reply> ParseReply(const sim::Message& msg) const override {
-    const auto* m = dynamic_cast<const RaftReplica::ReplyMsg*>(&msg);
-    if (m == nullptr) return std::nullopt;
-    Reply reply;
-    reply.client_seq = m->client_seq;
-    reply.leader_hint = m->leader_hint;
-    if (m->result == kRedirect) {
-      reply.redirected = true;
-    } else {
-      reply.result = m->result;
-    }
-    return reply;
+    SpawnReplicas(sim, options);
   }
 
   sim::NodeId LeaderHint() const override {
@@ -66,10 +40,6 @@ class RaftGroup : public consensus::ReplicaGroup {
       }
     }
     return hint;
-  }
-
-  std::vector<smr::Command> CommittedPrefix(int replica) const override {
-    return replicas_[static_cast<size_t>(replica)]->CommittedCommands();
   }
 
   void Probe() override {
@@ -87,20 +57,8 @@ class RaftGroup : public consensus::ReplicaGroup {
     }
   }
 
-  std::vector<std::string> Violations() const override {
-    std::vector<std::string> all = probe_violations_;
-    for (const RaftReplica* r : replicas_) {
-      for (const std::string& v : r->violations()) {
-        all.push_back("replica " + std::to_string(r->id()) + ": " + v);
-      }
-    }
-    return all;
-  }
-
  private:
-  std::vector<RaftReplica*> replicas_;
   std::map<int64_t, sim::NodeId> term_leaders_;
-  std::vector<std::string> probe_violations_;
 };
 
 }  // namespace

@@ -332,39 +332,40 @@ std::vector<std::string> ReplicatedLog::ApplyCommitted(
   return outputs;
 }
 
+void ApplyLogEntry(uint64_t index, const Command& entry, StateMachine* sm,
+                   DedupingExecutor* dedup, const ReplicatedLog::ApplyFn& fn,
+                   std::vector<std::string>* violations) {
+  // A no-op is protocol-internal filler (a leader's term-start entry, or a
+  // new leader closing a log hole): it occupies the slot but carries no
+  // operation and gets no reply.
+  if (IsNoop(entry)) return;
+  std::vector<Command> subs;
+  if (IsBatch(entry)) {
+    std::optional<std::vector<Command>> decoded = DecodeBatch(entry);
+    if (!decoded.has_value()) {
+      violations->push_back("malformed batch entry at slot " +
+                            std::to_string(index) + " dropped on apply");
+      return;
+    }
+    subs = std::move(*decoded);
+  } else {
+    subs = {entry};
+  }
+  for (const Command& sub : subs) {
+    std::string result =
+        dedup != nullptr ? dedup->Apply(sm, sub) : sm->Apply(sub);
+    if (fn) fn(index, sub, result);
+  }
+}
+
 void ReplicatedLog::ApplyCommitted(StateMachine* sm, DedupingExecutor* dedup,
                                    const ApplyFn& fn) {
   while (applied_frontier_ < commit_frontier_) {
     const Command* cmd = Get(applied_frontier_);
     if (cmd == nullptr) break;  // Gap: cannot apply past it yet.
-    uint64_t index = applied_frontier_;
-    if (IsNoop(*cmd)) {
-      // Protocol-internal filler (e.g. a new leader closing a log hole):
-      // occupies the slot but carries no operation and gets no reply.
-      ++applied_frontier_;
-      continue;
-    }
-    std::vector<Command> subs;
-    if (IsBatch(*cmd)) {
-      // Decode explicitly: a batch whose framing fails to parse must
-      // surface as a safety violation, not silently apply zero commands
-      // for the slot.
-      std::optional<std::vector<Command>> decoded = DecodeBatch(*cmd);
-      if (!decoded.has_value()) {
-        violations_.push_back("malformed batch entry at slot " +
-                              std::to_string(index) + " dropped on apply");
-        ++applied_frontier_;  // Advance anyway: wedging here would livelock.
-        continue;
-      }
-      subs = std::move(*decoded);
-    } else {
-      subs = {*cmd};
-    }
-    for (const Command& sub : subs) {
-      std::string result =
-          dedup != nullptr ? dedup->Apply(sm, sub) : sm->Apply(sub);
-      if (fn) fn(index, sub, result);
-    }
+    // The cursor advances past a malformed batch too: wedging there would
+    // livelock.
+    ApplyLogEntry(applied_frontier_, *cmd, sm, dedup, fn, &violations_);
     ++applied_frontier_;
   }
 }

@@ -230,6 +230,15 @@ class ReplicatedLog {
   std::vector<std::string> violations_;
 };
 
+/// Applies one committed log entry to `sm`, through `dedup` when non-null:
+/// a no-op is skipped, a batch is decoded into its sub-commands, and `fn`
+/// sees every applied client command. A batch whose framing fails to
+/// decode applies nothing and is reported in `violations` — applying zero
+/// commands for the entry would otherwise silently drop the whole batch.
+void ApplyLogEntry(uint64_t index, const Command& entry, StateMachine* sm,
+                   DedupingExecutor* dedup, const ReplicatedLog::ApplyFn& fn,
+                   std::vector<std::string>* violations);
+
 /// Checks that every log agrees with every other on the overlap of their
 /// committed prefixes (the SMR safety property). Returns an empty string on
 /// success or a description of the first divergence.

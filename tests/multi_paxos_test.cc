@@ -266,7 +266,7 @@ TEST(MultiPaxosBatchingTest, AssignedMapDrainsToEmpty) {
   cluster.sim.RunFor(2 * kSecond);  // Drain commits and applies.
   cluster.CheckSafety();
   for (const MultiPaxosReplica* r : cluster.replicas) {
-    EXPECT_EQ(r->assigned_entries(), 0u) << "replica " << r->id();
+    EXPECT_EQ(r->inflight_ops(), 0u) << "replica " << r->id();
   }
 }
 
@@ -469,7 +469,7 @@ TEST(MultiPaxosBatchingTest, DeposedLeaderDropsItsQueues) {
       {{leader, clients[0]->id(), clients[1]->id()}, rest});
   ASSERT_TRUE(cluster.sim.RunUntil(
       [&] {
-        return old_leader->assigned_entries() + old_leader->pending_ops() > 0;
+        return old_leader->inflight_ops() + old_leader->queued_ops() > 0;
       },
       60 * kSecond));
 
@@ -488,8 +488,8 @@ TEST(MultiPaxosBatchingTest, DeposedLeaderDropsItsQueues) {
   cluster.sim.Heal();
   cluster.sim.RunFor(3 * kSecond);
   EXPECT_FALSE(old_leader->IsLeader());
-  EXPECT_EQ(old_leader->pending_ops(), 0u);
-  EXPECT_EQ(old_leader->assigned_entries(), 0u);
+  EXPECT_EQ(old_leader->queued_ops(), 0u);
+  EXPECT_EQ(old_leader->inflight_ops(), 0u);
   cluster.CheckSafety();
   // Exactly-once across the failover: 16 INCs total, despite the old
   // leader having held (and dropped) some of them mid-flight.

@@ -9,10 +9,12 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "consensus/replica_group.h"
+#include "paxos/crossword.h"
 #include "paxos/multi_paxos.h"
 #include "raft/raft.h"
 #include "sim/simulation.h"
@@ -372,6 +374,292 @@ TEST(GroupClientTest, BatchedRoundTripRaft) { BatchedRoundTrip("raft"); }
 TEST(GroupClientTest, BatchedRoundTripMultiPaxos) {
   BatchedRoundTrip("multi_paxos");
 }
+
+// The log-based SMR protocols that share the leader pipeline.
+const char* const kPipelineProtocols[] = {"raft", "multi_paxos",
+                                          "crossword_full", "crossword"};
+
+std::string ProtocolName(const testing::TestParamInfo<const char*>& info) {
+  return info.param;
+}
+
+// Value discovery must surface decisions the new leader missed. m0 leads
+// and commits five INCs with m1 while m2 is cut off; m0 then crashes and
+// m2 (whose ballot ratcheted through failed elections while isolated)
+// takes over with m1's promise. A promise that leaves out chosen slots
+// hands m2 an empty log: it re-proposes fresh commands into slots 0..2,
+// m1 acks them, and client B reads the counter from zero while m1
+// reports the slots chosen twice.
+class ValueDiscoveryTest : public testing::TestWithParam<const char*> {};
+
+TEST_P(ValueDiscoveryTest, NewLeaderLearnsDecisionsItMissed) {
+  std::unique_ptr<ReplicaGroup> group = MakeGroup(GetParam());
+  ASSERT_NE(group, nullptr);
+  GroupClient* a = nullptr;
+  GroupClient* b = nullptr;
+  auto sim = sim::Simulation::Builder(11)
+                 .Setup([&](sim::Simulation& s) {
+                   group->Create(&s, 3);
+                   a = s.Spawn<GroupClient>(group.get());
+                   b = s.Spawn<GroupClient>(group.get());
+                 })
+                 .Build();
+  std::vector<std::string> a_results, b_results;
+  a->SetCallback([&](uint64_t, const std::string& r, bool) {
+    a_results.push_back(r);
+  });
+  b->SetCallback([&](uint64_t, const std::string& r, bool) {
+    b_results.push_back(r);
+  });
+  const std::vector<sim::NodeId> m = group->members();
+  ASSERT_TRUE(sim->RunUntil([&] { return group->LeaderHint() == m[0]; },
+                            sim->now() + 30 * kSecond));
+
+  sim->Partition({{m[0], m[1], a->id()}, {m[2]}});
+  for (int i = 0; i < 5; ++i) a->Submit("INC x");
+  ASSERT_TRUE(sim->RunUntil([&] { return a_results.size() == 5; },
+                            sim->now() + 30 * kSecond));
+  sim->RunFor(100 * kMillisecond);
+  sim->Crash(m[0]);
+  sim->Heal();
+  sim->RunFor(2 * kSecond);
+
+  for (int i = 0; i < 3; ++i) b->Submit("INC x");
+  ASSERT_TRUE(sim->RunUntil([&] { return b_results.size() == 3; },
+                            sim->now() + 30 * kSecond));
+  EXPECT_EQ(b_results, (std::vector<std::string>{"6", "7", "8"}));
+  std::vector<std::string> violations = group->Violations();
+  EXPECT_TRUE(violations.empty()) << violations.front();
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, ValueDiscoveryTest,
+                         testing::ValuesIn(kPipelineProtocols), ProtocolName);
+
+// Differential guard for refactors of the shared leader pipeline: one
+// seeded run per protocol with batching, linger, checkpointing, a 4-deep
+// client window, and a leader crash/restart mid-run, folded into one
+// FNV-1a hash of every op's (seq, completion time, result), the number
+// of messages sent, and the number of events the workload phase ran
+// (timers included). A change that alters any send, timer, or RNG draw
+// moves the hash. Re-pin a row only with the reason stated here.
+class PipelineFingerprintTest : public testing::TestWithParam<const char*> {};
+
+uint64_t PipelineFingerprint(const std::string& name) {
+  constexpr int kOps = 300;
+  std::unique_ptr<ReplicaGroup> group = MakeGroup(name);
+  GroupTuning tuning;
+  tuning.batch_size = 4;
+  tuning.batch_delay = 1 * kMillisecond;
+  tuning.snapshot_threshold = 16;
+  group->Configure(tuning);
+  GroupClient* client = nullptr;
+  auto sim = sim::Simulation::Builder(2024)
+                 .Setup([&](sim::Simulation& s) {
+                   group->Create(&s, 3);
+                   client = s.Spawn<GroupClient>(
+                       group.get(), 300 * kMillisecond, /*window=*/4);
+                 })
+                 .Build();
+  uint64_t hash = 14695981039346656037ull;
+  auto mix = [&hash](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash = (hash ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ull;
+    }
+  };
+  int completed = 0;
+  client->SetCallback([&](uint64_t seq, const std::string& result, bool) {
+    mix(seq);
+    mix(static_cast<uint64_t>(sim->now()));
+    for (char c : result) mix(static_cast<unsigned char>(c));
+    ++completed;
+  });
+  sim->RunFor(500 * kMillisecond);
+  // RunUntil evaluates its predicate once up front and once per event.
+  uint64_t evaluations = 0;
+  auto run_until = [&](int target, sim::Duration limit) {
+    return sim->RunUntil(
+        [&] {
+          ++evaluations;
+          return completed >= target;
+        },
+        sim->now() + limit);
+  };
+  for (int i = 0; i < kOps; ++i) {
+    const std::string key = "k" + std::to_string(i % 5);
+    if (i % 3 == 2) {
+      client->Read(key);
+    } else {
+      client->Submit("INC " + key);
+    }
+  }
+  EXPECT_TRUE(run_until(kOps / 3, 60 * kSecond));
+  const sim::NodeId leader = group->LeaderHint();
+  EXPECT_NE(leader, sim::kInvalidNode);
+  sim->Crash(leader);
+  EXPECT_TRUE(run_until(2 * kOps / 3, 60 * kSecond));
+  sim->Restart(leader);
+  EXPECT_TRUE(run_until(kOps, 120 * kSecond));
+  sim->RunFor(1 * kSecond);
+  mix(sim->stats().messages_sent);
+  mix(evaluations);
+  std::vector<std::string> violations = group->Violations();
+  EXPECT_TRUE(violations.empty()) << violations.front();
+  return hash;
+}
+
+TEST_P(PipelineFingerprintTest, MatchesPinnedRun) {
+  static const std::map<std::string, uint64_t> kPinned = {
+      {"raft", 0x86acf58080d82512ull},
+      {"multi_paxos", 0xc62b1d5957c2b2f4ull},
+      {"crossword_full", 0xd9bc13c9082c2d9dull},
+      {"crossword", 0xd9bc13c9082c2d9dull},
+  };
+  const uint64_t got = PipelineFingerprint(GetParam());
+  EXPECT_EQ(got, kPinned.at(GetParam()))
+      << std::hex << "fingerprint 0x" << got;
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, PipelineFingerprintTest,
+                         testing::ValuesIn(kPipelineProtocols), ProtocolName);
+
+/// (queued, in flight) pipeline sizes of one replica of any protocol that
+/// shares the leader pipeline, and whether it believes it leads.
+struct PipelineView {
+  size_t queued = 0;
+  size_t inflight = 0;
+  bool leader = false;
+};
+
+PipelineView ViewOf(sim::Process* p) {
+  if (auto* r = dynamic_cast<raft::RaftReplica*>(p)) {
+    return {r->queued_ops(), r->inflight_ops(), r->IsLeader()};
+  }
+  if (auto* r = dynamic_cast<paxos::MultiPaxosReplica*>(p)) {
+    return {r->queued_ops(), r->inflight_ops(), r->IsLeader()};
+  }
+  auto* r = dynamic_cast<paxos::CrosswordReplica*>(p);
+  EXPECT_NE(r, nullptr) << "not a pipeline replica";
+  if (r == nullptr) return {};
+  return {r->queued_ops(), r->inflight_ops(), r->IsLeader()};
+}
+
+int MaxCounter(const ReplicaGroup& group, const sim::Simulation& sim,
+               const std::string& key) {
+  int best = 0;
+  for (sim::NodeId id : group.members()) {
+    sim::Process* p = sim.process(id);
+    std::optional<std::string> v;
+    if (auto* r = dynamic_cast<raft::RaftReplica*>(p)) v = r->kv().Get(key);
+    if (auto* r = dynamic_cast<paxos::MultiPaxosReplica*>(p)) {
+      v = r->kv().Get(key);
+    }
+    if (auto* r = dynamic_cast<paxos::CrosswordReplica*>(p)) {
+      v = r->kv().Get(key);
+    }
+    if (v.has_value()) best = std::max(best, std::stoi(*v));
+  }
+  return best;
+}
+
+// The leader-pipeline contract, held by every protocol that shares it:
+// in-flight tracking is bounded by the pipeline (erased on apply), and a
+// deposed leader drops its queue and in-flight set.
+class PipelineContractTest : public testing::TestWithParam<const char*> {};
+
+TEST_P(PipelineContractTest, InFlightDrainsToEmpty) {
+  constexpr int kOps = 60;
+  std::unique_ptr<ReplicaGroup> group = MakeGroup(GetParam());
+  GroupTuning tuning;
+  tuning.batch_size = 4;
+  tuning.batch_delay = 2 * kMillisecond;
+  group->Configure(tuning);
+  GroupClient* client = nullptr;
+  auto sim = sim::Simulation::Builder(3)
+                 .Setup([&](sim::Simulation& s) {
+                   group->Create(&s, 3);
+                   client = s.Spawn<GroupClient>(
+                       group.get(), 300 * kMillisecond, /*window=*/4);
+                 })
+                 .Build();
+  int completed = 0;
+  client->SetCallback([&](uint64_t, const std::string&, bool) { ++completed; });
+  sim->RunFor(500 * kMillisecond);
+  for (int i = 0; i < kOps; ++i) client->Submit("INC x");
+  ASSERT_TRUE(sim->RunUntil([&] { return completed >= kOps; },
+                            sim->now() + 60 * kSecond));
+  sim->RunFor(2 * kSecond);  // Drain commits and applies everywhere.
+  for (sim::NodeId id : group->members()) {
+    PipelineView v = ViewOf(sim->process(id));
+    EXPECT_EQ(v.queued, 0u) << "replica " << id;
+    EXPECT_EQ(v.inflight, 0u) << "replica " << id;
+  }
+  EXPECT_EQ(MaxCounter(*group, *sim, "x"), kOps);
+  EXPECT_TRUE(group->Violations().empty());
+}
+
+TEST_P(PipelineContractTest, DeposedLeaderDropsItsQueues) {
+  constexpr int kOps = 16;
+  std::unique_ptr<ReplicaGroup> group = MakeGroup(GetParam());
+  GroupTuning tuning;
+  tuning.batch_size = 4;
+  tuning.batch_delay = 50 * kMillisecond;
+  group->Configure(tuning);
+  GroupClient* client = nullptr;
+  auto sim = sim::Simulation::Builder(5)
+                 .Setup([&](sim::Simulation& s) {
+                   group->Create(&s, 3);
+                   client = s.Spawn<GroupClient>(
+                       group.get(), 300 * kMillisecond, /*window=*/4);
+                 })
+                 .Build();
+  int completed = 0;
+  client->SetCallback([&](uint64_t, const std::string&, bool) { ++completed; });
+  sim->RunFor(500 * kMillisecond);
+  for (int i = 0; i < kOps; ++i) client->Submit("INC x");
+  ASSERT_TRUE(sim->RunUntil([&] { return completed >= 2; },
+                            sim->now() + 30 * kSecond));
+  const sim::NodeId leader = group->LeaderHint();
+  ASSERT_NE(leader, sim::kInvalidNode);
+  std::vector<sim::NodeId> rest;
+  for (sim::NodeId id : group->members()) {
+    if (id != leader) rest.push_back(id);
+  }
+
+  // Cut the leader off with the client: it keeps taking commands but can
+  // never reach quorum, so its queue or in-flight set fills up.
+  sim->Partition({{leader, client->id()}, rest});
+  ASSERT_TRUE(sim->RunUntil(
+      [&] {
+        PipelineView v = ViewOf(sim->process(leader));
+        return v.queued + v.inflight > 0;
+      },
+      sim->now() + 60 * kSecond));
+
+  // Flip: the client joins the majority, which elects a new leader and
+  // finishes the workload while the old leader sits alone.
+  std::vector<sim::NodeId> majority = rest;
+  majority.push_back(client->id());
+  sim->Partition({{leader}, majority});
+  ASSERT_TRUE(sim->RunUntil([&] { return completed >= kOps; },
+                            sim->now() + 240 * kSecond));
+
+  // Heal: the new leader's traffic deposes the old one, which must drop
+  // every queued and in-flight command at once — not merely drain them
+  // later as catch-up applies the commands the new leader committed.
+  sim->Heal();
+  ASSERT_TRUE(sim->RunUntil(
+      [&] { return !ViewOf(sim->process(leader)).leader; },
+      sim->now() + 30 * kSecond));
+  PipelineView old = ViewOf(sim->process(leader));
+  EXPECT_EQ(old.queued, 0u);
+  EXPECT_EQ(old.inflight, 0u);
+  sim->RunFor(3 * kSecond);
+  EXPECT_EQ(MaxCounter(*group, *sim, "x"), kOps);  // Exactly once.
+  EXPECT_TRUE(group->Violations().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, PipelineContractTest,
+                         testing::ValuesIn(kPipelineProtocols), ProtocolName);
 
 TEST(SimulationBuilderTest, HooksRunInOrderAndFaultsFire) {
   std::vector<std::string> order;

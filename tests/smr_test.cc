@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "sim/simulation.h"
 #include "smr/command.h"
+#include "smr/pipeline.h"
 #include "smr/state_machine.h"
 
 namespace consensus40::smr {
@@ -432,6 +440,154 @@ TEST(PrefixConsistencyTest, AcceptsLaggingReplica) {
   b.Set(0, Cmd(0, 1, "PUT x 1"));
   b.CommitThrough(0);
   EXPECT_EQ(CheckPrefixConsistency({&a, &b}), "");
+}
+
+
+// ---------------------------------------------------------------------------
+// LeaderPipeline, driven through recording hooks: a cut appends the cut
+// entries to `log`, sends are recorded, and timers wait in a list until
+// the test fires them.
+// ---------------------------------------------------------------------------
+
+struct TestReply : ClientReplyMsg {
+  using ClientReplyMsg::ClientReplyMsg;
+  const char* TypeName() const override { return "reply"; }
+};
+
+class PipelineHarness {
+ public:
+  PipelineHarness(int batch_size, sim::Duration batch_delay)
+      : pipeline({batch_size, batch_delay},
+                 {[this] { Cut(); },
+                  [this](sim::NodeId to, sim::MessagePtr msg) {
+                    sent.emplace_back(
+                        to, std::static_pointer_cast<const TestReply>(msg));
+                  },
+                  [](uint64_t seq,
+                     const std::string& result) -> sim::MessagePtr {
+                    return std::make_shared<TestReply>(seq, result, 0);
+                  },
+                  [this](sim::Duration, std::function<void()> fn) {
+                    timers.push_back(std::move(fn));
+                    return static_cast<uint64_t>(timers.size());
+                  },
+                  [this](uint64_t timer) { cancelled.insert(timer); }}) {}
+
+  void Cut() {
+    pipeline.DisarmLinger();
+    while (pipeline.HasQueued()) {
+      const uint64_t index = log.size();
+      log.push_back(pipeline.CutNext(index));
+    }
+  }
+  /// Fires every armed, uncancelled timer once.
+  void FireTimers() {
+    for (size_t i = 0; i < timers.size(); ++i) {
+      if (cancelled.count(i + 1) == 0 && fired.insert(i + 1).second) {
+        timers[i]();
+      }
+    }
+  }
+  size_t ArmedTimers() const {
+    size_t armed = 0;
+    for (size_t i = 0; i < timers.size(); ++i) {
+      armed += cancelled.count(i + 1) == 0 && fired.count(i + 1) == 0;
+    }
+    return armed;
+  }
+
+  std::vector<Command> log;
+  std::vector<std::pair<sim::NodeId, std::shared_ptr<const TestReply>>> sent;
+  std::vector<std::function<void()>> timers;
+  std::set<uint64_t> cancelled, fired;
+  LeaderPipeline pipeline;
+};
+
+TEST(LeaderPipelineTest, CutsAtBatchSize) {
+  PipelineHarness h(/*batch_size=*/3, 5 * sim::kMillisecond);
+  h.pipeline.Admit(9, Cmd(1, 1, "INC x"), /*leading=*/true);
+  h.pipeline.Admit(9, Cmd(1, 2, "INC x"), true);
+  EXPECT_TRUE(h.log.empty()) << "cut before the batch filled";
+  h.pipeline.Admit(9, Cmd(1, 3, "INC x"), true);
+  ASSERT_EQ(h.log.size(), 1u);
+  EXPECT_TRUE(IsBatch(h.log[0]));
+  EXPECT_EQ(FlattenCommand(h.log[0]).size(), 3u);
+  EXPECT_EQ(h.pipeline.batches_cut(), 1);
+  EXPECT_EQ(h.pipeline.queued_ops(), 0u);
+  EXPECT_EQ(h.pipeline.inflight_ops(), 3u);
+  EXPECT_EQ(h.ArmedTimers(), 0u) << "the cut must disarm the linger";
+
+  // Unbatched, a lone command ships raw and is no batch.
+  PipelineHarness raw(/*batch_size=*/1, 0);
+  raw.pipeline.Admit(9, Cmd(1, 1, "INC x"), true);
+  ASSERT_EQ(raw.log.size(), 1u);
+  EXPECT_EQ(raw.log[0], Cmd(1, 1, "INC x"));
+  EXPECT_EQ(raw.pipeline.batches_cut(), 0);
+}
+
+TEST(LeaderPipelineTest, LingerArmedOnceOnFirstEnqueue) {
+  PipelineHarness h(/*batch_size=*/4, 5 * sim::kMillisecond);
+  h.pipeline.Admit(9, Cmd(1, 1, "INC x"), true);
+  EXPECT_EQ(h.timers.size(), 1u);
+  h.pipeline.Admit(9, Cmd(1, 2, "INC x"), true);
+  h.pipeline.Admit(9, Cmd(2, 1, "INC y"), true);
+  EXPECT_EQ(h.timers.size(), 1u) << "later enqueues must not re-arm";
+  EXPECT_TRUE(h.log.empty());
+  h.FireTimers();
+  ASSERT_EQ(h.log.size(), 1u);
+  EXPECT_EQ(FlattenCommand(h.log[0]).size(), 3u);
+  // The next first enqueue arms a fresh linger.
+  h.pipeline.Admit(9, Cmd(1, 3, "INC x"), true);
+  EXPECT_EQ(h.timers.size(), 2u);
+
+  // A replica still running its election queues without lingering.
+  PipelineHarness electing(/*batch_size=*/4, 5 * sim::kMillisecond);
+  electing.pipeline.Admit(9, Cmd(1, 1, "INC x"), /*leading=*/false);
+  EXPECT_TRUE(electing.timers.empty());
+  EXPECT_EQ(electing.pipeline.queued_ops(), 1u);
+}
+
+TEST(LeaderPipelineTest, RetryReRegistersReplyAddressWithoutSecondEntry) {
+  PipelineHarness h(/*batch_size=*/1, 0);
+  h.pipeline.Admit(5, Cmd(1, 1, "INC x"), true);
+  ASSERT_EQ(h.log.size(), 1u);
+  // The client retried through another node while the entry was in
+  // flight: one entry, and the reply goes to the newest address.
+  h.pipeline.Admit(6, Cmd(1, 1, "INC x"), true);
+  EXPECT_EQ(h.log.size(), 1u);
+  EXPECT_EQ(h.pipeline.inflight_ops(), 1u);
+  EXPECT_TRUE(h.sent.empty());
+  std::vector<std::string> violations;
+  h.pipeline.ApplyEntry(0, h.log[0], &violations);
+  ASSERT_EQ(h.sent.size(), 1u);
+  EXPECT_EQ(h.sent[0].first, 6);
+  EXPECT_EQ(h.sent[0].second->result, "1");
+  EXPECT_EQ(h.pipeline.inflight_ops(), 0u);
+  EXPECT_EQ(h.pipeline.executed().size(), 1u);
+  // A retry after apply is answered from the dedup cache.
+  h.pipeline.Admit(5, Cmd(1, 1, "INC x"), true);
+  EXPECT_EQ(h.log.size(), 1u);
+  ASSERT_EQ(h.sent.size(), 2u);
+  EXPECT_EQ(h.sent[1].first, 5);
+  EXPECT_EQ(h.sent[1].second->result, "1");
+  EXPECT_TRUE(violations.empty());
+}
+
+TEST(LeaderPipelineTest, DeposeDropsTheQueue) {
+  PipelineHarness h(/*batch_size=*/4, 5 * sim::kMillisecond);
+  h.pipeline.Admit(9, Cmd(1, 1, "INC x"), true);
+  h.pipeline.Admit(9, Cmd(1, 2, "INC x"), true);
+  EXPECT_EQ(h.pipeline.queued_ops(), 2u);
+  EXPECT_EQ(h.ArmedTimers(), 1u);
+  h.pipeline.Depose();
+  EXPECT_EQ(h.pipeline.queued_ops(), 0u);
+  EXPECT_EQ(h.pipeline.inflight_ops(), 0u);
+  EXPECT_EQ(h.ArmedTimers(), 0u) << "deposition must stop the linger";
+  h.FireTimers();
+  EXPECT_TRUE(h.log.empty());
+  // Nothing lingers as "in flight": a retry queues afresh.
+  h.pipeline.Admit(9, Cmd(1, 1, "INC x"), true);
+  EXPECT_EQ(h.pipeline.queued_ops(), 1u);
 }
 
 }  // namespace

@@ -527,28 +527,26 @@ void RaftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       Send(from, reply);
       return;
     }
-    // Append, truncating any conflicting suffix.
+    // Append, truncating any conflicting suffix. config_ follows each
+    // appended CONFIG entry; a truncated suffix may have held the config
+    // in effect, so truncation re-derives it instead.
     uint64_t index = prev;  // Global index of the entry about to land.
-    bool log_changed = false;
-    for (size_t k = skip; k < m->entries.size(); ++k) {
+    bool truncated = false;
+    for (size_t k = skip; k < m->entries.size(); ++k, ++index) {
       const LogEntry& entry = m->entries[k];
       if (index < LogEnd()) {
-        if (TermOfEntry(index + 1) != entry.term) {
-          if (index < commit_index_) {
-            violations_.push_back("truncating committed entry " +
-                                  std::to_string(index));
-          }
-          log_.resize(index - log_start_);
-          log_.push_back(entry);
-          log_changed = true;
+        if (TermOfEntry(index + 1) == entry.term) continue;  // Already held.
+        if (index < commit_index_) {
+          violations_.push_back("truncating committed entry " +
+                                std::to_string(index));
         }
-      } else {
-        log_.push_back(entry);
-        log_changed = true;
+        log_.resize(index - log_start_);
+        truncated = true;
       }
-      ++index;
+      log_.push_back(entry);
+      if (auto config = ParseConfig(entry.cmd)) config_ = std::move(*config);
     }
-    if (log_changed) RecomputeConfig();
+    if (truncated) RecomputeConfig();
     if (m->leader_commit > commit_index_) {
       commit_index_ = std::min<uint64_t>(m->leader_commit, LogEnd());
       ApplyCommitted();

@@ -159,8 +159,9 @@ class RaftReplica : public smr::PipelineProcess {
   void MaybeServeReads();
   /// Fails every pending/gated read with a redirect (leadership lost).
   void FailPendingReads();
-  /// Re-derives config_ from the snapshot config + latest log entry;
-  /// called after any log mutation (append, truncate, snapshot install).
+  /// Re-derives config_ from the snapshot config and the last CONFIG
+  /// entry in the log. Appends keep config_ current themselves, so this
+  /// runs only after a suffix truncation or a snapshot install.
   void RecomputeConfig();
   int Majority() const { return static_cast<int>(config_.size()) / 2 + 1; }
   bool IsVoter(sim::NodeId node) const;
@@ -189,7 +190,9 @@ class RaftReplica : public smr::PipelineProcess {
   std::vector<LogEntry> log_;  ///< Suffix after log_start_ global entries.
   uint64_t log_start_ = 0;     ///< Global entries folded into the snapshot.
   int64_t snapshot_term_ = 0;  ///< Term of the last compacted entry.
-  std::vector<sim::NodeId> config_;           ///< Effective configuration.
+  /// Effective configuration: snapshot_config_, overridden by the last
+  /// CONFIG entry in log_.
+  std::vector<sim::NodeId> config_;
   std::vector<sim::NodeId> snapshot_config_;  ///< Config at log_start_.
   bool heard_from_leader_ = false;  ///< For join_passive servers.
 

@@ -78,7 +78,7 @@ std::vector<Command> FlattenCommand(const Command& cmd) {
   return {cmd};
 }
 
-uint64_t Fnv1a(const std::string& s) {
+uint64_t Fnv1a(std::string_view s) {
   uint64_t h = 14695981039346656037ull;
   for (unsigned char c : s) {
     h ^= c;
@@ -87,7 +87,7 @@ uint64_t Fnv1a(const std::string& s) {
   return h;
 }
 
-uint64_t KeyHash(const std::string& s) {
+uint64_t KeyHash(std::string_view s) {
   uint64_t h = Fnv1a(s);
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdull;

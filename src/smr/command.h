@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/sha256.h"
@@ -108,7 +109,7 @@ std::optional<std::vector<Command>> DecodeBatch(const Command& batch);
 std::vector<Command> FlattenCommand(const Command& cmd);
 
 /// 64-bit FNV-1a (deterministic across platforms, unlike std::hash).
-uint64_t Fnv1a(const std::string& s);
+uint64_t Fnv1a(std::string_view s);
 
 /// The canonical key-routing hash of the whole stack: FNV-1a finalized
 /// with a 64-bit avalanche mixer (murmur3 fmix64). The shard layer's
@@ -119,7 +120,7 @@ uint64_t Fnv1a(const std::string& s);
 /// finalizer matters: range routing consumes the TOP bits, and raw
 /// FNV-1a leaves them badly skewed for short sequential keys (the old
 /// modulo placement consumed the well-mixed bottom bits).
-uint64_t KeyHash(const std::string& s);
+uint64_t KeyHash(std::string_view s);
 
 }  // namespace consensus40::smr
 

@@ -4,9 +4,13 @@ namespace consensus40::smr {
 
 int StateTransfer::ByteSize() const {
   int size = 0;
-  for (const auto& [k, v] : data) {
-    size += 16 + static_cast<int>(k.size()) + static_cast<int>(v.size());
-  }
+  auto add_table = [&size](const auto& table) {
+    for (const auto& [k, v] : table) {
+      size += 16 + static_cast<int>(k.size()) + static_cast<int>(v.size());
+    }
+  };
+  add_table(data.points);
+  add_table(data.ranges);
   for (const auto& [client, s] : sessions) {
     size += 24;
     for (const auto& [seq, result] : s.above) {

@@ -62,7 +62,7 @@ struct ClientReplyMsg : sim::Message {
 /// Checkpoint state transfer: the applied KV state plus the dedup
 /// sessions, so duplicate suppression survives log truncation.
 struct StateTransfer {
-  std::map<std::string, std::string> data;
+  KvStore::Contents data;
   DedupingExecutor::Sessions sessions;
   /// True framed size: actual key/value bytes plus cached session
   /// results, not a per-entry constant (values can be megabytes).

@@ -1,27 +1,56 @@
 #include "smr/state_machine.h"
 
-#include <sstream>
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstdlib>
+#include <limits>
 
 namespace consensus40::smr {
 
 namespace {
 
-std::vector<std::string> Tokenize(const std::string& op) {
-  std::vector<std::string> tokens;
-  std::istringstream in(op);
-  std::string tok;
-  while (in >> tok) tokens.push_back(tok);
-  return tokens;
-}
+/// The separators operator>> skips in the C locale: space, \t, \n, \v,
+/// \f, \r.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// The leading whitespace-separated tokens of an op, as views into it.
+/// No op reads past its fourth token, so tokenizing stops there: size()
+/// counts at most four, and any further tokens are ignored.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view op) {
+    size_t pos = 0;
+    while (count_ < tokens_.size()) {
+      while (pos < op.size() && IsSpace(op[pos])) ++pos;
+      if (pos == op.size()) break;
+      const size_t start = pos;
+      while (pos < op.size() && !IsSpace(op[pos])) ++pos;
+      tokens_[count_++] = op.substr(start, pos - start);
+    }
+  }
+  size_t size() const { return count_; }
+  std::string_view operator[](size_t i) const { return tokens_[i]; }
+
+ private:
+  std::array<std::string_view, 4> tokens_;
+  size_t count_ = 0;
+};
 
 /// Reserved prefix for store-internal records (prepare/decision/fence
 /// keys). Never fenced, never migrated.
-constexpr char kInternalPrefix[] = "__";
-constexpr char kDisownPrefix[] = "__disown.";
-constexpr char kOwnPrefix[] = "__own.";
+constexpr std::string_view kInternalPrefix = "__";
+/// Range records. Fences sort before ownership records.
+constexpr std::string_view kDisownPrefix = "__disown.";
+constexpr std::string_view kOwnPrefix = "__own.";
 
-bool IsInternalKey(const std::string& key) {
-  return key.compare(0, 2, kInternalPrefix) == 0;
+bool IsInternalKey(std::string_view key) {
+  return key.starts_with(kInternalPrefix);
+}
+
+/// Keys held in the range table rather than the point table.
+bool IsRangeKey(std::string_view key) {
+  return key.starts_with(kDisownPrefix) || key.starts_with(kOwnPrefix);
 }
 
 /// 16-digit fixed-width lowercase hex, so disown-record keys sort and
@@ -36,12 +65,12 @@ std::string HexU64(uint64_t v) {
   return out;
 }
 
-std::string DisownKey(uint64_t lo, uint64_t hi) {
-  return std::string(kDisownPrefix) + HexU64(lo) + "-" + HexU64(hi);
-}
-
-std::string OwnKey(uint64_t lo, uint64_t hi) {
-  return std::string(kOwnPrefix) + HexU64(lo) + "-" + HexU64(hi);
+std::string RangeKey(std::string_view prefix, uint64_t lo, uint64_t hi) {
+  std::string key(prefix);
+  key += HexU64(lo);
+  key += '-';
+  key += HexU64(hi);
+  return key;
 }
 
 /// True if hash `h` falls in [lo, hi), where hi == 0 means 2^64.
@@ -49,11 +78,12 @@ bool HashInRange(uint64_t h, uint64_t lo, uint64_t hi) {
   return h >= lo && (hi == 0 || h < hi);
 }
 
-bool ParseU64(const std::string& s, uint64_t* out, int base = 10) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, base);
-  return end != nullptr && *end == '\0';
+/// Parses the whole of `s` as an unsigned number in `base`: digits only
+/// (no sign, whitespace, or 0x prefix), and nothing past 2^64 - 1.
+bool ParseU64(std::string_view s, uint64_t* out, int base = 10) {
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, *out, base);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -73,15 +103,15 @@ std::string EncodeKvPairs(
 }
 
 std::optional<std::vector<std::pair<std::string, std::string>>> DecodeKvPairs(
-    const std::string& payload) {
+    std::string_view payload) {
   std::vector<std::pair<std::string, std::string>> pairs;
   size_t pos = 0;
   auto read_one = [&payload, &pos](std::string* out) {
     size_t colon = payload.find(':', pos);
-    if (colon == std::string::npos || colon == pos) return false;
+    if (colon == std::string_view::npos) return false;
     uint64_t len = 0;
     if (!ParseU64(payload.substr(pos, colon - pos), &len)) return false;
-    if (colon + 1 + len > payload.size()) return false;
+    if (len > payload.size() - (colon + 1)) return false;
     *out = payload.substr(colon + 1, len);
     pos = colon + 1 + len;
     return true;
@@ -96,69 +126,132 @@ std::optional<std::vector<std::pair<std::string, std::string>>> DecodeKvPairs(
 
 namespace {
 
-/// Highest epoch of any range record under `prefix` (length `plen`)
-/// whose [lo, hi) covers hash `h`. Record shape:
-/// "<prefix><lo_hex16>-<hi_hex16>" -> decimal epoch.
-std::optional<uint64_t> MaxCoveringEpoch(
-    const std::map<std::string, std::string>& data, const char* prefix,
-    size_t plen, uint64_t h) {
+/// Highest epoch of any range record under `prefix` whose [lo, hi)
+/// covers hash `h`. Record shape: "<prefix><lo_hex16>-<hi_hex16>" ->
+/// decimal epoch.
+std::optional<uint64_t> MaxCoveringEpoch(const KvStore::RangeTable& ranges,
+                                         std::string_view prefix, uint64_t h) {
   std::optional<uint64_t> best;
-  for (auto it = data.lower_bound(prefix);
-       it != data.end() && it->first.compare(0, plen, prefix) == 0; ++it) {
+  const size_t plen = prefix.size();
+  for (auto it = ranges.lower_bound(prefix);
+       it != ranges.end() && it->first.starts_with(prefix); ++it) {
+    const std::string_view key = it->first;
     uint64_t lo = 0, hi = 0, epoch = 0;
-    if (it->first.size() != plen + 16 + 1 + 16) continue;
-    if (!ParseU64(it->first.substr(plen, 16), &lo, 16)) continue;
-    if (!ParseU64(it->first.substr(plen + 17, 16), &hi, 16)) continue;
+    if (key.size() != plen + 16 + 1 + 16) continue;
+    if (!ParseU64(key.substr(plen, 16), &lo, 16)) continue;
+    if (!ParseU64(key.substr(plen + 17, 16), &hi, 16)) continue;
     if (!ParseU64(it->second, &epoch)) continue;
     if (HashInRange(h, lo, hi) && (!best || epoch > *best)) best = epoch;
   }
   return best;
 }
 
+bool IsPointVerb(std::string_view verb) {
+  return verb == "PUT" || verb == "GET" || verb == "DEL" || verb == "SETNX" ||
+         verb == "CAS" || verb == "INC";
+}
+
+/// Executes point op `t` (verb and key present) on the table holding its
+/// key.
+template <class Table>
+std::string ApplyPointOp(Table& table, const Tokens& t) {
+  const std::string_view verb = t[0];
+  auto it = table.find(t[1]);
+  const bool found = it != table.end();
+  auto set = [&](std::string_view value) {
+    if (found) {
+      it->second = value;
+    } else {
+      table.emplace(std::string(t[1]), std::string(value));
+    }
+  };
+  if (verb == "PUT" && t.size() >= 3) {
+    set(t[2]);
+    return "OK";
+  }
+  if (verb == "GET") return found ? it->second : "NIL";
+  if (verb == "DEL") {
+    if (!found) return "NIL";
+    table.erase(it);
+    return "OK";
+  }
+  if (verb == "SETNX" && t.size() >= 3) {
+    if (found) return it->second;
+    set(t[2]);
+    return "OK";
+  }
+  if (verb == "CAS" && t.size() >= 4) {
+    if (!found || it->second != t[2]) return "FAIL";
+    set(t[3]);
+    return "OK";
+  }
+  if (verb == "INC") {
+    const int64_t v =
+        found ? std::strtoll(it->second.c_str(), nullptr, 10) : 0;
+    // strtoll saturates an out-of-range value at the maximum too.
+    if (v == std::numeric_limits<int64_t>::max()) return "ERR";
+    std::string next = std::to_string(v + 1);
+    set(next);
+    return next;
+  }
+  return "ERR";
+}
+
 }  // namespace
 
-std::optional<uint64_t> KvStore::MovedEpoch(const std::string& key) const {
+std::optional<uint64_t> KvStore::MovedEpoch(std::string_view key) const {
+  // Fences sort first in ranges_, so a store without one answers here.
+  if (ranges_.empty() || !ranges_.begin()->first.starts_with(kDisownPrefix)) {
+    return std::nullopt;
+  }
   if (IsInternalKey(key)) return std::nullopt;
   uint64_t h = KeyHash(key);
-  std::optional<uint64_t> fence =
-      MaxCoveringEpoch(data_, kDisownPrefix, 9, h);
+  std::optional<uint64_t> fence = MaxCoveringEpoch(ranges_, kDisownPrefix, h);
   if (!fence.has_value()) return std::nullopt;
   // A fence is only as fresh as its epoch stamp: an INSTALL at or above
   // that epoch means the range moved BACK here afterwards (A->B->A), and
   // the newer ownership record outranks the stale fence — without this,
   // the returning owner would bounce every op on the range forever.
-  std::optional<uint64_t> own = MaxCoveringEpoch(data_, kOwnPrefix, 6, h);
+  std::optional<uint64_t> own = MaxCoveringEpoch(ranges_, kOwnPrefix, h);
   if (own.has_value() && *own >= *fence) return std::nullopt;
   return fence;
 }
 
 std::string KvStore::Apply(const Command& cmd) {
+  const std::string_view op = cmd.op;
   // "INSTALL <lo> <hi> <epoch> <pairs>" carries a length-prefixed
   // payload that must not be whitespace-tokenized; handle it before the
   // token dispatch.
-  if (cmd.op.compare(0, 8, "INSTALL ") == 0) {
+  if (op.starts_with("INSTALL ")) {
     size_t pos = 8;
     uint64_t lo = 0, hi = 0, epoch = 0;
     for (uint64_t* field : {&lo, &hi, &epoch}) {
-      size_t sp = cmd.op.find(' ', pos);
-      if (sp == std::string::npos ||
-          !ParseU64(cmd.op.substr(pos, sp - pos), field)) {
+      size_t sp = op.find(' ', pos);
+      if (sp == std::string_view::npos ||
+          !ParseU64(op.substr(pos, sp - pos), field)) {
         return "ERR";
       }
       pos = sp + 1;
     }
-    auto pairs = DecodeKvPairs(cmd.op.substr(pos));
+    auto pairs = DecodeKvPairs(op.substr(pos));
     if (!pairs.has_value()) return "ERR";
-    for (auto& [k, v] : *pairs) data_[std::move(k)] = std::move(v);
+    for (auto& [k, v] : *pairs) {
+      if (IsRangeKey(k)) {
+        ranges_.insert_or_assign(std::move(k), std::move(v));
+      } else {
+        points_.insert_or_assign(std::move(k), std::move(v));
+      }
+    }
     // Ownership record: outranks any lower-epoch fence over the
     // installed range (see MovedEpoch), so a range returning to a
     // previous owner serves again instead of bouncing on its old fence.
-    data_[OwnKey(lo, hi)] = std::to_string(epoch);
+    ranges_.insert_or_assign(RangeKey(kOwnPrefix, lo, hi),
+                             std::to_string(epoch));
     return "OK " + std::to_string(pairs->size());
   }
-  std::vector<std::string> t = Tokenize(cmd.op);
-  if (t.empty()) return "ERR";
-  const std::string& verb = t[0];
+  const Tokens t(op);
+  if (t.size() == 0) return "ERR";
+  const std::string_view verb = t[0];
   if ((verb == "DISOWN" || verb == "MIGRATE") && t.size() >= 4) {
     uint64_t lo = 0, hi = 0, epoch = 0;
     if (!ParseU64(t[1], &lo) || !ParseU64(t[2], &hi) || !ParseU64(t[3], &epoch))
@@ -167,75 +260,58 @@ std::string KvStore::Apply(const Command& cmd) {
     if (verb == "MIGRATE") {
       // Snapshot the range BEFORE fencing: one atomic log entry, so the
       // copied set is exactly the set of writes that beat the fence.
+      // Range records are internal keys, so only points_ can match; the
+      // payload lists them in key order.
       std::vector<std::pair<std::string, std::string>> pairs;
-      for (const auto& [k, v] : data_) {
+      for (const auto& [k, v] : points_) {
         if (IsInternalKey(k)) continue;
         if (HashInRange(KeyHash(k), lo, hi)) pairs.emplace_back(k, v);
       }
+      std::sort(pairs.begin(), pairs.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
       payload = EncodeKvPairs(pairs);
     }
-    data_[DisownKey(lo, hi)] = std::to_string(epoch);
+    ranges_.insert_or_assign(RangeKey(kDisownPrefix, lo, hi),
+                             std::to_string(epoch));
     return verb == "MIGRATE" ? payload : "OK";
   }
+  if (t.size() < 2 || !IsPointVerb(verb)) return "ERR";
   // Point ops on a migrated-away key bounce with the flip epoch instead
   // of executing (retries of ops that DID execute pre-fence are answered
   // from the dedup cache before reaching here, so exactly-once holds
   // across a move).
-  if (t.size() >= 2 && (verb == "PUT" || verb == "GET" || verb == "DEL" ||
-                        verb == "SETNX" || verb == "CAS" || verb == "INC")) {
-    if (std::optional<uint64_t> epoch = MovedEpoch(t[1])) {
-      return "MOVED " + std::to_string(*epoch);
-    }
+  if (std::optional<uint64_t> epoch = MovedEpoch(t[1])) {
+    return "MOVED " + std::to_string(*epoch);
   }
-  if (verb == "PUT" && t.size() >= 3) {
-    data_[t[1]] = t[2];
-    return "OK";
-  }
-  if (verb == "GET" && t.size() >= 2) {
-    auto it = data_.find(t[1]);
-    return it == data_.end() ? "NIL" : it->second;
-  }
-  if (verb == "DEL" && t.size() >= 2) {
-    return data_.erase(t[1]) > 0 ? "OK" : "NIL";
-  }
-  if (verb == "SETNX" && t.size() >= 3) {
-    auto [it, inserted] = data_.try_emplace(t[1], t[2]);
-    return inserted ? "OK" : it->second;
-  }
-  if (verb == "CAS" && t.size() >= 4) {
-    auto it = data_.find(t[1]);
-    if (it != data_.end() && it->second == t[2]) {
-      it->second = t[3];
-      return "OK";
-    }
-    return "FAIL";
-  }
-  if (verb == "INC" && t.size() >= 2) {
-    auto it = data_.find(t[1]);
-    int64_t v = 0;
-    if (it != data_.end()) v = std::strtoll(it->second.c_str(), nullptr, 10);
-    ++v;
-    data_[t[1]] = std::to_string(v);
-    return data_[t[1]];
-  }
-  return "ERR";
+  return IsRangeKey(t[1]) ? ApplyPointOp(ranges_, t) : ApplyPointOp(points_, t);
 }
 
 crypto::Digest KvStore::StateDigest() const {
+  // Hashed in key order across both tables: the order one ordered map
+  // over every key would iterate in.
+  std::vector<const PointTable::value_type*> entries;
+  entries.reserve(size());
+  for (const auto& entry : points_) entries.push_back(&entry);
+  for (const auto& entry : ranges_) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
   crypto::Sha256 h;
-  for (const auto& [key, value] : data_) {
-    h.Update(key);
+  for (const auto* entry : entries) {
+    h.Update(entry->first);
     h.Update("=", 1);
-    h.Update(value);
+    h.Update(entry->second);
     h.Update(";", 1);
   }
   return h.Finish();
 }
 
-std::optional<std::string> KvStore::Get(const std::string& key) const {
-  auto it = data_.find(key);
-  if (it == data_.end()) return std::nullopt;
-  return it->second;
+std::optional<std::string> KvStore::Get(std::string_view key) const {
+  auto get = [key](const auto& table) -> std::optional<std::string> {
+    auto it = table.find(key);
+    if (it == table.end()) return std::nullopt;
+    return it->second;
+  };
+  return IsRangeKey(key) ? get(ranges_) : get(points_);
 }
 
 void ReplicatedLog::Set(uint64_t index, Command cmd) {

@@ -6,6 +6,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -62,31 +64,59 @@ class StateMachine {
 /// for the installed range; an ownership record at or above a fence's
 /// epoch outranks it, so a range moved back to a previous owner
 /// (A->B->A) serves again instead of bouncing on the stale fence.
-/// Fence and ownership records live inside data_ under the reserved
-/// "__" prefix (ops on "__*" keys are never fenced), riding snapshots,
-/// digests, and state transfer for free.
+/// Fence ("__disown.") and ownership ("__own.") records are keys under
+/// the reserved "__" prefix (ops on "__*" keys are never fenced), so
+/// they ride snapshots, digests, and state transfer for free.
+///
+/// Storage is split by how keys are read. Point keys sit in a hash table
+/// looked up through std::string_view, so applying an op builds no key
+/// string. The range records sit in a small ordered table of their own,
+/// which is all a fence check reads. Whatever exposes key order —
+/// StateDigest and the MIGRATE payload — sorts on the way out, so both
+/// stay in the byte order of one ordered map over every key.
 class KvStore : public StateMachine {
  public:
+  /// Hashes std::string and std::string_view alike (heterogeneous
+  /// lookup).
+  struct KeyHasher {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+  using PointTable = std::unordered_map<std::string, std::string, KeyHasher,
+                                        std::equal_to<>>;
+  using RangeTable = std::map<std::string, std::string, std::less<>>;
+
+  /// Everything the store holds, as Snapshot hands it out and Restore
+  /// takes it back.
+  struct Contents {
+    PointTable points;
+    RangeTable ranges;  ///< "__disown." and "__own." records.
+  };
+
   std::string Apply(const Command& cmd) override;
   crypto::Digest StateDigest() const override;
 
   /// Direct read access for tests.
-  std::optional<std::string> Get(const std::string& key) const;
-  size_t size() const { return data_.size(); }
+  std::optional<std::string> Get(std::string_view key) const;
+  size_t size() const { return points_.size() + ranges_.size(); }
 
   /// The routing epoch that fenced `key` away, if any — the same check
   /// Apply performs, exposed for read paths that bypass the log (Raft
   /// read-index serves reads straight from the store).
-  std::optional<uint64_t> MovedEpoch(const std::string& key) const;
+  std::optional<uint64_t> MovedEpoch(std::string_view key) const;
 
   /// Snapshot support (Raft log compaction, state transfer).
-  std::map<std::string, std::string> Snapshot() const { return data_; }
-  void Restore(std::map<std::string, std::string> data) {
-    data_ = std::move(data);
+  Contents Snapshot() const { return {points_, ranges_}; }
+  void Restore(Contents contents) {
+    points_ = std::move(contents.points);
+    ranges_ = std::move(contents.ranges);
   }
 
  private:
-  std::map<std::string, std::string> data_;
+  PointTable points_;
+  RangeTable ranges_;
 };
 
 /// Length-prefixed key/value framing for MIGRATE results and INSTALL
@@ -96,7 +126,7 @@ class KvStore : public StateMachine {
 std::string EncodeKvPairs(
     const std::vector<std::pair<std::string, std::string>>& pairs);
 std::optional<std::vector<std::pair<std::string, std::string>>> DecodeKvPairs(
-    const std::string& payload);
+    std::string_view payload);
 
 /// At-most-once execution filter: a client command that reaches the log
 /// twice (e.g. retried across a leader change) must only be applied once.

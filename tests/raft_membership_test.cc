@@ -23,11 +23,12 @@ struct World {
         sim(*sim_owner) {}
 
   RaftReplica* SpawnReplica(const std::vector<sim::NodeId>& config,
-                            bool passive) {
+                            bool passive, uint64_t snapshot_threshold = 0) {
     RaftOptions opts;
     opts.n = static_cast<int>(config.size());
     opts.initial_config = config;
     opts.join_passive = passive;
+    opts.snapshot_threshold = snapshot_threshold;
     replicas.push_back(sim.Spawn<RaftReplica>(opts));
     return replicas.back();
   }
@@ -197,6 +198,119 @@ TEST(RaftMembershipTest, OnlyOneChangeInFlight) {
     }
   }
   EXPECT_TRUE(leader->ChangeConfig({}).IsInvalidArgument());
+}
+
+/// `from` without `drop`.
+std::vector<sim::NodeId> Without(const std::vector<sim::NodeId>& from,
+                                 sim::NodeId drop) {
+  std::vector<sim::NodeId> out;
+  for (sim::NodeId m : from) {
+    if (m != drop) out.push_back(m);
+  }
+  return out;
+}
+
+uint64_t LogEnd(const RaftReplica* r) {
+  return r->log_start() + r->raft_log().size();
+}
+
+TEST(RaftMembershipTest, TruncationDropsAStrandedConfigChange) {
+  // A leader cut off with one follower appends a config change that can
+  // never commit. The majority elects a new leader and commits a write in
+  // that slot; on heal the follower's suffix is truncated, and with it
+  // the stranded change: its configuration is the new leader's again.
+  World w(11);
+  const std::vector<sim::NodeId> initial = {0, 1, 2, 3, 4};
+  for (int i = 0; i < 5; ++i) w.SpawnReplica(initial, false);
+  auto* warmup = w.sim.Spawn<RaftClient>(5, 3);
+  w.sim.Start();
+  ASSERT_TRUE(w.sim.RunUntil([&] { return warmup->done(); }, 60 * kSecond));
+  w.sim.RunFor(kSecond);  // Every follower learns the commit index.
+  RaftReplica* old_leader = w.Leader();
+  ASSERT_NE(old_leader, nullptr);
+  std::vector<sim::NodeId> majority = Without(initial, old_leader->id());
+  RaftReplica* follower = w.replicas[majority.front()];
+  majority.erase(majority.begin());
+  w.sim.Partition({{old_leader->id(), follower->id()}, majority});
+
+  // Removing a majority-side member needs 3 acks of 4; this side has 2.
+  const std::vector<sim::NodeId> stranded = Without(initial, majority.back());
+  ASSERT_TRUE(old_leader->ChangeConfig(stranded).ok());
+  const uint64_t stranded_end = LogEnd(old_leader);
+  w.sim.RunFor(200 * kMillisecond);
+  EXPECT_EQ(follower->config(), stranded);
+  EXPECT_EQ(LogEnd(follower), stranded_end);
+  EXPECT_LT(old_leader->commit_index(), stranded_end);
+
+  auto majority_leader = [&]() -> RaftReplica* {
+    for (sim::NodeId m : majority) {
+      if (w.replicas[m]->IsLeader()) return w.replicas[m];
+    }
+    return nullptr;
+  };
+  ASSERT_TRUE(w.sim.RunUntil([&] { return majority_leader() != nullptr; },
+                             w.sim.now() + 30 * kSecond));
+  // A client on the majority side writes into the stranded slot.
+  auto* writer = w.sim.Spawn<RaftClient>(5, 1, "y");
+  w.sim.Start();
+  std::vector<sim::NodeId> majority_side = majority;
+  majority_side.push_back(writer->id());
+  w.sim.Partition({{old_leader->id(), follower->id()}, majority_side});
+  ASSERT_TRUE(w.sim.RunUntil([&] { return writer->done(); },
+                             w.sim.now() + 60 * kSecond));
+  RaftReplica* new_leader = majority_leader();
+  ASSERT_NE(new_leader, nullptr);
+  ASSERT_GE(new_leader->commit_index(), stranded_end);
+  EXPECT_EQ(new_leader->config(), initial);
+
+  w.sim.Heal();
+  ASSERT_TRUE(w.sim.RunUntil(
+      [&] { return follower->commit_index() >= stranded_end; },
+      w.sim.now() + 30 * kSecond));
+  EXPECT_EQ(follower->config(), new_leader->config());
+  for (const RaftReplica::LogEntry& entry : follower->raft_log()) {
+    EXPECT_FALSE(RaftReplica::ParseConfig(entry.cmd).has_value());
+  }
+  EXPECT_TRUE(follower->violations().empty());
+}
+
+TEST(RaftMembershipTest, SnapshotInstallCarriesACommittedConfigChange) {
+  // A follower that was down while a config change committed and was
+  // compacted away learns the configuration from the snapshot it
+  // installs: no log entry it receives carries it.
+  World w(13);
+  const std::vector<sim::NodeId> initial = {0, 1, 2, 3, 4};
+  for (int i = 0; i < 5; ++i) {
+    w.SpawnReplica(initial, false, /*snapshot_threshold=*/4);
+  }
+  auto* client = w.sim.Spawn<RaftClient>(5, 30);
+  w.sim.Start();
+  ASSERT_TRUE(w.sim.RunUntil([&] { return client->completed() >= 3; },
+                             60 * kSecond));
+  ASSERT_TRUE(w.WaitForLeader());
+  RaftReplica* leader = w.Leader();
+  const std::vector<sim::NodeId> others = Without(initial, leader->id());
+  RaftReplica* lagging = w.replicas[others[0]];
+  w.sim.Crash(lagging->id());
+  // Remove another follower (and stop it, so it cannot campaign).
+  const std::vector<sim::NodeId> after = Without(initial, others[1]);
+  ASSERT_TRUE(leader->ChangeConfig(after).ok());
+  const uint64_t config_end = LogEnd(leader);
+  w.sim.Crash(others[1]);
+  ASSERT_TRUE(w.sim.RunUntil(
+      [&] { return client->done() && leader->log_start() >= config_end; },
+      w.sim.now() + 120 * kSecond));
+  EXPECT_EQ(lagging->config(), initial);
+
+  w.sim.Restart(lagging->id());
+  ASSERT_TRUE(w.sim.RunUntil(
+      [&] {
+        return lagging->snapshots_installed() > 0 &&
+               lagging->commit_index() >= leader->commit_index();
+      },
+      w.sim.now() + 30 * kSecond));
+  EXPECT_EQ(lagging->config(), after);
+  EXPECT_EQ(lagging->config(), leader->config());
 }
 
 }  // namespace

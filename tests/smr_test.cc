@@ -69,6 +69,30 @@ TEST(KvStoreTest, IncCountsFromZero) {
   EXPECT_EQ(kv.Apply(Cmd(0, 2, "INC ctr")), "2");
 }
 
+TEST(KvStoreTest, IncPastInt64MaxErrsAndKeepsTheValue) {
+  KvStore kv;
+  EXPECT_EQ(kv.Apply(Cmd(0, 1, "PUT n 9223372036854775807")), "OK");
+  EXPECT_EQ(kv.Apply(Cmd(0, 2, "INC n")), "ERR");
+  EXPECT_EQ(*kv.Get("n"), "9223372036854775807");
+  // A stored value past the range parses as the maximum too.
+  EXPECT_EQ(kv.Apply(Cmd(0, 3, "PUT big 99999999999999999999")), "OK");
+  EXPECT_EQ(kv.Apply(Cmd(0, 4, "INC big")), "ERR");
+  EXPECT_EQ(*kv.Get("big"), "99999999999999999999");
+  EXPECT_EQ(kv.Apply(Cmd(0, 5, "PUT m 9223372036854775806")), "OK");
+  EXPECT_EQ(kv.Apply(Cmd(0, 6, "INC m")), "9223372036854775807");
+}
+
+TEST(KvStoreTest, TokensSplitOnEveryCLocaleSpace) {
+  // The separators of operator>> in the C locale, and nothing else.
+  KvStore kv;
+  EXPECT_EQ(kv.Apply(Cmd(0, 1, " \t PUT\nk\v\fv\r ")), "OK");
+  EXPECT_EQ(*kv.Get("k"), "v");
+  EXPECT_EQ(kv.Apply(Cmd(0, 2, "PUT\x01k w")), "ERR");  // \x01 joins.
+  // Tokens past an op's arguments are ignored.
+  EXPECT_EQ(kv.Apply(Cmd(0, 3, "GET k extra tokens")), "v");
+  EXPECT_EQ(kv.Apply(Cmd(0, 4, "\t\n")), "ERR");
+}
+
 TEST(KvStoreTest, MalformedOpsError) {
   KvStore kv;
   EXPECT_EQ(kv.Apply(Cmd(0, 1, "")), "ERR");
@@ -296,6 +320,37 @@ TEST(KvStoreTest, InstallRejectsMalformedHeader) {
   EXPECT_EQ(a.Apply(Cmd(1, 1, "INSTALL ")), "ERR");
   EXPECT_EQ(a.Apply(Cmd(1, 2, "INSTALL 0 0")), "ERR");
   EXPECT_EQ(a.Apply(Cmd(1, 3, "INSTALL 0 x 2 ")), "ERR");
+  // Numbers are decimal digits that fit in a u64: no sign, no
+  // whitespace, no wrap.
+  EXPECT_EQ(a.Apply(Cmd(1, 4, "INSTALL +0 5 1 2:ab1:c")), "ERR");
+  EXPECT_EQ(a.Apply(Cmd(1, 5, "INSTALL \t0 5 1 2:ab1:c")), "ERR");
+  EXPECT_EQ(a.Apply(Cmd(1, 6, "INSTALL 0 5 1 +2:ab1:c")), "ERR");
+  EXPECT_EQ(a.Apply(Cmd(1, 7, "INSTALL 0 5 1  2:ab1:c")), "ERR");
+  EXPECT_EQ(a.Apply(Cmd(1, 8, "INSTALL 0 18446744073709551616 1 ")), "ERR");
+  EXPECT_EQ(a.Apply(Cmd(1, 9, "DISOWN -1 0 7")), "ERR");
+  EXPECT_EQ(a.Apply(Cmd(1, 10, "MIGRATE 0 0 -2")), "ERR");
+  EXPECT_EQ(a.Apply(Cmd(1, 11, "DISOWN 0x10 0 7")), "ERR");
+  // None of them installed a pair or fenced a range.
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_FALSE(a.MovedEpoch("k").has_value());
+  // The well-formed header still installs.
+  EXPECT_EQ(a.Apply(Cmd(1, 12, "INSTALL 0 5 1 2:ab1:c")), "OK 1");
+  EXPECT_EQ(*a.Get("ab"), "c");
+}
+
+TEST(KvStoreTest, DecodeKvPairsRejectsAWrappingLength) {
+  // colon + 1 + len wraps past 2^64 for this length; compared against
+  // the bytes remaining it is simply too long.
+  EXPECT_FALSE(DecodeKvPairs("1:a18446744073709551614:abcd1:z").has_value());
+  EXPECT_FALSE(DecodeKvPairs("1:a2:b").has_value());    // Runs past the end.
+  EXPECT_FALSE(DecodeKvPairs("+1:a1:b").has_value());   // Signed length.
+  EXPECT_FALSE(DecodeKvPairs(" 1:a1:b").has_value());   // Padded length.
+  auto pairs = DecodeKvPairs("1:a3:b:c");
+  ASSERT_TRUE(pairs.has_value());
+  ASSERT_EQ(pairs->size(), 1u);
+  EXPECT_EQ((*pairs)[0].first, "a");
+  EXPECT_EQ((*pairs)[0].second, "b:c");
+  EXPECT_TRUE(DecodeKvPairs("").has_value());
 }
 
 TEST(ReplicatedLogTest, OutOfOrderFillThenApply) {

@@ -354,57 +354,12 @@ void CheapBftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
 // Client
 // ---------------------------------------------------------------------------
 
-CheapBftClient::CheapBftClient(int f, const crypto::KeyRegistry* registry,
-                               int ops, std::string key, sim::Duration retry)
-    : f_(f),
-      n_(2 * f + 1),
-      registry_(registry),
-      ops_(ops),
-      key_(std::move(key)),
-      retry_(retry) {}
-
-void CheapBftClient::OnStart() {
-  seq_ = 1;
-  SendCurrent(false);
-}
-
-void CheapBftClient::SendCurrent(bool broadcast) {
-  if (done()) return;
-  smr::Command cmd{id(), seq_, "INC " + key_};
-  crypto::Signature sig = registry_->Sign(id(), cmd.Hash());
-  if (broadcast) {
-    for (int i = 0; i < n_; ++i) {
-      Send(i, std::make_shared<CheapBftReplica::RequestMsg>(cmd, sig));
-    }
-  } else {
-    Send(0, std::make_shared<CheapBftReplica::RequestMsg>(cmd, sig));
+void CheapBftClient::Retry() {
+  // A timed-out client panics the cluster: CheapTiny cannot mask faults.
+  for (int i = 0; i < n(); ++i) {
+    Send(i, std::make_shared<CheapBftReplica::PanicMsg>());
   }
-  CancelTimer(retry_timer_);
-  retry_timer_ = SetTimer(retry_, [this] {
-    ++timeouts_;
-    // A timed-out client panics the cluster: CheapTiny cannot mask faults.
-    for (int i = 0; i < n_; ++i) {
-      Send(i, std::make_shared<CheapBftReplica::PanicMsg>());
-    }
-    SendCurrent(true);
-  });
-}
-
-void CheapBftClient::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  const auto* m = dynamic_cast<const CheapBftReplica::ReplyMsg*>(&msg);
-  if (m == nullptr || m->client_seq != seq_ || done()) return;
-  reply_votes_[m->result].insert(from);
-  if (static_cast<int>(reply_votes_[m->result].size()) >= f_ + 1) {
-    results_.push_back(m->result);
-    reply_votes_.clear();
-    ++completed_;
-    ++seq_;
-    if (done()) {
-      CancelTimer(retry_timer_);
-    } else {
-      SendCurrent(false);
-    }
-  }
+  ClosedLoopClient::Retry();
 }
 
 }  // namespace consensus40::cheapbft

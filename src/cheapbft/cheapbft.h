@@ -10,6 +10,7 @@
 #include "crypto/sha256.h"
 #include "crypto/signatures.h"
 #include "sim/simulation.h"
+#include "smr/client.h"
 #include "smr/command.h"
 #include "smr/state_machine.h"
 
@@ -44,22 +45,12 @@ class CheapBftReplica : public sim::Process {
  public:
   explicit CheapBftReplica(CheapBftOptions options);
 
-  struct RequestMsg : sim::Message {
-    RequestMsg(smr::Command c, crypto::Signature s)
-        : cmd(std::move(c)), client_sig(s) {}
+  struct RequestMsg : smr::SignedRequestMsg {
+    using smr::SignedRequestMsg::SignedRequestMsg;
     const char* TypeName() const override { return "cheap-request"; }
-    int ByteSize() const override { return 48 + cmd.ByteSize(); }
-    smr::Command cmd;
-    crypto::Signature client_sig;
   };
-  struct ReplyMsg : sim::Message {
+  struct ReplyMsg : smr::SignedReplyMsg {
     const char* TypeName() const override { return "cheap-reply"; }
-    int ByteSize() const override {
-      return 24 + static_cast<int>(result.size());
-    }
-    uint64_t client_seq = 0;
-    int32_t replica = -1;
-    std::string result;
   };
   struct PrepareMsg : sim::Message {
     const char* TypeName() const override { return "cheap-prepare"; }
@@ -185,34 +176,18 @@ class CheapBftReplica : public sim::Process {
 
 /// CheapBFT client: sends to the primary, panics the cluster on timeout,
 /// accepts f+1 matching replies.
-class CheapBftClient : public sim::Process {
+class CheapBftClient
+    : public smr::ClosedLoopClient<CheapBftReplica::RequestMsg,
+                                   CheapBftReplica::ReplyMsg> {
  public:
   CheapBftClient(int f, const crypto::KeyRegistry* registry, int ops,
                  std::string key = "x",
-                 sim::Duration retry = 400 * sim::kMillisecond);
-
-  int completed() const { return completed_; }
-  bool done() const { return completed_ >= ops_; }
-  const std::vector<std::string>& results() const { return results_; }
-
-  void OnStart() override;
-  void OnMessage(sim::NodeId from, const sim::Message& msg) override;
+                 sim::Duration retry = 400 * sim::kMillisecond)
+      : ClosedLoopClient(2 * f + 1, f + 1, 0, ops, std::move(key), retry,
+                         registry) {}
 
  private:
-  void SendCurrent(bool broadcast);
-
-  int f_;
-  int n_;
-  const crypto::KeyRegistry* registry_;
-  int ops_;
-  std::string key_;
-  sim::Duration retry_;
-  int completed_ = 0;
-  uint64_t seq_ = 0;
-  uint64_t retry_timer_ = 0;
-  int timeouts_ = 0;
-  std::map<std::string, std::set<sim::NodeId>> reply_votes_;
-  std::vector<std::string> results_;
+  void Retry() override;
 };
 
 }  // namespace consensus40::cheapbft

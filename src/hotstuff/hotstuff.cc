@@ -323,50 +323,4 @@ void HotStuffReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Client
-// ---------------------------------------------------------------------------
-
-HotStuffClient::HotStuffClient(int n, const crypto::KeyRegistry* registry,
-                               int ops, std::string key, sim::Duration retry)
-    : n_(n),
-      registry_(registry),
-      f_((n - 1) / 3),
-      ops_(ops),
-      key_(std::move(key)),
-      retry_(retry) {}
-
-void HotStuffClient::OnStart() {
-  seq_ = 1;
-  SendCurrent();
-}
-
-void HotStuffClient::SendCurrent() {
-  if (done()) return;
-  smr::Command cmd{id(), seq_, "INC " + key_};
-  crypto::Signature sig = registry_->Sign(id(), cmd.Hash());
-  for (int i = 0; i < n_; ++i) {
-    Send(i, std::make_shared<HotStuffReplica::RequestMsg>(cmd, sig));
-  }
-  CancelTimer(retry_timer_);
-  retry_timer_ = SetTimer(retry_, [this] { SendCurrent(); });
-}
-
-void HotStuffClient::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  const auto* m = dynamic_cast<const HotStuffReplica::ReplyMsg*>(&msg);
-  if (m == nullptr || m->client_seq != seq_ || done()) return;
-  reply_votes_[m->result].insert(from);
-  if (static_cast<int>(reply_votes_[m->result].size()) >= f_ + 1) {
-    results_.push_back(m->result);
-    reply_votes_.clear();
-    ++completed_;
-    ++seq_;
-    if (done()) {
-      CancelTimer(retry_timer_);
-    } else {
-      SendCurrent();
-    }
-  }
-}
-
 }  // namespace consensus40::hotstuff

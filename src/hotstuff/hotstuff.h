@@ -12,6 +12,7 @@
 #include "crypto/sha256.h"
 #include "crypto/signatures.h"
 #include "sim/simulation.h"
+#include "smr/client.h"
 #include "smr/command.h"
 #include "smr/state_machine.h"
 
@@ -63,22 +64,12 @@ class HotStuffReplica : public sim::Process {
  public:
   explicit HotStuffReplica(HotStuffOptions options);
 
-  struct RequestMsg : sim::Message {
-    RequestMsg(smr::Command c, crypto::Signature s)
-        : cmd(std::move(c)), client_sig(s) {}
+  struct RequestMsg : smr::SignedRequestMsg {
+    using smr::SignedRequestMsg::SignedRequestMsg;
     const char* TypeName() const override { return "hs-request"; }
-    int ByteSize() const override { return 48 + cmd.ByteSize(); }
-    smr::Command cmd;
-    crypto::Signature client_sig;
   };
-  struct ReplyMsg : sim::Message {
+  struct ReplyMsg : smr::SignedReplyMsg {
     const char* TypeName() const override { return "hs-reply"; }
-    int ByteSize() const override {
-      return 24 + static_cast<int>(result.size());
-    }
-    uint64_t client_seq = 0;
-    int32_t replica = -1;
-    std::string result;
   };
   struct ProposalMsg : sim::Message {
     const char* TypeName() const override { return "hs-proposal"; }
@@ -163,33 +154,15 @@ class HotStuffReplica : public sim::Process {
 
 /// HotStuff client: broadcasts requests (the leader rotates constantly),
 /// accepts f+1 matching replies.
-class HotStuffClient : public sim::Process {
+class HotStuffClient
+    : public smr::ClosedLoopClient<HotStuffReplica::RequestMsg,
+                                   HotStuffReplica::ReplyMsg> {
  public:
   HotStuffClient(int n, const crypto::KeyRegistry* registry, int ops,
                  std::string key = "x",
-                 sim::Duration retry = 800 * sim::kMillisecond);
-
-  int completed() const { return completed_; }
-  bool done() const { return completed_ >= ops_; }
-  const std::vector<std::string>& results() const { return results_; }
-
-  void OnStart() override;
-  void OnMessage(sim::NodeId from, const sim::Message& msg) override;
-
- private:
-  void SendCurrent();
-
-  int n_;
-  const crypto::KeyRegistry* registry_;
-  int f_;
-  int ops_;
-  std::string key_;
-  sim::Duration retry_;
-  int completed_ = 0;
-  uint64_t seq_ = 0;
-  uint64_t retry_timer_ = 0;
-  std::map<std::string, std::set<sim::NodeId>> reply_votes_;
-  std::vector<std::string> results_;
+                 sim::Duration retry = 800 * sim::kMillisecond)
+      : ClosedLoopClient(n, (n - 1) / 3 + 1, smr::kAllMembers, ops,
+                         std::move(key), retry, registry) {}
 };
 
 }  // namespace consensus40::hotstuff

@@ -10,6 +10,7 @@
 #include "crypto/sha256.h"
 #include "crypto/signatures.h"
 #include "sim/simulation.h"
+#include "smr/client.h"
 #include "smr/command.h"
 #include "smr/state_machine.h"
 
@@ -40,23 +41,13 @@ class MinBftReplica : public sim::Process {
  public:
   explicit MinBftReplica(MinBftOptions options);
 
-  struct RequestMsg : sim::Message {
-    RequestMsg(smr::Command c, crypto::Signature s)
-        : cmd(std::move(c)), client_sig(s) {}
+  struct RequestMsg : smr::SignedRequestMsg {
+    using smr::SignedRequestMsg::SignedRequestMsg;
     const char* TypeName() const override { return "minbft-request"; }
-    int ByteSize() const override { return 48 + cmd.ByteSize(); }
-    smr::Command cmd;
-    crypto::Signature client_sig;
   };
-  struct ReplyMsg : sim::Message {
+  struct ReplyMsg : smr::SignedReplyMsg {
     const char* TypeName() const override { return "minbft-reply"; }
-    int ByteSize() const override {
-      return 24 + static_cast<int>(result.size());
-    }
     int64_t view = 0;
-    uint64_t client_seq = 0;
-    int32_t replica = -1;
-    std::string result;
   };
   struct PrepareMsg : sim::Message {
     const char* TypeName() const override { return "minbft-prepare"; }
@@ -165,34 +156,15 @@ class MinBftReplica : public sim::Process {
 
 /// MinBFT client: identical interaction pattern to the PBFT client (f+1
 /// matching replies), with f drawn from n = 2f+1.
-class MinBftClient : public sim::Process {
+class MinBftClient
+    : public smr::ClosedLoopClient<MinBftReplica::RequestMsg,
+                                   MinBftReplica::ReplyMsg> {
  public:
   MinBftClient(int n, const crypto::KeyRegistry* registry, int ops,
                std::string key = "x",
-               sim::Duration retry = 500 * sim::kMillisecond);
-
-  int completed() const { return completed_; }
-  bool done() const { return completed_ >= ops_; }
-  const std::vector<std::string>& results() const { return results_; }
-
-  void OnStart() override;
-  void OnMessage(sim::NodeId from, const sim::Message& msg) override;
-
- private:
-  void SendCurrent(bool broadcast);
-
-  int n_;
-  const crypto::KeyRegistry* registry_;
-  int f_;
-  int ops_;
-  std::string key_;
-  sim::Duration retry_;
-  int completed_ = 0;
-  uint64_t seq_ = 0;
-  sim::NodeId primary_hint_ = 0;
-  uint64_t retry_timer_ = 0;
-  std::map<std::string, std::set<sim::NodeId>> reply_votes_;
-  std::vector<std::string> results_;
+               sim::Duration retry = 500 * sim::kMillisecond)
+      : ClosedLoopClient(n, (n - 1) / 2 + 1, 0, ops, std::move(key), retry,
+                         registry) {}
 };
 
 }  // namespace consensus40::minbft

@@ -5,6 +5,27 @@
 
 namespace consensus40::paxos {
 
+namespace {
+
+/// Adaptive controller: payloads below this never shard (framing
+/// overhead dominates and the latency gate wants classic behaviour).
+constexpr int kMinPayloadToShard = 256;
+/// EWMA smoothing for payload size and egress backlog.
+constexpr double kEwmaAlpha = 0.25;
+/// Slide c down (more coding) when the smoothed egress backlog exceeds
+/// kBacklogHigh; slide it back up when it falls below kBacklogLow.
+constexpr sim::Duration kBacklogHigh = 2 * sim::kMillisecond;
+constexpr sim::Duration kBacklogLow = 500 * sim::kMicrosecond;
+/// A slot unchosen this long after its accept round is re-proposed at
+/// c = k (full copies, majority quorum): Crossword's follower-health
+/// adaptation, and what keeps sharded configs live through crashes and
+/// partitions that a q2(c) > majority quorum cannot ride out.
+constexpr sim::Duration kStallTimeout = 60 * sim::kMillisecond;
+/// Follower-side reconstruction: base retry cadence for shard pulls.
+constexpr sim::Duration kReconstructRetry = 25 * sim::kMillisecond;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Messages
 // ---------------------------------------------------------------------------
@@ -175,13 +196,13 @@ int CrosswordReplica::ChooseShards(int payload) {
       break;
   }
   payload_ewma_ +=
-      options_.ewma_alpha * (static_cast<double>(payload) - payload_ewma_);
+      kEwmaAlpha * (static_cast<double>(payload) - payload_ewma_);
   // Small commands always go full-copy: shard framing would cost more
   // bytes than it saves, and commit latency must track classic Paxos.
-  if (payload < options_.min_payload_to_shard) return k_;
-  if (backlog_ewma_ > static_cast<double>(options_.backlog_high)) {
+  if (payload < kMinPayloadToShard) return k_;
+  if (backlog_ewma_ > static_cast<double>(kBacklogHigh)) {
     c_now_ = std::max(1, c_now_ - 1);  // Egress is queueing: code harder.
-  } else if (backlog_ewma_ < static_cast<double>(options_.backlog_low)) {
+  } else if (backlog_ewma_ < static_cast<double>(kBacklogLow)) {
     c_now_ = std::min(k_, c_now_ + 1);  // Headroom: favour latency.
   }
   return c_now_;
@@ -212,7 +233,7 @@ void CrosswordReplica::AcceptSlot(uint64_t index, const smr::Command& cmd) {
     // client window. The post-send residue is exactly what this round
     // left unsent, the quantity the controller should react to.
     backlog_ewma_ +=
-        options_.ewma_alpha *
+        kEwmaAlpha *
         (static_cast<double>(sim().EgressBacklog(id())) - backlog_ewma_);
   }
 }
@@ -301,7 +322,7 @@ void CrosswordReplica::ResendInFlight() {
   // already queued — the unacked bytes may simply not have left the NIC.
   // Re-sending into a backed-up port is pure positive feedback: each
   // repair re-serializes the full fan-out behind the copy it duplicates,
-  // and at payloads where fan-out exceeds stall_timeout the queue (and
+  // and at payloads where fan-out exceeds kStallTimeout the queue (and
   // virtual latency) grows without bound. Repair only from a drained port.
   if (sim().EgressBacklog(id()) > 0) return;
   const sim::Time now = Now();
@@ -312,7 +333,7 @@ void CrosswordReplica::ResendInFlight() {
     if (slot.chosen || !slot.has_value || slot.accept_num != my_ballot_) {
       continue;
     }
-    if (now - slot.proposed_at < options_.stall_timeout) continue;
+    if (now - slot.proposed_at < kStallTimeout) continue;
     stalled.push_back(index);
     if (stalled.size() >= 8) break;  // Per-heartbeat repair budget.
   }
@@ -579,7 +600,7 @@ void CrosswordReplica::SchedulePull(uint64_t index) {
   // the peer's egress queue — every retry then ADDS to the very backlog
   // that delayed the first answer.
   const int shift = std::min(p.attempt, 6);
-  p.timer = SetTimer(options_.reconstruct_retry << shift,
+  p.timer = SetTimer(kReconstructRetry << shift,
                      [this, index] { SchedulePull(index); });
 }
 

@@ -44,31 +44,13 @@ struct CrosswordOptions {
   sim::Duration batch_delay = 0;
   uint64_t checkpoint_interval = 0;
 
-  /// Assignment policy. kAdaptive slides c per slot on the EWMA signals
-  /// below; the fixed modes pin it (the bench's baselines).
+  /// Assignment policy. kAdaptive slides c per slot on the smoothed
+  /// payload size and egress backlog; the fixed modes pin it (the
+  /// bench's baselines).
   enum class Mode { kAdaptive, kFullCopy, kFixedRs };
   Mode mode = Mode::kAdaptive;
   /// c for kFixedRs (clamped to [1, k]).
   int fixed_shards = 1;
-
-  /// Adaptive controller: payloads below this never shard (framing
-  /// overhead dominates and the latency gate wants classic behaviour).
-  int min_payload_to_shard = 256;
-  /// EWMA smoothing for payload size and egress backlog.
-  double ewma_alpha = 0.25;
-  /// Slide c down (more coding) when the smoothed egress backlog exceeds
-  /// `backlog_high`; slide it back up when it falls below `backlog_low`.
-  sim::Duration backlog_high = 2 * sim::kMillisecond;
-  sim::Duration backlog_low = 500 * sim::kMicrosecond;
-
-  /// A slot unchosen this long after its accept round is re-proposed at
-  /// c = k (full copies, majority quorum): Crossword's follower-health
-  /// adaptation, and what keeps sharded configs live through crashes and
-  /// partitions that a q2(c) > majority quorum cannot ride out.
-  sim::Duration stall_timeout = 60 * sim::kMillisecond;
-
-  /// Follower-side reconstruction: retry cadence for shard pulls.
-  sim::Duration reconstruct_retry = 25 * sim::kMillisecond;
 
   /// OUT OF BOUNDS: commit at a bare majority regardless of c. Under
   /// c < k a chosen entry may live on acceptors jointly holding fewer

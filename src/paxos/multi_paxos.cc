@@ -421,66 +421,4 @@ void MultiPaxosReplica::OnRestart() {
   ResetLeaderTimer();
 }
 
-// ---------------------------------------------------------------------------
-// Client
-// ---------------------------------------------------------------------------
-
-MultiPaxosClient::MultiPaxosClient(int n, int ops, std::string key,
-                                   sim::Duration retry)
-    : ops_(ops), key_(std::move(key)), retry_(retry) {
-  for (int i = 0; i < n; ++i) members_.push_back(i);
-}
-
-MultiPaxosClient::MultiPaxosClient(std::vector<sim::NodeId> members, int ops,
-                                   std::string key, sim::Duration retry)
-    : members_(std::move(members)),
-      ops_(ops),
-      key_(std::move(key)),
-      retry_(retry) {}
-
-void MultiPaxosClient::OnStart() {
-  seq_ = 1;
-  SendCurrent();
-}
-
-void MultiPaxosClient::SendCurrent() {
-  if (done()) return;
-  smr::Command cmd{id(), seq_, "INC " + key_};
-  cmd.acked = seq_ - 1;  // Closed loop: every earlier reply was consumed.
-  Send(members_[target_idx_],
-       std::make_shared<MultiPaxosReplica::RequestMsg>(cmd));
-  CancelTimer(retry_timer_);
-  retry_timer_ = SetTimer(retry_, [this] {
-    target_idx_ = (target_idx_ + 1) % members_.size();  // Try another.
-    SendCurrent();
-  });
-}
-
-void MultiPaxosClient::OnMessage(sim::NodeId from,
-                                 const sim::Message& msg) {
-  const auto* m = dynamic_cast<const MultiPaxosReplica::ReplyMsg*>(&msg);
-  if (m == nullptr || m->client_seq != seq_ || done()) return;
-  if (m->result == smr::kRedirect) {
-    for (size_t i = 0; i < members_.size(); ++i) {
-      if (members_[i] == m->leader_hint && m->leader_hint != from) {
-        target_idx_ = i;
-        SendCurrent();
-        break;
-      }
-    }
-    return;
-  }
-  for (size_t i = 0; i < members_.size(); ++i) {
-    if (members_[i] == from) target_idx_ = i;
-  }
-  results_.push_back(m->result);
-  ++completed_;
-  ++seq_;
-  if (done()) {
-    CancelTimer(retry_timer_);
-  } else {
-    SendCurrent();
-  }
-}
-
 }  // namespace consensus40::paxos

@@ -160,38 +160,16 @@ class MultiPaxosReplica : public smr::PipelineProcess {
 };
 
 /// A closed-loop client: sends the next command after the previous reply,
-/// retrying (and following leader hints) on timeout.
-class MultiPaxosClient : public sim::Process {
+/// retrying (and following leader hints) on timeout. Issues `ops`
+/// commands of the form "INC key"; n = cluster size (replicas at process
+/// ids 0..n-1).
+class MultiPaxosClient
+    : public smr::ClosedLoopClient<MultiPaxosReplica::RequestMsg,
+                                   MultiPaxosReplica::ReplyMsg> {
  public:
-  /// Issues `ops` commands of the form "INC key". n = cluster size
-  /// (replicas at process ids 0..n-1).
   MultiPaxosClient(int n, int ops, std::string key = "x",
-                   sim::Duration retry = 200 * sim::kMillisecond);
-
-  /// Same, against an explicit replication group.
-  MultiPaxosClient(std::vector<sim::NodeId> members, int ops,
-                   std::string key = "x",
-                   sim::Duration retry = 200 * sim::kMillisecond);
-
-  int completed() const { return completed_; }
-  bool done() const { return completed_ >= ops_; }
-  const std::vector<std::string>& results() const { return results_; }
-
-  void OnStart() override;
-  void OnMessage(sim::NodeId from, const sim::Message& msg) override;
-
- private:
-  void SendCurrent();
-
-  std::vector<sim::NodeId> members_;
-  int ops_;
-  std::string key_;
-  sim::Duration retry_;
-  int completed_ = 0;
-  uint64_t seq_ = 0;
-  size_t target_idx_ = 0;
-  uint64_t retry_timer_ = 0;
-  std::vector<std::string> results_;
+                   sim::Duration retry = 200 * sim::kMillisecond)
+      : ClosedLoopClient(n, 1, 0, ops, std::move(key), retry) {}
 };
 
 }  // namespace consensus40::paxos

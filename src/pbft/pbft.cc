@@ -733,57 +733,4 @@ void PbftReplica::OnRestart() {
   MaybeRequestStateTransfer();
 }
 
-// ---------------------------------------------------------------------------
-// Client
-// ---------------------------------------------------------------------------
-
-PbftClient::PbftClient(int n, const crypto::KeyRegistry* registry, int ops,
-                       std::string key, sim::Duration retry)
-    : n_(n),
-      registry_(registry),
-      f_((n - 1) / 3),
-      ops_(ops),
-      key_(std::move(key)),
-      retry_(retry) {}
-
-void PbftClient::OnStart() {
-  seq_ = 1;
-  SendCurrent(false);
-}
-
-void PbftClient::SendCurrent(bool broadcast) {
-  if (done()) return;
-  smr::Command cmd{id(), seq_, "INC " + key_};
-  crypto::Signature sig = registry_->Sign(id(), cmd.Hash());
-  if (broadcast) {
-    for (int i = 0; i < n_; ++i) {
-      Send(i, std::make_shared<PbftReplica::RequestMsg>(cmd, sig));
-    }
-  } else {
-    Send(primary_hint_,
-         std::make_shared<PbftReplica::RequestMsg>(cmd, sig));
-  }
-  CancelTimer(retry_timer_);
-  retry_timer_ = SetTimer(retry_, [this] { SendCurrent(true); });
-}
-
-void PbftClient::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  const auto* m = dynamic_cast<const PbftReplica::ReplyMsg*>(&msg);
-  if (m == nullptr || m->client_seq != seq_ || done()) return;
-  reply_votes_[m->result].insert(from);
-  primary_hint_ = m->view % n_;
-  if (static_cast<int>(reply_votes_[m->result].size()) >= f_ + 1) {
-    // f+1 matching replies: at least one is from a correct replica.
-    results_.push_back(m->result);
-    reply_votes_.clear();
-    ++completed_;
-    ++seq_;
-    if (done()) {
-      CancelTimer(retry_timer_);
-    } else {
-      SendCurrent(false);
-    }
-  }
-}
-
 }  // namespace consensus40::pbft

@@ -12,6 +12,7 @@
 #include "crypto/sha256.h"
 #include "crypto/signatures.h"
 #include "sim/simulation.h"
+#include "smr/client.h"
 #include "smr/command.h"
 #include "smr/state_machine.h"
 
@@ -67,15 +68,9 @@ class PbftReplica : public sim::Process {
   explicit PbftReplica(PbftOptions options);
 
   // --- Client-facing messages ---
-  struct RequestMsg : sim::Message {
-    RequestMsg(smr::Command c, crypto::Signature s)
-        : cmd(std::move(c)), client_sig(s) {}
+  struct RequestMsg : smr::SignedRequestMsg {
+    using smr::SignedRequestMsg::SignedRequestMsg;
     const char* TypeName() const override { return "pbft-request"; }
-    int ByteSize() const override { return 48 + cmd.ByteSize(); }
-    smr::Command cmd;
-    /// Client's signature over cmd.Hash(): a Byzantine primary can reorder
-    /// or drop requests but never fabricate one.
-    crypto::Signature client_sig;
   };
 
   /// True iff `cmd` is a well-formed request: either the protocol-internal
@@ -83,15 +78,9 @@ class PbftReplica : public sim::Process {
   static bool ValidRequest(const smr::Command& cmd,
                            const crypto::Signature& sig,
                            const crypto::KeyRegistry& registry);
-  struct ReplyMsg : sim::Message {
+  struct ReplyMsg : smr::SignedReplyMsg {
     const char* TypeName() const override { return "pbft-reply"; }
-    int ByteSize() const override {
-      return 24 + static_cast<int>(result.size());
-    }
     int64_t view = 0;
-    uint64_t client_seq = 0;
-    int32_t replica = -1;
-    std::string result;
   };
 
   // --- Protocol messages (public so adversaries in tests can forge their
@@ -319,38 +308,17 @@ class PbftReplica : public sim::Process {
   std::vector<std::string> violations_;
 };
 
-/// PBFT client: sends to the primary hint, rebroadcasts to all replicas on
-/// timeout (which triggers forwarding / view changes), accepts a result
-/// after f+1 matching replies.
-class PbftClient : public sim::Process {
+/// PBFT client: sends to the primary of the last reply's view,
+/// rebroadcasts to all replicas on timeout (which triggers forwarding /
+/// view changes), accepts a result after f+1 matching replies.
+class PbftClient : public smr::ClosedLoopClient<PbftReplica::RequestMsg,
+                                                PbftReplica::ReplyMsg> {
  public:
   PbftClient(int n, const crypto::KeyRegistry* registry, int ops,
              std::string key = "x",
-             sim::Duration retry = 500 * sim::kMillisecond);
-
-  int completed() const { return completed_; }
-  bool done() const { return completed_ >= ops_; }
-  const std::vector<std::string>& results() const { return results_; }
-
-  void OnStart() override;
-  void OnMessage(sim::NodeId from, const sim::Message& msg) override;
-
- private:
-  void SendCurrent(bool broadcast);
-
-  int n_;
-  const crypto::KeyRegistry* registry_;
-  int f_;
-  int ops_;
-  std::string key_;
-  sim::Duration retry_;
-  int completed_ = 0;
-  uint64_t seq_ = 0;
-  sim::NodeId primary_hint_ = 0;
-  uint64_t retry_timer_ = 0;
-  /// result -> replicas that reported it for the current seq.
-  std::map<std::string, std::set<sim::NodeId>> reply_votes_;
-  std::vector<std::string> results_;
+             sim::Duration retry = 500 * sim::kMillisecond)
+      : ClosedLoopClient(n, (n - 1) / 3 + 1, 0, ops, std::move(key), retry,
+                         registry) {}
 };
 
 }  // namespace consensus40::pbft

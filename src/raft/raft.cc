@@ -624,49 +624,4 @@ void RaftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Client
-// ---------------------------------------------------------------------------
-
-RaftClient::RaftClient(int n, int ops, std::string key, sim::Duration retry)
-    : n_(n), ops_(ops), key_(std::move(key)), retry_(retry) {}
-
-void RaftClient::OnStart() {
-  seq_ = 1;
-  SendCurrent();
-}
-
-void RaftClient::SendCurrent() {
-  if (done()) return;
-  smr::Command cmd{id(), seq_, "INC " + key_};
-  cmd.acked = seq_ - 1;  // Closed loop: every earlier reply was consumed.
-  Send(target_, std::make_shared<RaftReplica::RequestMsg>(cmd));
-  CancelTimer(retry_timer_);
-  retry_timer_ = SetTimer(retry_, [this] {
-    target_ = (target_ + 1) % n_;
-    SendCurrent();
-  });
-}
-
-void RaftClient::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  const auto* m = dynamic_cast<const RaftReplica::ReplyMsg*>(&msg);
-  if (m == nullptr || m->client_seq != seq_ || done()) return;
-  if (m->result == smr::kRedirect) {
-    if (m->leader_hint >= 0 && m->leader_hint < n_ && m->leader_hint != from) {
-      target_ = m->leader_hint;
-      SendCurrent();
-    }
-    return;
-  }
-  target_ = from;
-  results_.push_back(m->result);
-  ++completed_;
-  ++seq_;
-  if (done()) {
-    CancelTimer(retry_timer_);
-  } else {
-    SendCurrent();
-  }
-}
-
 }  // namespace consensus40::raft

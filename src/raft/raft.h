@@ -239,31 +239,14 @@ class RaftReplica : public smr::PipelineProcess {
   std::vector<std::string> violations_;
 };
 
-/// Closed-loop Raft client, mirroring MultiPaxosClient.
-class RaftClient : public sim::Process {
+/// Closed-loop Raft client: follows redirects to the leader, tries the
+/// next replica on timeout.
+class RaftClient : public smr::ClosedLoopClient<RaftReplica::RequestMsg,
+                                                RaftReplica::ReplyMsg> {
  public:
   RaftClient(int n, int ops, std::string key = "x",
-             sim::Duration retry = 300 * sim::kMillisecond);
-
-  int completed() const { return completed_; }
-  bool done() const { return completed_ >= ops_; }
-  const std::vector<std::string>& results() const { return results_; }
-
-  void OnStart() override;
-  void OnMessage(sim::NodeId from, const sim::Message& msg) override;
-
- private:
-  void SendCurrent();
-
-  int n_;
-  int ops_;
-  std::string key_;
-  sim::Duration retry_;
-  int completed_ = 0;
-  uint64_t seq_ = 0;
-  sim::NodeId target_ = 0;
-  uint64_t retry_timer_ = 0;
-  std::vector<std::string> results_;
+             sim::Duration retry = 300 * sim::kMillisecond)
+      : ClosedLoopClient(n, 1, 0, ops, std::move(key), retry) {}
 };
 
 }  // namespace consensus40::raft

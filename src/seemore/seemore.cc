@@ -43,12 +43,6 @@ SeeMoReReplica::SeeMoReReplica(SeeMoReOptions options) : options_(options) {
   assert(options_.mode == SeeMoReMode::kMode3 || options_.private_n() >= 1);
 }
 
-sim::NodeId SeeMoReReplica::Primary() const {
-  // Modes 1/2: a trusted (private-cloud) primary; mode 3: the first
-  // public-cloud node.
-  return options_.mode == SeeMoReMode::kMode3 ? options_.private_n() : 0;
-}
-
 bool SeeMoReReplica::IsProxy() const {
   if (options_.mode == SeeMoReMode::kMode1) return true;  // All decide.
   int first = options_.private_n();
@@ -280,55 +274,6 @@ void SeeMoReReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       Decide(m->seq, m->cmd);
     }
     return;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Client
-// ---------------------------------------------------------------------------
-
-SeeMoReClient::SeeMoReClient(SeeMoReOptions options, int ops, std::string key,
-                             sim::Duration retry)
-    : options_(options), ops_(ops), key_(std::move(key)), retry_(retry) {}
-
-sim::NodeId SeeMoReClient::Primary() const {
-  return options_.mode == SeeMoReMode::kMode3 ? options_.private_n() : 0;
-}
-
-void SeeMoReClient::OnStart() {
-  seq_ = 1;
-  SendCurrent(false);
-}
-
-void SeeMoReClient::SendCurrent(bool broadcast) {
-  if (done()) return;
-  smr::Command cmd{id(), seq_, "INC " + key_};
-  crypto::Signature sig = options_.registry->Sign(id(), cmd.Hash());
-  if (broadcast) {
-    for (int i = 0; i < options_.n(); ++i) {
-      Send(i, std::make_shared<SeeMoReReplica::RequestMsg>(cmd, sig));
-    }
-  } else {
-    Send(Primary(), std::make_shared<SeeMoReReplica::RequestMsg>(cmd, sig));
-  }
-  CancelTimer(retry_timer_);
-  retry_timer_ = SetTimer(retry_, [this] { SendCurrent(true); });
-}
-
-void SeeMoReClient::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  const auto* m = dynamic_cast<const SeeMoReReplica::ReplyMsg*>(&msg);
-  if (m == nullptr || m->client_seq != seq_ || done()) return;
-  reply_votes_[m->result].insert(from);
-  if (static_cast<int>(reply_votes_[m->result].size()) >= options_.m + 1) {
-    results_.push_back(m->result);
-    reply_votes_.clear();
-    ++completed_;
-    ++seq_;
-    if (done()) {
-      CancelTimer(retry_timer_);
-    } else {
-      SendCurrent(false);
-    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include "crypto/sha256.h"
 #include "crypto/signatures.h"
 #include "sim/simulation.h"
+#include "smr/client.h"
 #include "smr/command.h"
 #include "smr/state_machine.h"
 
@@ -46,6 +47,11 @@ struct SeeMoReOptions {
   int private_n() const { return 2 * c; }
   /// Proxies (modes 2/3): the 3m+1 public-cloud nodes.
   int proxy_count() const { return 3 * m + 1; }
+  /// Modes 1/2: a trusted (private-cloud) primary; mode 3: the first
+  /// public-cloud node.
+  sim::NodeId primary() const {
+    return mode == SeeMoReMode::kMode3 ? private_n() : 0;
+  }
 };
 
 /// A SeeMoRe replica. All three modes share the same class; the mode picks
@@ -56,22 +62,12 @@ class SeeMoReReplica : public sim::Process {
  public:
   explicit SeeMoReReplica(SeeMoReOptions options);
 
-  struct RequestMsg : sim::Message {
-    RequestMsg(smr::Command c, crypto::Signature s)
-        : cmd(std::move(c)), client_sig(s) {}
+  struct RequestMsg : smr::SignedRequestMsg {
+    using smr::SignedRequestMsg::SignedRequestMsg;
     const char* TypeName() const override { return "smr-request"; }
-    int ByteSize() const override { return 48 + cmd.ByteSize(); }
-    smr::Command cmd;
-    crypto::Signature client_sig;
   };
-  struct ReplyMsg : sim::Message {
+  struct ReplyMsg : smr::SignedReplyMsg {
     const char* TypeName() const override { return "smr-reply"; }
-    int ByteSize() const override {
-      return 24 + static_cast<int>(result.size());
-    }
-    uint64_t client_seq = 0;
-    int32_t replica = -1;
-    std::string result;
   };
   struct ProposeMsg : sim::Message {
     const char* TypeName() const override { return "smr-propose"; }
@@ -111,7 +107,7 @@ class SeeMoReReplica : public sim::Process {
 
   bool IsPrivate() const { return id() < options_.private_n(); }
   bool IsProxy() const;
-  sim::NodeId Primary() const;
+  sim::NodeId Primary() const { return options_.primary(); }
   bool IsPrimary() const { return id() == Primary(); }
   int DecisionQuorum() const;
   uint64_t executed() const {
@@ -175,31 +171,14 @@ class SeeMoReReplica : public sim::Process {
 };
 
 /// SeeMoRe client: m+1 matching replies guarantee one correct reporter.
-class SeeMoReClient : public sim::Process {
+class SeeMoReClient
+    : public smr::ClosedLoopClient<SeeMoReReplica::RequestMsg,
+                                   SeeMoReReplica::ReplyMsg> {
  public:
   SeeMoReClient(SeeMoReOptions options, int ops, std::string key = "x",
-                sim::Duration retry = 500 * sim::kMillisecond);
-
-  int completed() const { return completed_; }
-  bool done() const { return completed_ >= ops_; }
-  const std::vector<std::string>& results() const { return results_; }
-
-  void OnStart() override;
-  void OnMessage(sim::NodeId from, const sim::Message& msg) override;
-
- private:
-  void SendCurrent(bool broadcast);
-  sim::NodeId Primary() const;
-
-  SeeMoReOptions options_;
-  int ops_;
-  std::string key_;
-  sim::Duration retry_;
-  int completed_ = 0;
-  uint64_t seq_ = 0;
-  uint64_t retry_timer_ = 0;
-  std::map<std::string, std::set<sim::NodeId>> reply_votes_;
-  std::vector<std::string> results_;
+                sim::Duration retry = 500 * sim::kMillisecond)
+      : ClosedLoopClient(options.n(), options.m + 1, options.primary(), ops,
+                         std::move(key), retry, options.registry) {}
 };
 
 }  // namespace consensus40::seemore

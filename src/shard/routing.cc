@@ -1,8 +1,8 @@
 #include "shard/routing.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
+#include <string_view>
 
 #include "smr/command.h"
 
@@ -99,33 +99,27 @@ std::string RoutingTable::Encode() const {
 }
 
 std::optional<RoutingTable> RoutingTable::Decode(const std::string& encoded) {
-  if (encoded.empty() || encoded[0] != 'e') return std::nullopt;
-  size_t bar = encoded.find('|');
-  if (bar == std::string::npos) return std::nullopt;
+  const std::string_view s = encoded;
+  if (s.empty() || s[0] != 'e') return std::nullopt;
+  size_t bar = s.find('|');
+  if (bar == std::string_view::npos) return std::nullopt;
   RoutingTable t;
-  {
-    char* end = nullptr;
-    t.epoch_ = std::strtoull(encoded.c_str() + 1, &end, 10);
-    if (end != encoded.c_str() + bar) return std::nullopt;
-  }
+  if (!smr::ParseU64(s.substr(1, bar - 1), &t.epoch_)) return std::nullopt;
   t.entries_.clear();
   size_t pos = bar + 1;
-  while (pos < encoded.size()) {
-    size_t colon = encoded.find(':', pos);
-    if (colon == std::string::npos) return std::nullopt;
-    size_t comma = encoded.find(',', colon);
-    if (comma == std::string::npos) comma = encoded.size();
+  while (pos < s.size()) {
+    size_t colon = s.find(':', pos);
+    if (colon == std::string_view::npos) return std::nullopt;
+    size_t comma = s.find(',', colon);
+    if (comma == std::string_view::npos) comma = s.size();
     Entry e;
-    char* end = nullptr;
-    e.lo = std::strtoull(encoded.c_str() + pos, &end, 16);
-    if (end != encoded.c_str() + colon) return std::nullopt;
     // The group token must parse in full and be a non-negative int:
     // adopters index per-group arrays with it, so a torn or corrupt
     // record must fail decoding, not become an out-of-bounds access.
-    const char* gbegin = encoded.c_str() + colon + 1;
-    long group = std::strtol(gbegin, &end, 10);
-    if (end == gbegin || end != encoded.c_str() + comma || group < 0 ||
-        group > std::numeric_limits<int>::max()) {
+    uint64_t group = 0;
+    if (!smr::ParseU64(s.substr(pos, colon - pos), &e.lo, 16) ||
+        !smr::ParseU64(s.substr(colon + 1, comma - colon - 1), &group) ||
+        group > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
       return std::nullopt;
     }
     e.group = static_cast<int>(group);
@@ -136,6 +130,9 @@ std::optional<RoutingTable> RoutingTable::Decode(const std::string& encoded) {
   for (size_t i = 1; i < t.entries_.size(); ++i) {
     if (t.entries_[i].lo <= t.entries_[i - 1].lo) return std::nullopt;
   }
+  // Only the form Encode writes: no leading zeros, lowercase hex, no
+  // trailing separator — so every table has exactly one encoding.
+  if (t.Encode() != encoded) return std::nullopt;
   return t;
 }
 

@@ -87,6 +87,73 @@ class ShardTxClient : public sim::Process {
   std::map<uint64_t, uint64_t> retry_timers_;
 };
 
+/// The longest committed prefix across the group's replicas.
+std::vector<smr::Command> BestPrefix(const consensus::ReplicaGroup* group) {
+  std::vector<smr::Command> best;
+  for (size_t i = 0; i < group->members().size(); ++i) {
+    std::vector<smr::Command> prefix =
+        group->CommittedPrefix(static_cast<int>(i));
+    if (prefix.size() > best.size()) best = std::move(prefix);
+  }
+  return best;
+}
+
+smr::KvStore Replay(const std::vector<smr::Command>& prefix) {
+  smr::KvStore kv;
+  smr::DedupingExecutor dedup;
+  for (const smr::Command& cmd : prefix) dedup.Apply(&kv, cmd);
+  return kv;
+}
+
+/// Replays the longest committed prefix across the group's replicas
+/// into a KvStore — the group's authoritative end state even when some
+/// replicas trail (crashed late, restarted at the horizon).
+smr::KvStore Replay(const consensus::ReplicaGroup* group) {
+  return Replay(BestPrefix(group));
+}
+
+/// Reports every pair of the group's replicas whose committed prefixes
+/// diverge, labelled `label`.
+void PrefixCheck(const consensus::ReplicaGroup* group,
+                 const std::string& label, Observation* o) {
+  std::vector<std::vector<smr::Command>> prefixes;
+  for (size_t i = 0; i < group->members().size(); ++i) {
+    prefixes.push_back(group->CommittedPrefix(static_cast<int>(i)));
+  }
+  for (size_t i = 0; i < prefixes.size(); ++i) {
+    for (size_t j = i + 1; j < prefixes.size(); ++j) {
+      size_t common = std::min(prefixes[i].size(), prefixes[j].size());
+      for (size_t k = 0; k < common; ++k) {
+        if (!(prefixes[i][k] == prefixes[j][k])) {
+          o->self_reported.push_back(
+              label + ": replicas " + std::to_string(i) + " and " +
+              std::to_string(j) + " diverge at log index " +
+              std::to_string(k));
+          break;
+        }
+      }
+    }
+  }
+}
+
+/// Records the decision group's write-once record of each planned
+/// transaction as a verdict at the group's first member, and returns
+/// the recorded outcomes (true = commit).
+std::map<uint64_t, bool> RecordDecisions(
+    const smr::KvStore& decisions, const ShardedStateMachine& ssm,
+    const std::vector<ShardTxClient::Planned>& plan, Observation* o) {
+  std::map<uint64_t, bool> decided;
+  for (const ShardTxClient::Planned& p : plan) {
+    auto d = decisions.Get(shard::DecisionKey(p.tx_id));
+    if (d.has_value()) {
+      decided[p.tx_id] = *d == "C";
+      o->verdicts[p.tx_id][ssm.decision_group()->members()[0]] =
+          *d == "C" ? 'C' : 'A';
+    }
+  }
+  return decided;
+}
+
 class ShardCheckAdapter : public ProtocolAdapter {
  public:
   explicit ShardCheckAdapter(const char* label = "shard",
@@ -160,14 +227,7 @@ class ShardCheckAdapter : public ProtocolAdapter {
     }
 
     // The replicated decision records.
-    smr::KvStore decisions = Replay(ssm_->decision_group());
-    for (uint64_t tx = 1; tx <= kTxs; ++tx) {
-      auto d = decisions.Get(shard::DecisionKey(tx));
-      if (d.has_value()) {
-        o.verdicts[tx][ssm_->decision_group()->members()[0]] =
-            *d == "C" ? 'C' : 'A';
-      }
-    }
+    RecordDecisions(Replay(ssm_->decision_group()), *ssm_, plan_, &o);
 
     // Applied state per shard. A key holding the transaction's value is
     // a commit; a prepare record without the write is in-doubt ('P',
@@ -211,44 +271,6 @@ class ShardCheckAdapter : public ProtocolAdapter {
   static shard::ShardOptions Options() {
     shard::ShardOptions so;  // Defaults: 2 shards x 3, 3 decision, raft.
     return so;
-  }
-
-  /// Replays the longest committed prefix across the group's replicas
-  /// into a KvStore — the group's authoritative end state even when some
-  /// replicas trail (crashed late, restarted at the horizon).
-  static smr::KvStore Replay(const consensus::ReplicaGroup* group) {
-    std::vector<smr::Command> best;
-    for (size_t i = 0; i < group->members().size(); ++i) {
-      std::vector<smr::Command> prefix =
-          group->CommittedPrefix(static_cast<int>(i));
-      if (prefix.size() > best.size()) best = std::move(prefix);
-    }
-    smr::KvStore kv;
-    smr::DedupingExecutor dedup;
-    for (const smr::Command& cmd : best) dedup.Apply(&kv, cmd);
-    return kv;
-  }
-
-  static void PrefixCheck(const consensus::ReplicaGroup* group,
-                          const std::string& label, Observation* o) {
-    std::vector<std::vector<smr::Command>> prefixes;
-    for (size_t i = 0; i < group->members().size(); ++i) {
-      prefixes.push_back(group->CommittedPrefix(static_cast<int>(i)));
-    }
-    for (size_t i = 0; i < prefixes.size(); ++i) {
-      for (size_t j = i + 1; j < prefixes.size(); ++j) {
-        size_t common = std::min(prefixes[i].size(), prefixes[j].size());
-        for (size_t k = 0; k < common; ++k) {
-          if (!(prefixes[i][k] == prefixes[j][k])) {
-            o->self_reported.push_back(
-                label + ": replicas " + std::to_string(i) + " and " +
-                std::to_string(j) + " diverge at log index " +
-                std::to_string(k));
-            break;
-          }
-        }
-      }
-    }
   }
 
   const char* label_;
@@ -385,15 +407,8 @@ class ReshardCheckAdapter : public ProtocolAdapter {
     }
 
     smr::KvStore decisions = Replay(ssm_->decision_group());
-    std::map<uint64_t, bool> decided;
-    for (uint64_t tx = 1; tx <= kTxs; ++tx) {
-      auto d = decisions.Get(shard::DecisionKey(tx));
-      if (d.has_value()) {
-        decided[tx] = *d == "C";
-        o.verdicts[tx][ssm_->decision_group()->members()[0]] =
-            *d == "C" ? 'C' : 'A';
-      }
-    }
+    std::map<uint64_t, bool> decided =
+        RecordDecisions(decisions, *ssm_, plan_, &o);
 
     // The authoritative routing table at end of run: the initial
     // placement plus every flip record the decision group holds.
@@ -475,51 +490,6 @@ class ReshardCheckAdapter : public ProtocolAdapter {
   static constexpr sim::NodeId kCoordinatorId = 21;
   static constexpr sim::NodeId kMoverId = 23;
   static constexpr uint64_t kTxs = 3;
-
-  /// The longest committed prefix across the group's replicas.
-  static std::vector<smr::Command> BestPrefix(
-      const consensus::ReplicaGroup* group) {
-    std::vector<smr::Command> best;
-    for (size_t i = 0; i < group->members().size(); ++i) {
-      std::vector<smr::Command> prefix =
-          group->CommittedPrefix(static_cast<int>(i));
-      if (prefix.size() > best.size()) best = std::move(prefix);
-    }
-    return best;
-  }
-
-  static smr::KvStore Replay(const std::vector<smr::Command>& prefix) {
-    smr::KvStore kv;
-    smr::DedupingExecutor dedup;
-    for (const smr::Command& cmd : prefix) dedup.Apply(&kv, cmd);
-    return kv;
-  }
-
-  static smr::KvStore Replay(const consensus::ReplicaGroup* group) {
-    return Replay(BestPrefix(group));
-  }
-
-  static void PrefixCheck(const consensus::ReplicaGroup* group,
-                          const std::string& label, Observation* o) {
-    std::vector<std::vector<smr::Command>> prefixes;
-    for (size_t i = 0; i < group->members().size(); ++i) {
-      prefixes.push_back(group->CommittedPrefix(static_cast<int>(i)));
-    }
-    for (size_t i = 0; i < prefixes.size(); ++i) {
-      for (size_t j = i + 1; j < prefixes.size(); ++j) {
-        size_t common = std::min(prefixes[i].size(), prefixes[j].size());
-        for (size_t k = 0; k < common; ++k) {
-          if (!(prefixes[i][k] == prefixes[j][k])) {
-            o->self_reported.push_back(
-                label + ": replicas " + std::to_string(i) + " and " +
-                std::to_string(j) + " diverge at log index " +
-                std::to_string(k));
-            break;
-          }
-        }
-      }
-    }
-  }
 
   const char* label_;
   std::unique_ptr<ShardedStateMachine> ssm_;
@@ -687,14 +657,7 @@ class TxnCheckAdapter : public ProtocolAdapter {
     for (const auto& [tx, committed] : client_->outcomes) {
       o.verdicts[tx][client_->id()] = committed ? 'C' : 'A';
     }
-    smr::KvStore decisions = Replay(ssm_->decision_group());
-    for (const ShardTxClient::Planned& p : plan_) {
-      auto d = decisions.Get(shard::DecisionKey(p.tx_id));
-      if (d.has_value()) {
-        o.verdicts[p.tx_id][ssm_->decision_group()->members()[0]] =
-            *d == "C" ? 'C' : 'A';
-      }
-    }
+    RecordDecisions(Replay(ssm_->decision_group()), *ssm_, plan_, &o);
 
     std::vector<shard::AuditTx> committed, snapshots;
     BuildAuditTxs(plan_, *client_, &committed, &snapshots);
@@ -720,41 +683,6 @@ class TxnCheckAdapter : public ProtocolAdapter {
   static constexpr int kConsensusNodes = 12;
   static constexpr sim::NodeId kCoordinatorId = 21;
   static constexpr sim::NodeId kMoverId = 23;
-
-  static smr::KvStore Replay(const consensus::ReplicaGroup* group) {
-    std::vector<smr::Command> best;
-    for (size_t i = 0; i < group->members().size(); ++i) {
-      std::vector<smr::Command> prefix =
-          group->CommittedPrefix(static_cast<int>(i));
-      if (prefix.size() > best.size()) best = std::move(prefix);
-    }
-    smr::KvStore kv;
-    smr::DedupingExecutor dedup;
-    for (const smr::Command& cmd : best) dedup.Apply(&kv, cmd);
-    return kv;
-  }
-
-  static void PrefixCheck(const consensus::ReplicaGroup* group,
-                          const std::string& label, Observation* o) {
-    std::vector<std::vector<smr::Command>> prefixes;
-    for (size_t i = 0; i < group->members().size(); ++i) {
-      prefixes.push_back(group->CommittedPrefix(static_cast<int>(i)));
-    }
-    for (size_t i = 0; i < prefixes.size(); ++i) {
-      for (size_t j = i + 1; j < prefixes.size(); ++j) {
-        size_t common = std::min(prefixes[i].size(), prefixes[j].size());
-        for (size_t k = 0; k < common; ++k) {
-          if (!(prefixes[i][k] == prefixes[j][k])) {
-            o->self_reported.push_back(
-                label + ": replicas " + std::to_string(i) + " and " +
-                std::to_string(j) + " diverge at log index " +
-                std::to_string(k));
-            break;
-          }
-        }
-      }
-    }
-  }
 
   const char* label_;
   std::unique_ptr<ShardedStateMachine> ssm_;

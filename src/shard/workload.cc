@@ -10,6 +10,15 @@ namespace {
 /// not hold yet (fence observed before the flip record committed).
 constexpr sim::Duration kRtRetry = 100 * sim::kMillisecond;
 
+/// Transaction re-submission timeout (covers coordinator crashes).
+constexpr sim::Duration kTxRetry = 2 * sim::kSecond;
+/// Distinct keys per snapshot transaction.
+constexpr int kSnapshotKeys = 2;
+/// Reason-aware retry: the pause before a transient abort's fresh
+/// attempt, and the attempts per logical transaction.
+constexpr sim::Duration kAbortBackoff = 50 * sim::kMillisecond;
+constexpr int kMaxTxAttempts = 3;
+
 }  // namespace
 
 WorkloadDriver::WorkloadDriver(ShardedStateMachine* ssm,
@@ -63,54 +72,12 @@ void WorkloadDriver::SendRead(const std::string& key, sim::Time start) {
   pending_reads_[{group, seq}] = PendingRead{key, start};
 }
 
-std::string WorkloadDriver::MakeValue(uint64_t tx_id) {
-  std::string value = "v" + std::to_string(tx_id);
-  if (options_.value_dist == WorkloadOptions::ValueDist::kDefault) {
-    return value;  // No rng draw: pre-existing runs replay bit-identically.
-  }
-  constexpr size_t kMaxValue = 1 << 20;
-  size_t max = options_.value_size < kMaxValue ? options_.value_size
-                                               : kMaxValue;
-  size_t min = options_.value_size_min < max ? options_.value_size_min : max;
-  size_t target = max;
-  switch (options_.value_dist) {
-    case WorkloadOptions::ValueDist::kDefault:
-    case WorkloadOptions::ValueDist::kFixed:
-      break;
-    case WorkloadOptions::ValueDist::kUniform:
-      target = min + rng().NextBounded(max - min + 1);
-      break;
-    case WorkloadOptions::ValueDist::kZipf: {
-      // Bounded Pareto (alpha = 1): inverse-transform of
-      // P(X > x) ~ 1/x truncated to [min, max]. Most draws land near
-      // min; the tail reaches max — the mixed small/large regime an
-      // adaptive replication path has to get right.
-      double u = rng().NextDouble();
-      double lo = static_cast<double>(min > 0 ? min : 1);
-      double hi = static_cast<double>(max > 0 ? max : 1);
-      double x = (hi * lo) / (hi - u * (hi - lo));
-      target = static_cast<size_t>(x);
-      if (target < min) target = min;
-      if (target > max) target = max;
-      break;
-    }
-  }
-  // Keep the unique id prefix (atomicity checkers match writers by
-  // value) and pad deterministically to the drawn size.
-  value += ".";
-  if (value.size() < target) {
-    value.append(target - value.size(),
-                 static_cast<char>('a' + tx_id % 26));
-  }
-  return value;
-}
-
 void WorkloadDriver::IssueTx(bool cross) {
   uint64_t tx_id = ++next_tx_;
   PendingTx& tx = pending_txs_[tx_id];
   tx.cross = cross;
   tx.start = Now();
-  std::string value = MakeValue(tx_id);
+  const std::string value = "v" + std::to_string(tx_id);
   std::string k1 = RandomKey(options_.write_space);
   tx.ops.push_back(TxOp{k1, value});
   if (cross) {
@@ -143,10 +110,10 @@ void WorkloadDriver::IssueSnapshot() {
   PendingTx& tx = pending_txs_[tx_id];
   tx.snapshot = true;
   tx.start = Now();
-  int want = options_.snapshot_keys > 1 ? options_.snapshot_keys : 1;
   // Bounded probing for distinct keys, as in the cross-shard writer.
   for (int attempt = 0;
-       attempt < 64 && static_cast<int>(tx.ops.size()) < want; ++attempt) {
+       attempt < 64 && static_cast<int>(tx.ops.size()) < kSnapshotKeys;
+       ++attempt) {
     std::string key = RandomKey(options_.key_space);
     bool dup = false;
     for (const TxOp& op : tx.ops) dup = dup || op.key == key;
@@ -160,7 +127,7 @@ void WorkloadDriver::SendTx(uint64_t tx_id) {
   PendingTx& tx = pending_txs_.at(tx_id);
   Send(ssm_->coordinator_id(), std::make_shared<BeginTxMsg>(tx_id, tx.ops));
   CancelTimer(tx.retry_timer);
-  tx.retry_timer = SetTimer(options_.retry, [this, tx_id] {
+  tx.retry_timer = SetTimer(kTxRetry, [this, tx_id] {
     if (pending_txs_.count(tx_id) == 0) return;
     ++stats_.retries;  // Coordinator lost it (crash) or is slow: re-submit.
     SendTx(tx_id);
@@ -186,14 +153,14 @@ void WorkloadDriver::OnMessage(sim::NodeId from, const sim::Message& msg) {
     // semantic: retrying reproduces it, so it stays terminal.
     if (options_.reason_aware_retry &&
         m->reason != TxAbortReason::kCasMismatch &&
-        tx.attempts < options_.max_tx_attempts) {
+        tx.attempts < kMaxTxAttempts) {
       uint64_t new_id = ++next_tx_;
       PendingTx moved = std::move(tx);
       pending_txs_.erase(it);
       ++moved.attempts;
       pending_txs_[new_id] = std::move(moved);
       ++stats_.reason_retries;
-      SetTimer(options_.abort_backoff, [this, new_id] {
+      SetTimer(kAbortBackoff, [this, new_id] {
         if (pending_txs_.count(new_id)) SendTx(new_id);
       });
       return;

@@ -19,28 +19,10 @@
 
 namespace consensus40::shard {
 
+/// Transactions write the value "v<tx_id>", unique per transaction so
+/// atomicity checkers can tell writers apart, and re-submit after two
+/// virtual seconds without an outcome (covering coordinator crashes).
 struct WorkloadOptions {
-  /// How transaction value sizes are drawn. kDefault keeps the original
-  /// tiny "v<tx_id>" values AND draws no extra randomness, so every
-  /// pre-existing (seed, options) run replays bit-identically. The other
-  /// modes size values for data-heavy experiments (the regime where
-  /// payload-aware replication such as Crossword pays off); values keep
-  /// a unique "v<tx_id>." prefix so atomicity checkers still tell
-  /// writers apart.
-  enum class ValueDist {
-    kDefault,  ///< "v<tx_id>", no rng draw.
-    kFixed,    ///< Exactly value_size bytes.
-    kUniform,  ///< Uniform in [value_size_min, value_size].
-    kZipf,     ///< Bounded Pareto on [value_size_min, value_size]:
-               ///< mostly-small, heavy tail — the mixed regime an
-               ///< adaptive coder must handle.
-  };
-  ValueDist value_dist = ValueDist::kDefault;
-  /// Target (kFixed) or maximum (kUniform/kZipf) value size in bytes.
-  /// Capped at 1 MiB; sizes below the id prefix are padded up to it.
-  size_t value_size = 0;
-  /// Lower bound for kUniform/kZipf draws.
-  size_t value_size_min = 16;
   /// Total operations (reads + transactions) to issue.
   int ops = 500;
   /// Operations kept outstanding at once (closed loop per slot).
@@ -55,17 +37,13 @@ struct WorkloadOptions {
   /// hit keys no transaction ever wrote.
   int key_space = 400;
   int write_space = 100;
-  /// Transaction re-submission timeout (covers coordinator crashes).
-  sim::Duration retry = 2 * sim::kSecond;
 
   /// Read-mix knobs. All default OFF and draw no randomness when off,
   /// so every pre-existing (seed, options) run replays bit-identically.
-  /// Fraction of read operations issued as multi-key read-only
+  /// Fraction of read operations issued as two-key read-only
   /// transactions (the coordinator's lock-free snapshot path) instead
   /// of single-key read-index reads.
   double snapshot_fraction = 0.0;
-  /// Distinct keys per snapshot transaction.
-  int snapshot_keys = 2;
   /// Fraction of write transactions that carry a leading GET op — a
   /// read-write transaction: the GET takes a shared lock at prepare and
   /// its evaluated result rides back in the outcome.
@@ -73,12 +51,10 @@ struct WorkloadOptions {
   /// Reason-aware abort handling (off = historical behaviour, every
   /// abort is terminal): transient aborts — lock conflict, frozen
   /// range, stale route, decision timeout — re-submit as a fresh
-  /// attempt after `abort_backoff`; semantic aborts (CAS mismatch) stay
-  /// terminal, because retrying one reproduces the mismatch.
+  /// attempt after 50 ms, up to three attempts per logical transaction;
+  /// semantic aborts (CAS mismatch) stay terminal, because retrying one
+  /// reproduces the mismatch.
   bool reason_aware_retry = false;
-  sim::Duration abort_backoff = 50 * sim::kMillisecond;
-  /// Attempts per logical transaction under reason_aware_retry.
-  int max_tx_attempts = 3;
 };
 
 /// Counters for one operation class, in virtual time.
@@ -153,7 +129,6 @@ class WorkloadDriver : public sim::Process {
   };
 
   void IssueNext();
-  std::string MakeValue(uint64_t tx_id);
   void IssueRead();
   void SendRead(const std::string& key, sim::Time start);
   void IssueTx(bool cross);

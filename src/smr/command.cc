@@ -1,5 +1,6 @@
 #include "smr/command.h"
 
+#include <charconv>
 #include <cstdlib>
 
 namespace consensus40::smr {
@@ -76,6 +77,12 @@ std::vector<Command> FlattenCommand(const Command& cmd) {
     return DecodeBatch(cmd).value_or(std::vector<Command>{});
   }
   return {cmd};
+}
+
+bool ParseU64(std::string_view s, uint64_t* out, int base) {
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, *out, base);
+  return ec == std::errc() && ptr == end;
 }
 
 uint64_t Fnv1a(std::string_view s) {

@@ -108,6 +108,12 @@ std::optional<std::vector<Command>> DecodeBatch(const Command& batch);
 /// not drop commands silently call DecodeBatch and check for nullopt.
 std::vector<Command> FlattenCommand(const Command& cmd);
 
+/// Parses the whole of `s` as an unsigned number in `base`: digits only
+/// (no sign, whitespace, or 0x prefix), and nothing past 2^64 - 1. The
+/// number parser of the string-framed wire formats (KV ops, routing
+/// records).
+bool ParseU64(std::string_view s, uint64_t* out, int base = 10);
+
 /// 64-bit FNV-1a (deterministic across platforms, unlike std::hash).
 uint64_t Fnv1a(std::string_view s);
 

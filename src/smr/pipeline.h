@@ -32,32 +32,11 @@
 #include <vector>
 
 #include "sim/simulation.h"
+#include "smr/client.h"
 #include "smr/command.h"
 #include "smr/state_machine.h"
 
 namespace consensus40::smr {
-
-/// Reply result telling a client to retry against the hinted leader. A
-/// wire constant shared by every replica, client, and group facade.
-inline constexpr char kRedirect[] = "\x01REDIRECT";
-
-/// Client request and reply payloads. Each protocol derives its own wire
-/// type from these and names it (TypeName).
-struct ClientRequestMsg : sim::Message {
-  explicit ClientRequestMsg(Command c) : cmd(std::move(c)) {}
-  int ByteSize() const override { return 8 + cmd.ByteSize(); }
-  Command cmd;
-};
-struct ClientReplyMsg : sim::Message {
-  ClientReplyMsg(uint64_t s, std::string r, sim::NodeId hint)
-      : client_seq(s), result(std::move(r)), leader_hint(hint) {}
-  int ByteSize() const override {
-    return 16 + static_cast<int>(result.size());
-  }
-  uint64_t client_seq;
-  std::string result;
-  sim::NodeId leader_hint;
-};
 
 /// Checkpoint state transfer: the applied KV state plus the dedup
 /// sessions, so duplicate suppression survives log truncation.

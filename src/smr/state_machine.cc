@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <cstdlib>
 #include <limits>
 
@@ -76,14 +75,6 @@ std::string RangeKey(std::string_view prefix, uint64_t lo, uint64_t hi) {
 /// True if hash `h` falls in [lo, hi), where hi == 0 means 2^64.
 bool HashInRange(uint64_t h, uint64_t lo, uint64_t hi) {
   return h >= lo && (hi == 0 || h < hi);
-}
-
-/// Parses the whole of `s` as an unsigned number in `base`: digits only
-/// (no sign, whitespace, or 0x prefix), and nothing past 2^64 - 1.
-bool ParseU64(std::string_view s, uint64_t* out, int base = 10) {
-  const char* end = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(s.data(), end, *out, base);
-  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace

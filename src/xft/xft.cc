@@ -469,56 +469,4 @@ void XftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Client
-// ---------------------------------------------------------------------------
-
-XftClient::XftClient(int n, const crypto::KeyRegistry* registry, int ops,
-                     std::string key, sim::Duration retry)
-    : n_(n),
-      registry_(registry),
-      f_((n - 1) / 2),
-      ops_(ops),
-      key_(std::move(key)),
-      retry_(retry) {}
-
-void XftClient::OnStart() {
-  seq_ = 1;
-  SendCurrent(false);
-}
-
-void XftClient::SendCurrent(bool broadcast) {
-  if (done()) return;
-  smr::Command cmd{id(), seq_, "INC " + key_};
-  crypto::Signature sig = registry_->Sign(id(), cmd.Hash());
-  if (broadcast) {
-    for (int i = 0; i < n_; ++i) {
-      Send(i, std::make_shared<XftReplica::RequestMsg>(cmd, sig));
-    }
-  } else {
-    Send(leader_hint_, std::make_shared<XftReplica::RequestMsg>(cmd, sig));
-  }
-  CancelTimer(retry_timer_);
-  retry_timer_ = SetTimer(retry_, [this] { SendCurrent(true); });
-}
-
-void XftClient::OnMessage(sim::NodeId from, const sim::Message& msg) {
-  const auto* m = dynamic_cast<const XftReplica::ReplyMsg*>(&msg);
-  if (m == nullptr || m->client_seq != seq_ || done()) return;
-  reply_votes_[m->result].insert(from);
-  leader_hint_ = m->view % n_;
-  // f+1 matching replies = the whole synchronous group agrees.
-  if (static_cast<int>(reply_votes_[m->result].size()) >= f_ + 1) {
-    results_.push_back(m->result);
-    reply_votes_.clear();
-    ++completed_;
-    ++seq_;
-    if (done()) {
-      CancelTimer(retry_timer_);
-    } else {
-      SendCurrent(false);
-    }
-  }
-}
-
 }  // namespace consensus40::xft

@@ -11,6 +11,7 @@
 #include "crypto/sha256.h"
 #include "crypto/signatures.h"
 #include "sim/simulation.h"
+#include "smr/client.h"
 #include "smr/command.h"
 #include "smr/state_machine.h"
 
@@ -35,13 +36,9 @@ class ZyzzyvaReplica : public sim::Process {
  public:
   explicit ZyzzyvaReplica(ZyzzyvaOptions options);
 
-  struct RequestMsg : sim::Message {
-    RequestMsg(smr::Command c, crypto::Signature s)
-        : cmd(std::move(c)), client_sig(s) {}
+  struct RequestMsg : smr::SignedRequestMsg {
+    using smr::SignedRequestMsg::SignedRequestMsg;
     const char* TypeName() const override { return "zyz-request"; }
-    int ByteSize() const override { return 48 + cmd.ByteSize(); }
-    smr::Command cmd;
-    crypto::Signature client_sig;
   };
 
   /// Primary -> replicas: ordered request with history binding.

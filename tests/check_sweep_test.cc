@@ -90,7 +90,7 @@ TEST(CheckSweepInBounds, ShardedTwoPhaseCommitOverConsensus) {
 }
 
 // Crossword's adaptive assignment: command sizes in the generic workload
-// sit below min_payload_to_shard, so this sweeps the protocol's classic
+// sit below kMinPayloadToShard, so this sweeps the protocol's classic
 // full-copy path plus leader-change recovery of full-value slots.
 TEST(CheckSweepInBounds, Crossword) {
   SweepInBounds("crossword", MakeCrosswordAdapter());

@@ -100,7 +100,23 @@ TEST(RoutingTableTest, DecodeRejectsMalformed) {
   EXPECT_FALSE(RoutingTable::Decode("e2|0:-1").has_value());
   EXPECT_FALSE(RoutingTable::Decode("e2|0:1x").has_value());
   EXPECT_FALSE(RoutingTable::Decode("e2|0:99999999999999999999").has_value());
-  EXPECT_TRUE(RoutingTable::Decode("e2|0:0,8000000000000000:1").has_value());
+  // Only Encode's form decodes. A lenient parse read "e-1" and an
+  // overflowing epoch as 2^64 - 1, after which MaybeAdopt ignores every
+  // later flip record for good.
+  for (const char* bad :
+       {"e-1|0:0", "e99999999999999999999|0:0", "e2|0:0,-1:1", "e2|0:+1",
+        "e2|0: 1", "e02|0:0", "e2|0:0,", "e2|00:0", "e2|0:01", "e+2|0:0",
+        "e2|0:0,8000000000000000:1,", "e2|0:0,800000000000000A:1",
+        "e2|0:0,10000000000000000:1"}) {
+    EXPECT_FALSE(RoutingTable::Decode(bad).has_value()) << bad;
+  }
+  for (const char* good :
+       {"e2|0:0,8000000000000000:1", "e1|0:0", "e0|0:0",
+        "e18446744073709551615|0:2147483647,ffffffffffffffff:0"}) {
+    std::optional<RoutingTable> t = RoutingTable::Decode(good);
+    ASSERT_TRUE(t.has_value()) << good;
+    EXPECT_EQ(t->Encode(), good);
+  }
 }
 
 TEST(RoutingTableTest, WithinGroupsBoundsEveryEntry) {

@@ -3,20 +3,10 @@
 #include <algorithm>
 #include <cassert>
 
-#include "pbft/pbft.h"
-
 namespace consensus40::cheapbft {
 
-namespace {
-
-bool ValidRequest(const smr::Command& cmd, const crypto::Signature& sig,
-                  const crypto::KeyRegistry& registry) {
-  return pbft::PbftReplica::ValidRequest(cmd, sig, registry);
-}
-
-}  // namespace
-
-CheapBftReplica::CheapBftReplica(CheapBftOptions options) : options_(options) {
+CheapBftReplica::CheapBftReplica(CheapBftOptions options)
+    : SignedReplica(2 * options.f + 1), options_(options) {
   assert(options_.f >= 1);
   assert(options_.registry != nullptr && options_.usig != nullptr);
 }
@@ -37,12 +27,6 @@ std::vector<sim::NodeId> CheapBftReplica::PassiveSet() const {
     for (int i = options_.f + 1; i < n(); ++i) passive.push_back(i);
   }
   return passive;
-}
-
-std::vector<sim::NodeId> CheapBftReplica::Everyone() const {
-  std::vector<sim::NodeId> all;
-  for (int i = 0; i < n(); ++i) all.push_back(i);
-  return all;
 }
 
 crypto::Digest CheapBftReplica::BindingDigest(const smr::Command& cmd) const {
@@ -66,30 +50,15 @@ crypto::Digest CheapBftReplica::HistoryDigest(
 void CheapBftReplica::Execute(Slot& slot) {
   if (slot.executed) return;
   slot.executed = true;
-  auto key = std::make_pair(slot.cmd.client, slot.cmd.client_seq);
-  std::string result;
-  if (results_.count(key) > 0) {
-    result = results_[key];
-  } else {
-    result = dedup_.Apply(&kv_, slot.cmd);
-    results_[key] = result;
-    executed_commands_.push_back(slot.cmd);
-  }
-  auto it = request_timers_.find(key);
-  if (it != request_timers_.end()) {
-    CancelTimer(it->second);
-    request_timers_.erase(it);
-  }
-  auto reply = std::make_shared<ReplyMsg>();
-  reply->client_seq = slot.cmd.client_seq;
-  reply->replica = id();
-  reply->result = result;
-  Send(slot.cmd.client, reply);
+  std::string result = ExecuteOnce(slot.cmd);
+  DisarmWatchdog(slot.cmd);
+  Send(slot.cmd.client, std::make_shared<ReplyMsg>(slot.cmd.client_seq, id(),
+                                                   std::move(result)));
 
   // CheapTiny: propagate state to the passive replicas.
   if (mode_ == CheapMode::kCheapTiny) {
     auto update = std::make_shared<UpdateMsg>();
-    update->seq = executed_commands_.size();
+    update->seq = executed();
     update->cmd = slot.cmd;
     Multicast(PassiveSet(), update);
   }
@@ -113,6 +82,10 @@ void CheapBftReplica::MaybeExecuteTiny() {
   }
 }
 
+void CheapBftReplica::WatchRequest(const smr::Command& cmd) {
+  ArmWatchdog(cmd, [this] { Panic(); });
+}
+
 void CheapBftReplica::Panic() {
   if (mode_ != CheapMode::kCheapTiny || panicked_) return;
   panicked_ = true;
@@ -123,11 +96,11 @@ void CheapBftReplica::Panic() {
   // all-active commit rule keeps the histories identical prefixes.
   if (id() <= options_.f) {
     auto history = std::make_shared<HistoryMsg>();
-    history->cmds = executed_commands_;
+    history->cmds = executed_commands();
     history->ui = options_.usig->CreateUi(id(), HistoryDigest(history->cmds));
     Multicast(Everyone(), history);
   }
-  proposed_history_ = executed_commands_;
+  proposed_history_ = executed_commands();
 
   // Close the switch window after a beat: adopt the longest valid history
   // and hand over to MinBFT mode.
@@ -136,29 +109,22 @@ void CheapBftReplica::Panic() {
 
 void CheapBftReplica::AdoptHistory(const std::vector<smr::Command>& cmds) {
   // Valid histories extend our executed prefix; apply the missing suffix.
-  for (size_t i = executed_commands_.size(); i < cmds.size(); ++i) {
-    const smr::Command& cmd = cmds[i];
-    auto key = std::make_pair(cmd.client, cmd.client_seq);
-    if (results_.count(key) == 0) {
-      results_[key] = dedup_.Apply(&kv_, cmd);
-      executed_commands_.push_back(cmd);
-    }
-  }
+  for (size_t i = executed(); i < cmds.size(); ++i) ExecuteOnce(cmds[i]);
 }
 
 void CheapBftReplica::FinishSwitch() {
   if (mode_ != CheapMode::kSwitching) return;
   AdoptHistory(proposed_history_);
   auto sw = std::make_shared<SwitchMsg>();
-  sw->history_digest = HistoryDigest(executed_commands_);
+  sw->history_digest = HistoryDigest(executed_commands());
   sw->ui = options_.usig->CreateUi(id(), sw->history_digest);
   Multicast(Everyone(), sw);
 
   mode_ = CheapMode::kMinBft;
   mode_epoch_ = 1;
   slots_.clear();
-  expected_counter_ = executed_commands_.size() + 1;
-  next_fallback_seq_ = executed_commands_.size() + 1;
+  expected_counter_ = executed() + 1;
+  next_fallback_seq_ = executed() + 1;
 
   // Replay requests that arrived during the switch.
   if (id() == Primary()) {
@@ -173,14 +139,9 @@ void CheapBftReplica::FinishSwitch() {
 void CheapBftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
   if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
     if (!ValidRequest(m->cmd, m->client_sig, *options_.registry)) return;
-    auto key = std::make_pair(m->cmd.client, m->cmd.client_seq);
-    auto done = results_.find(key);
-    if (done != results_.end()) {
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->client_seq = m->cmd.client_seq;
-      reply->replica = id();
-      reply->result = done->second;
-      Send(m->cmd.client, reply);
+    if (const std::string* done = CachedResult(m->cmd)) {
+      Send(m->cmd.client,
+           std::make_shared<ReplyMsg>(m->cmd.client_seq, id(), *done));
       return;
     }
     if (mode_ == CheapMode::kSwitching) {
@@ -210,13 +171,7 @@ void CheapBftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       Multicast(ActiveSet(), prepare);
     } else {
       Send(Primary(), std::make_shared<RequestMsg>(m->cmd, m->client_sig));
-      if (request_timers_.count(key) == 0) {
-        request_timers_[key] = SetTimer(options_.request_timeout,
-                                        [this, key] {
-                                          request_timers_.erase(key);
-                                          Panic();
-                                        });
-      }
+      WatchRequest(m->cmd);
     }
     return;
   }
@@ -248,16 +203,7 @@ void CheapBftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       slot.commits.insert(id());
     }
     // Arm panic watchdog: if the slot never commits, someone is faulty.
-    if (mode_ == CheapMode::kCheapTiny) {
-      auto key = std::make_pair(m->cmd.client, m->cmd.client_seq);
-      if (request_timers_.count(key) == 0) {
-        request_timers_[key] = SetTimer(options_.request_timeout,
-                                        [this, key] {
-                                          request_timers_.erase(key);
-                                          Panic();
-                                        });
-      }
-    }
+    if (mode_ == CheapMode::kCheapTiny) WatchRequest(m->cmd);
     MaybeExecuteTiny();
     return;
   }
@@ -310,11 +256,7 @@ void CheapBftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
           static_cast<int>(per_digest->second.size()) < options_.f + 1) {
         break;
       }
-      auto key = std::make_pair(cmd.client, cmd.client_seq);
-      if (results_.count(key) == 0) {
-        results_[key] = dedup_.Apply(&kv_, cmd);
-        executed_commands_.push_back(cmd);
-      }
+      ExecuteOnce(cmd);
       ++next_update_to_apply_;
     }
     return;
@@ -340,12 +282,6 @@ void CheapBftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       }
       if (extends) proposed_history_ = m->cmds;
     }
-    return;
-  }
-
-  if (const auto* m = dynamic_cast<const SwitchMsg*>(&msg)) {
-    if (!options_.usig->VerifyUi(m->ui, m->history_digest)) return;
-    switch_votes_.insert(from);
     return;
   }
 }

@@ -12,7 +12,7 @@
 #include "sim/simulation.h"
 #include "smr/client.h"
 #include "smr/command.h"
-#include "smr/state_machine.h"
+#include "smr/signed_replica.h"
 
 namespace consensus40::cheapbft {
 
@@ -25,9 +25,6 @@ struct CheapBftOptions {
 
   const crypto::KeyRegistry* registry = nullptr;
   crypto::Usig* usig = nullptr;
-
-  /// Patience before an active replica that saw a request panics.
-  sim::Duration request_timeout = 300 * sim::kMillisecond;
 };
 
 /// Protocol the cluster is currently running.
@@ -41,7 +38,7 @@ enum class CheapMode {
 /// active replicas in the fault-free case, and falls back to MinBFT on the
 /// full 2f+1 after a PANIC-triggered CheapSwitch. Both sub-protocols rely
 /// on the USIG to prevent equivocation.
-class CheapBftReplica : public sim::Process {
+class CheapBftReplica : public smr::SignedReplica {
  public:
   explicit CheapBftReplica(CheapBftOptions options);
 
@@ -50,6 +47,7 @@ class CheapBftReplica : public sim::Process {
     const char* TypeName() const override { return "cheap-request"; }
   };
   struct ReplyMsg : smr::SignedReplyMsg {
+    using smr::SignedReplyMsg::SignedReplyMsg;
     const char* TypeName() const override { return "cheap-reply"; }
   };
   struct PrepareMsg : sim::Message {
@@ -103,13 +101,7 @@ class CheapBftReplica : public sim::Process {
   bool IsActive() const {
     return mode_ != CheapMode::kCheapTiny || id() <= options_.f;
   }
-  uint64_t executed() const {
-    return static_cast<uint64_t>(executed_commands_.size());
-  }
-  const smr::KvStore& kv() const { return kv_; }
-  const std::vector<smr::Command>& executed_commands() const {
-    return executed_commands_;
-  }
+  uint64_t executed() const { return executed_commands().size(); }
 
   void OnMessage(sim::NodeId from, const sim::Message& msg) override;
 
@@ -137,12 +129,14 @@ class CheapBftReplica : public sim::Process {
   }
   std::vector<sim::NodeId> ActiveSet() const;
   std::vector<sim::NodeId> PassiveSet() const;
-  std::vector<sim::NodeId> Everyone() const;
 
   crypto::Digest BindingDigest(const smr::Command& cmd) const;
   crypto::Digest HistoryDigest(const std::vector<smr::Command>& cmds) const;
   void Execute(Slot& slot);
   void MaybeExecuteTiny();
+  /// Arms a request watchdog that panics the cluster if `cmd` does not
+  /// execute in time: CheapTiny cannot mask a fault.
+  void WatchRequest(const smr::Command& cmd);
   void Panic();
   void AdoptHistory(const std::vector<smr::Command>& cmds);
   void FinishSwitch();
@@ -154,12 +148,6 @@ class CheapBftReplica : public sim::Process {
   uint64_t next_fallback_seq_ = 1;  ///< Primary's seq counter after switch.
   std::map<uint64_t, Slot> slots_;
 
-  smr::KvStore kv_;
-  smr::DedupingExecutor dedup_;
-  std::vector<smr::Command> executed_commands_;
-  std::map<std::pair<int32_t, uint64_t>, std::string> results_;
-  std::map<std::pair<int32_t, uint64_t>, uint64_t> request_timers_;
-
   // Passive-side update votes: seq -> digest -> senders.
   std::map<uint64_t, std::map<crypto::Digest, std::set<sim::NodeId>>>
       update_votes_;
@@ -169,8 +157,6 @@ class CheapBftReplica : public sim::Process {
   // Switch state.
   bool panicked_ = false;
   std::vector<smr::Command> proposed_history_;
-  bool history_received_ = false;
-  std::set<sim::NodeId> switch_votes_;
   std::vector<std::pair<smr::Command, crypto::Signature>> deferred_requests_;
 };
 

@@ -49,11 +49,7 @@ class CheapBftCheckAdapter : public ProtocolAdapter {
   Observation Observe() const override {
     Observation o;
     for (const cheapbft::CheapBftReplica* r : replicas_) {
-      std::vector<std::string> log;
-      for (const smr::Command& cmd : r->executed_commands()) {
-        log.push_back(cmd.ToString());
-      }
-      o.logs.push_back(std::move(log));
+      o.logs.push_back(ExecutedLog(*r));
     }
     return o;
   }

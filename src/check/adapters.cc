@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "consensus/replica_group.h"
+#include "smr/signed_replica.h"
 
 namespace consensus40::check {
 namespace {
@@ -95,6 +96,14 @@ class GroupCheckAdapter : public ProtocolAdapter {
 };
 
 }  // namespace
+
+std::vector<std::string> ExecutedLog(const smr::SignedReplica& replica) {
+  std::vector<std::string> log;
+  for (const smr::Command& cmd : replica.executed_commands()) {
+    log.push_back(cmd.ToString());
+  }
+  return log;
+}
 
 AdapterFactory MakeGroupAdapter(std::string protocol, int num_ops) {
   return [protocol = std::move(protocol), num_ops](uint64_t) {

@@ -19,6 +19,10 @@
 
 #include "check/checker.h"
 
+namespace consensus40::smr {
+class SignedReplica;
+}  // namespace consensus40::smr
+
 namespace consensus40::check {
 
 /// Generic SMR adapter over the consensus::ReplicaGroup registry:
@@ -89,6 +93,11 @@ AdapterFactory MakeShardReshardAdapter();
 /// atomicity verdicts the adapter audits serializability: every
 /// schedule's committed reads must admit a serial order.
 AdapterFactory MakeShardTxnAdapter();
+
+/// A Byzantine-fault replica's executed commands in Observation::logs
+/// form, one Command::ToString() per command. Every BFT adapter observes
+/// its replicas through this.
+std::vector<std::string> ExecutedLog(const smr::SignedReplica& replica);
 
 // --- In-bounds Byzantine variants (sim::ByzantineInterposer-driven) ---
 //

@@ -3,16 +3,12 @@
 #include <algorithm>
 #include <cassert>
 
-#include "pbft/pbft.h"
-
 namespace consensus40::hotstuff {
 
 namespace {
 
-bool ValidRequest(const smr::Command& cmd, const crypto::Signature& sig,
-                  const crypto::KeyRegistry& registry) {
-  return pbft::PbftReplica::ValidRequest(cmd, sig, registry);
-}
+/// Pacemaker timeout: view change is part of normal operation.
+constexpr sim::Duration kViewTimeout = 300 * sim::kMillisecond;
 
 }  // namespace
 
@@ -42,7 +38,8 @@ int Block::ByteSize() const {
   return size;
 }
 
-HotStuffReplica::HotStuffReplica(HotStuffOptions options) : options_(options) {
+HotStuffReplica::HotStuffReplica(HotStuffOptions options)
+    : SignedReplica(options.n), options_(options) {
   assert(options_.n >= 4 && (options_.n - 1) % 3 == 0);
   assert(options_.registry != nullptr);
   f_ = (options_.n - 1) / 3;
@@ -53,12 +50,6 @@ HotStuffReplica::HotStuffReplica(HotStuffOptions options) : options_(options) {
   blocks_[crypto::Digest{}] = genesis;
   // Note: genesis.Hash() != Digest{}, but the chain refers to genesis by
   // the zero digest by convention.
-}
-
-std::vector<sim::NodeId> HotStuffReplica::Everyone() const {
-  std::vector<sim::NodeId> all;
-  for (int i = 0; i < options_.n; ++i) all.push_back(i);
-  return all;
 }
 
 const Block* HotStuffReplica::GetBlock(const crypto::Digest& hash) const {
@@ -79,8 +70,8 @@ void HotStuffReplica::OnStart() {
 void HotStuffReplica::ResetViewTimer() {
   CancelTimer(view_timer_);
   sim::Duration t =
-      options_.view_timeout +
-      static_cast<sim::Duration>(rng().NextBounded(options_.view_timeout / 2));
+      kViewTimeout +
+      static_cast<sim::Duration>(rng().NextBounded(kViewTimeout / 2));
   view_timer_ = SetTimer(t, [this] {
     // Pacemaker: give up on this view.
     AdvanceView(cur_view_ + 1);
@@ -144,7 +135,7 @@ void HotStuffReplica::TryPropose() {
     auto [cmd, sig] = pending_.front();
     pending_.pop_front();
     pending_keys_.erase({cmd.client, cmd.client_seq});
-    if (results_.count({cmd.client, cmd.client_seq}) > 0) continue;
+    if (CachedResult(cmd) != nullptr) continue;
     block.cmds.push_back(std::move(cmd));
     block.cmd_sigs.push_back(sig);
     ++batched;
@@ -192,20 +183,8 @@ void HotStuffReplica::CommitChainUpTo(const crypto::Digest& hash) {
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     const Block& b = **it;
     for (const smr::Command& cmd : b.cmds) {
-      auto key = std::make_pair(cmd.client, cmd.client_seq);
-      std::string result;
-      if (results_.count(key) > 0) {
-        result = results_[key];
-      } else {
-        result = dedup_.Apply(&kv_, cmd);
-        results_[key] = result;
-        executed_commands_.push_back(cmd);
-      }
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->client_seq = cmd.client_seq;
-      reply->replica = id();
-      reply->result = result;
-      Send(cmd.client, reply);
+      Send(cmd.client,
+           std::make_shared<ReplyMsg>(cmd.client_seq, id(), ExecuteOnce(cmd)));
     }
     last_committed_hash_ = b.Hash();
     last_committed_height_ = b.height;
@@ -238,17 +217,12 @@ void HotStuffReplica::ProcessBlock(const Block& block) {
 void HotStuffReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
   if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
     if (!ValidRequest(m->cmd, m->client_sig, *options_.registry)) return;
-    auto key = std::make_pair(m->cmd.client, m->cmd.client_seq);
-    auto done = results_.find(key);
-    if (done != results_.end()) {
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->client_seq = m->cmd.client_seq;
-      reply->replica = id();
-      reply->result = done->second;
-      Send(m->cmd.client, reply);
+    if (const std::string* done = CachedResult(m->cmd)) {
+      Send(m->cmd.client,
+           std::make_shared<ReplyMsg>(m->cmd.client_seq, id(), *done));
       return;
     }
-    if (pending_keys_.insert(key).second) {
+    if (pending_keys_.insert({m->cmd.client, m->cmd.client_seq}).second) {
       pending_.push_back({m->cmd, m->client_sig});
     }
     if (LeaderOf(cur_view_) == id()) TryPropose();

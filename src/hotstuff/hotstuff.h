@@ -14,7 +14,7 @@
 #include "sim/simulation.h"
 #include "smr/client.h"
 #include "smr/command.h"
-#include "smr/state_machine.h"
+#include "smr/signed_replica.h"
 
 namespace consensus40::hotstuff {
 
@@ -48,9 +48,6 @@ struct HotStuffOptions {
   int n = 4;
   const crypto::KeyRegistry* registry = nullptr;
 
-  /// Pacemaker timeout: view change is part of normal operation.
-  sim::Duration view_timeout = 300 * sim::kMillisecond;
-
   /// Max commands batched into one block.
   int batch_size = 8;
 };
@@ -60,7 +57,7 @@ struct HotStuffOptions {
 /// different block of the pipeline (the deck's pipeline figure). Linear
 /// message complexity: leader -> all proposals, all -> next-leader votes,
 /// vote aggregation via threshold certificates.
-class HotStuffReplica : public sim::Process {
+class HotStuffReplica : public smr::SignedReplica {
  public:
   explicit HotStuffReplica(HotStuffOptions options);
 
@@ -69,6 +66,7 @@ class HotStuffReplica : public sim::Process {
     const char* TypeName() const override { return "hs-request"; }
   };
   struct ReplyMsg : smr::SignedReplyMsg {
+    using smr::SignedReplyMsg::SignedReplyMsg;
     const char* TypeName() const override { return "hs-reply"; }
   };
   struct ProposalMsg : sim::Message {
@@ -95,10 +93,6 @@ class HotStuffReplica : public sim::Process {
   uint64_t current_view() const { return cur_view_; }
   sim::NodeId LeaderOf(uint64_t view) const { return view % options_.n; }
   uint64_t last_committed_height() const { return last_committed_height_; }
-  const smr::KvStore& kv() const { return kv_; }
-  const std::vector<smr::Command>& executed_commands() const {
-    return executed_commands_;
-  }
   const std::vector<std::string>& violations() const { return violations_; }
   int blocks_proposed() const { return blocks_proposed_; }
 
@@ -118,7 +112,6 @@ class HotStuffReplica : public sim::Process {
   void AdvanceView(uint64_t view);
   void ResetViewTimer();
   const Block* GetBlock(const crypto::Digest& hash) const;
-  std::vector<sim::NodeId> Everyone() const;
 
   HotStuffOptions options_;
   int f_;
@@ -142,10 +135,6 @@ class HotStuffReplica : public sim::Process {
 
   std::deque<std::pair<smr::Command, crypto::Signature>> pending_;
   std::set<std::pair<int32_t, uint64_t>> pending_keys_;
-  smr::KvStore kv_;
-  smr::DedupingExecutor dedup_;
-  std::vector<smr::Command> executed_commands_;
-  std::map<std::pair<int32_t, uint64_t>, std::string> results_;
 
   uint64_t view_timer_ = 0;
   int blocks_proposed_ = 0;

@@ -42,11 +42,7 @@ class HotStuffCheckAdapter : public ProtocolAdapter {
   Observation Observe() const override {
     Observation o;
     for (const hotstuff::HotStuffReplica* r : replicas_) {
-      std::vector<std::string> log;
-      for (const smr::Command& cmd : r->executed_commands()) {
-        log.push_back(cmd.ToString());
-      }
-      o.logs.push_back(std::move(log));
+      o.logs.push_back(ExecutedLog(*r));
       for (const std::string& v : r->violations()) {
         o.self_reported.push_back("hotstuff replica " +
                                   std::to_string(r->id()) + ": " + v);

@@ -3,29 +3,13 @@
 #include <algorithm>
 #include <cassert>
 
-#include "pbft/pbft.h"
-
 namespace consensus40::minbft {
 
-namespace {
-
-bool ValidRequest(const smr::Command& cmd, const crypto::Signature& sig,
-                  const crypto::KeyRegistry& registry) {
-  return pbft::PbftReplica::ValidRequest(cmd, sig, registry);
-}
-
-}  // namespace
-
-MinBftReplica::MinBftReplica(MinBftOptions options) : options_(options) {
+MinBftReplica::MinBftReplica(MinBftOptions options)
+    : SignedReplica(options.n), options_(options) {
   assert(options_.n >= 3 && options_.n % 2 == 1);
   assert(options_.registry != nullptr && options_.usig != nullptr);
   f_ = (options_.n - 1) / 2;
-}
-
-std::vector<sim::NodeId> MinBftReplica::Everyone() const {
-  std::vector<sim::NodeId> all;
-  for (int i = 0; i < options_.n; ++i) all.push_back(i);
-  return all;
 }
 
 crypto::Digest MinBftReplica::PrepareBindingDigest(
@@ -42,22 +26,9 @@ bool MinBftReplica::MaybeActMaliciouslyOnRequest(const smr::Command&,
   return false;
 }
 
-void MinBftReplica::ArmRequestTimer(const smr::Command& cmd) {
-  auto key = std::make_pair(cmd.client, cmd.client_seq);
-  if (request_timers_.count(key) > 0 || results_.count(key) > 0) return;
-  request_timers_[key] = SetTimer(options_.request_timeout, [this, key] {
-    request_timers_.erase(key);
-    StartViewChange(view_ + 1);
-  });
-}
-
-void MinBftReplica::DisarmRequestTimer(int32_t client, uint64_t client_seq) {
-  auto key = std::make_pair(client, client_seq);
-  auto it = request_timers_.find(key);
-  if (it != request_timers_.end()) {
-    CancelTimer(it->second);
-    request_timers_.erase(it);
-  }
+void MinBftReplica::WatchRequest(const smr::Command& cmd) {
+  if (CachedResult(cmd) != nullptr) return;
+  ArmWatchdog(cmd, [this] { StartViewChange(view_ + 1); });
 }
 
 void MinBftReplica::MaybeExecute() {
@@ -68,23 +39,12 @@ void MinBftReplica::MaybeExecute() {
     if (static_cast<int>(slot.commits.size()) < f_ + 1) break;
     if (!slot.executed) {
       slot.executed = true;
-      auto key = std::make_pair(slot.cmd.client, slot.cmd.client_seq);
-      std::string result;
-      if (results_.count(key) > 0) {
-        result = results_[key];  // Re-issued after view change: no re-apply.
-      } else {
-        result = dedup_.Apply(&kv_, slot.cmd);
-        results_[key] = result;
-        executed_commands_.push_back(slot.cmd);
-        ++last_executed_;
-      }
-      DisarmRequestTimer(slot.cmd.client, slot.cmd.client_seq);
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->view = view_;
-      reply->client_seq = slot.cmd.client_seq;
-      reply->replica = id();
-      reply->result = result;
-      Send(slot.cmd.client, reply);
+      // A prepare re-issued after a view change is answered, not re-applied.
+      std::string result = ExecuteOnce(slot.cmd);
+      DisarmWatchdog(slot.cmd);
+      Send(slot.cmd.client,
+           std::make_shared<ReplyMsg>(view_, slot.cmd.client_seq, id(),
+                                      std::move(result)));
     }
     ++expected_counter_;
   }
@@ -109,7 +69,7 @@ void MinBftReplica::StartViewChange(int64_t new_view) {
   vc->ui = options_.usig->CreateUi(id(), h.Finish());
   Multicast(Everyone(), vc);
 
-  SetTimer(options_.request_timeout * 2, [this, new_view] {
+  SetTimer(kRequestTimeout * 2, [this, new_view] {
     if (in_view_change_ && pending_view_ == new_view) {
       StartViewChange(new_view + 1);
     }
@@ -119,15 +79,9 @@ void MinBftReplica::StartViewChange(int64_t new_view) {
 void MinBftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
   if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
     if (!ValidRequest(m->cmd, m->client_sig, *options_.registry)) return;
-    auto key = std::make_pair(m->cmd.client, m->cmd.client_seq);
-    auto done = results_.find(key);
-    if (done != results_.end()) {
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->view = view_;
-      reply->client_seq = m->cmd.client_seq;
-      reply->replica = id();
-      reply->result = done->second;
-      Send(m->cmd.client, reply);
+    if (const std::string* done = CachedResult(m->cmd)) {
+      Send(m->cmd.client,
+           std::make_shared<ReplyMsg>(view_, m->cmd.client_seq, id(), *done));
       return;
     }
     if (IsPrimary() && !in_view_change_) {
@@ -149,7 +103,7 @@ void MinBftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
     } else if (!IsPrimary()) {
       Send(static_cast<sim::NodeId>(view_ % options_.n),
            std::make_shared<RequestMsg>(m->cmd, m->client_sig));
-      ArmRequestTimer(m->cmd);
+      WatchRequest(m->cmd);
     }
     return;
   }
@@ -170,8 +124,8 @@ void MinBftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
     slot.client_sig = m->client_sig;
     slot.primary_ui = m->ui;
     slot.commits.insert(from);  // The prepare doubles as the primary's commit.
-    DisarmRequestTimer(m->cmd.client, m->cmd.client_seq);
-    ArmRequestTimer(m->cmd);  // Now it must commit within the timeout.
+    DisarmWatchdog(m->cmd);
+    WatchRequest(m->cmd);  // Now it must commit within the timeout.
     if (!slot.sent_commit && id() != from) {
       slot.sent_commit = true;
       auto commit = std::make_shared<CommitMsg>();
@@ -279,8 +233,7 @@ void MinBftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
     expected_counter_ = m->first_counter;
     view_changes_.erase(view_);
     // Fresh patience for the new primary.
-    for (auto& [key, timer] : request_timers_) CancelTimer(timer);
-    request_timers_.clear();
+    DisarmAllWatchdogs();
 
     if (IsPrimary()) {
       // Re-issue every surviving prepare with fresh counters (execution

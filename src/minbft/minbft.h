@@ -12,7 +12,7 @@
 #include "sim/simulation.h"
 #include "smr/client.h"
 #include "smr/command.h"
-#include "smr/state_machine.h"
+#include "smr/signed_replica.h"
 
 namespace consensus40::minbft {
 
@@ -28,16 +28,13 @@ struct MinBftOptions {
   /// Shared trusted USIG component. Exactly one per cluster: the per-node
   /// counters inside it model each replica's tamper-proof hardware.
   crypto::Usig* usig = nullptr;
-
-  /// Client-request patience before suspecting the primary.
-  sim::Duration request_timeout = 300 * sim::kMillisecond;
 };
 
 /// A MinBFT replica (Veronese et al. 2013). The USIG's unique sequential
 /// identifiers prevent a Byzantine primary from assigning two different
 /// requests to one counter value, which removes PBFT's pre-prepare/prepare
 /// distinction: 2 phases (prepare, commit), 2f+1 replicas, quorums of f+1.
-class MinBftReplica : public sim::Process {
+class MinBftReplica : public smr::SignedReplica {
  public:
   explicit MinBftReplica(MinBftOptions options);
 
@@ -46,8 +43,10 @@ class MinBftReplica : public sim::Process {
     const char* TypeName() const override { return "minbft-request"; }
   };
   struct ReplyMsg : smr::SignedReplyMsg {
+    ReplyMsg(int64_t v, uint64_t seq, int32_t replica, std::string result)
+        : SignedReplyMsg(seq, replica, std::move(result)), view(v) {}
     const char* TypeName() const override { return "minbft-reply"; }
-    int64_t view = 0;
+    int64_t view;
   };
   struct PrepareMsg : sim::Message {
     const char* TypeName() const override { return "minbft-prepare"; }
@@ -96,11 +95,7 @@ class MinBftReplica : public sim::Process {
 
   int64_t view() const { return view_; }
   bool IsPrimary() const { return view_ % options_.n == id(); }
-  uint64_t last_executed() const { return last_executed_; }
-  const smr::KvStore& kv() const { return kv_; }
-  const std::vector<smr::Command>& executed_commands() const {
-    return executed_commands_;
-  }
+  uint64_t last_executed() const { return executed_commands().size(); }
 
   void OnMessage(sim::NodeId from, const sim::Message& msg) override;
 
@@ -127,10 +122,10 @@ class MinBftReplica : public sim::Process {
   crypto::Digest PrepareBindingDigest(int64_t view,
                                       const smr::Command& cmd) const;
   void MaybeExecute();
-  void ArmRequestTimer(const smr::Command& cmd);
-  void DisarmRequestTimer(int32_t client, uint64_t client_seq);
+  /// Arms a request watchdog for a command not yet executed: if it does
+  /// not execute in time, the primary is suspect.
+  void WatchRequest(const smr::Command& cmd);
   void StartViewChange(int64_t new_view);
-  std::vector<sim::NodeId> Everyone() const;
 
   int64_t view_ = 0;
   bool in_view_change_ = false;
@@ -138,17 +133,7 @@ class MinBftReplica : public sim::Process {
   /// Highest primary counter accepted per view; prepares must arrive with
   /// strictly sequential counters.
   uint64_t expected_counter_ = 1;
-  uint64_t last_executed_ = 0;  ///< Executed slots (logical seq).
   std::map<uint64_t, Slot> slots_;  ///< Keyed by logical sequence number.
-  /// Maps the current view's primary counter to logical sequence.
-  std::map<uint64_t, uint64_t> counter_to_seq_;
-  uint64_t next_seq_ = 1;
-
-  smr::KvStore kv_;
-  smr::DedupingExecutor dedup_;
-  std::vector<smr::Command> executed_commands_;
-  std::map<std::pair<int32_t, uint64_t>, std::string> results_;
-  std::map<std::pair<int32_t, uint64_t>, uint64_t> request_timers_;
   std::map<int64_t, std::map<sim::NodeId, std::vector<ViewChangeMsg::Entry>>>
       view_changes_;
   std::set<int64_t> built_new_views_;  ///< Guard against double NewView.

@@ -27,13 +27,6 @@ bool SignedVote::Verify(const crypto::KeyRegistry& registry) const {
   return sig.signer == replica && registry.Verify(sig, SigningDigest());
 }
 
-bool PbftReplica::ValidRequest(const smr::Command& cmd,
-                               const crypto::Signature& sig,
-                               const crypto::KeyRegistry& registry) {
-  if (cmd.client == -1 && cmd.op == "NOOP") return true;  // Filler.
-  return sig.signer == cmd.client && registry.Verify(sig, cmd.Hash());
-}
-
 crypto::Digest PbftReplica::BatchDigest(
     const std::vector<smr::Command>& cmds) {
   crypto::Sha256 h;
@@ -76,16 +69,11 @@ bool PbftReplica::PreparedProof::Verify(const crypto::KeyRegistry& registry,
   return static_cast<int>(distinct.size()) >= 2 * f;
 }
 
-PbftReplica::PbftReplica(PbftOptions options) : options_(options) {
+PbftReplica::PbftReplica(PbftOptions options)
+    : SignedReplica(options.n), options_(options) {
   assert(options_.n >= 4 && (options_.n - 1) % 3 == 0);
   assert(options_.registry != nullptr);
   f_ = (options_.n - 1) / 3;
-}
-
-std::vector<sim::NodeId> PbftReplica::Everyone() const {
-  std::vector<sim::NodeId> all;
-  for (int i = 0; i < options_.n; ++i) all.push_back(i);
-  return all;
 }
 
 bool PbftReplica::MaybeActMaliciouslyOnRequest(const smr::Command&,
@@ -93,37 +81,18 @@ bool PbftReplica::MaybeActMaliciouslyOnRequest(const smr::Command&,
   return false;
 }
 
-void PbftReplica::ArmRequestTimer(const smr::Command& cmd) {
-  auto key = std::make_pair(cmd.client, cmd.client_seq);
-  if (request_timers_.count(key) > 0 || results_.count(key) > 0) return;
-  request_timers_[key] = SetTimer(options_.request_timeout, [this, key] {
-    request_timers_.erase(key);
-    StartViewChange(view_ + 1);
-  });
-}
-
-void PbftReplica::DisarmRequestTimer(int32_t client, uint64_t client_seq) {
-  auto key = std::make_pair(client, client_seq);
-  auto it = request_timers_.find(key);
-  if (it != request_timers_.end()) {
-    CancelTimer(it->second);
-    request_timers_.erase(it);
-  }
+void PbftReplica::WatchRequest(const smr::Command& cmd) {
+  if (CachedResult(cmd) != nullptr) return;
+  ArmWatchdog(cmd, [this] { StartViewChange(view_ + 1); });
 }
 
 void PbftReplica::HandleRequest(sim::NodeId /*from*/, const smr::Command& cmd,
                                 const crypto::Signature& client_sig) {
   if (!ValidRequest(cmd, client_sig, *options_.registry)) return;
-  auto key = std::make_pair(cmd.client, cmd.client_seq);
-  auto done = results_.find(key);
-  if (done != results_.end()) {
+  if (const std::string* done = CachedResult(cmd)) {
     // Already executed: re-send the reply.
-    auto reply = std::make_shared<ReplyMsg>();
-    reply->view = view_;
-    reply->client_seq = cmd.client_seq;
-    reply->replica = id();
-    reply->result = done->second;
-    Send(cmd.client, reply);
+    Send(cmd.client,
+         std::make_shared<ReplyMsg>(view_, cmd.client_seq, id(), *done));
     return;
   }
 
@@ -155,7 +124,7 @@ void PbftReplica::HandleRequest(sim::NodeId /*from*/, const smr::Command& cmd,
     // Forward to the primary and watch it: pre-prepare picks the order,
     // timers guard liveness.
     Send(PrimaryOf(view_), std::make_shared<RequestMsg>(cmd, client_sig));
-    ArmRequestTimer(cmd);
+    WatchRequest(cmd);
   }
 }
 
@@ -213,18 +182,10 @@ void PbftReplica::MaybeExecute() {
     if (!slot.executed) {
       slot.executed = true;
       for (const smr::Command& cmd : slot.cmds) {
-        if (cmd.client == -1) continue;  // Skip no-op fillers.
-        std::string result = dedup_.Apply(&kv_, cmd);
-        executed_commands_.push_back(cmd);
-        auto key = std::make_pair(cmd.client, cmd.client_seq);
-        results_[key] = result;
-        DisarmRequestTimer(cmd.client, cmd.client_seq);
-        auto reply = std::make_shared<ReplyMsg>();
-        reply->view = view_;
-        reply->client_seq = cmd.client_seq;
-        reply->replica = id();
-        reply->result = result;
-        Send(cmd.client, reply);
+        std::string result = ApplyAndRecord(cmd);
+        DisarmWatchdog(cmd);
+        Send(cmd.client, std::make_shared<ReplyMsg>(view_, cmd.client_seq,
+                                                    id(), std::move(result)));
       }
     }
     ++last_executed_;
@@ -235,7 +196,7 @@ void PbftReplica::MaybeExecute() {
 crypto::Digest PbftReplica::CheckpointDigest(uint64_t seq) const {
   crypto::Sha256 h;
   h.Update(&seq, sizeof(seq));
-  crypto::Digest state = kv_.StateDigest();
+  crypto::Digest state = kv().StateDigest();
   h.Update(state.data(), state.size());
   return h.Finish();
 }
@@ -245,11 +206,11 @@ void PbftReplica::MaybeRequestStateTransfer() {
   state_transfer_inflight_ = true;
   state_offers_.clear();
   auto req = std::make_shared<StateRequestMsg>();
-  req->have = executed_commands_.size();
+  req->have = executed_commands().size();
   for (sim::NodeId peer : Everyone()) {
     if (peer != id()) Send(peer, req);
   }
-  SetTimer(options_.request_timeout, [this] {
+  SetTimer(kRequestTimeout, [this] {
     // Give up on this round; the next checkpoint gap re-triggers it.
     state_transfer_inflight_ = false;
     state_offers_.clear();
@@ -340,7 +301,7 @@ void PbftReplica::StartViewChange(int64_t new_view) {
   // install would count its patience from the wrong (older) negotiation
   // and depose a healthy primary early.
   CancelTimer(view_change_timer_);
-  view_change_timer_ = SetTimer(options_.request_timeout * 2, [this, new_view] {
+  view_change_timer_ = SetTimer(kRequestTimeout * 2, [this, new_view] {
     if (in_view_change_ && pending_view_ == new_view) {
       StartViewChange(new_view + 1);
     }
@@ -411,8 +372,7 @@ void PbftReplica::ProcessNewView(const NewViewMsg& msg) {
   last_new_view_ = std::make_shared<NewViewMsg>(msg);
   // Fresh patience: stale per-request watchdogs from the previous view
   // would depose the new primary before it can re-drive the requests.
-  for (auto& [key, timer] : request_timers_) CancelTimer(timer);
-  request_timers_.clear();
+  DisarmAllWatchdogs();
 
   // Adopt the re-issued pre-prepares (resetting per-slot vote state).
   for (const auto& pp : msg.pre_prepares) {
@@ -509,10 +469,10 @@ void PbftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
     slot.client_sigs = m->client_sigs;
     slot.primary_sig = m->sig;
     for (const smr::Command& cmd : m->cmds) {
-      DisarmRequestTimer(cmd.client, cmd.client_seq);
+      DisarmWatchdog(cmd);
       // Re-arm: from pre-prepare on, the request must commit within the
       // timeout or the primary is suspect.
-      ArmRequestTimer(cmd);
+      WatchRequest(cmd);
     }
     if (!IsPrimary() && !slot.sent_prepare) {
       slot.sent_prepare = true;
@@ -592,20 +552,19 @@ void PbftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
   }
 
   if (const auto* m = dynamic_cast<const StateRequestMsg*>(&msg)) {
-    if (m->have >= executed_commands_.size()) return;  // Nothing newer.
+    const std::vector<smr::Command>& executed = executed_commands();
+    if (m->have >= executed.size()) return;  // Nothing newer.
     auto reply = std::make_shared<StateReplyMsg>();
     reply->have = m->have;
     reply->last_executed = last_executed_;
-    reply->cmds.assign(executed_commands_.begin() + m->have,
-                       executed_commands_.end());
-    reply->state_digest = kv_.StateDigest();
+    reply->cmds.assign(executed.begin() + m->have, executed.end());
+    reply->state_digest = kv().StateDigest();
     Send(from, reply);
     return;
   }
 
   if (const auto* m = dynamic_cast<const StateReplyMsg*>(&msg)) {
-    if (!state_transfer_inflight_ ||
-        m->have != executed_commands_.size()) {
+    if (!state_transfer_inflight_ || m->have != executed_commands().size()) {
       return;
     }
     // Key offers by (post-state digest, frontier): f+1 agreeing peers
@@ -621,12 +580,10 @@ void PbftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
 
     // Adopt: replay the command suffix and jump the execution frontier.
     for (const smr::Command& cmd : m->cmds) {
-      std::string result = dedup_.Apply(&kv_, cmd);
-      executed_commands_.push_back(cmd);
-      results_[{cmd.client, cmd.client_seq}] = result;
-      DisarmRequestTimer(cmd.client, cmd.client_seq);
+      ApplyAndRecord(cmd);
+      DisarmWatchdog(cmd);
     }
-    if (!(kv_.StateDigest() == m->state_digest)) {
+    if (!(kv().StateDigest() == m->state_digest)) {
       violations_.push_back("state transfer digest mismatch");
     }
     last_executed_ = std::max(last_executed_, m->last_executed);
@@ -719,7 +676,7 @@ void PbftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
 }
 
 void PbftReplica::OnRestart() {
-  // Stable state (view_, slots_, kv_, executed history) survives; we may
+  // Stable state (view_, slots_, store, executed history) survives; we may
   // have missed view changes and checkpoints while down, so probe peers.
   in_view_change_ = false;
   pending_view_ = view_;

@@ -14,7 +14,7 @@
 #include "sim/simulation.h"
 #include "smr/client.h"
 #include "smr/command.h"
-#include "smr/state_machine.h"
+#include "smr/signed_replica.h"
 
 namespace consensus40::pbft {
 
@@ -26,10 +26,6 @@ struct PbftOptions {
   /// Shared key registry ("PKI") used to sign pre-prepares, prepares,
   /// commits, and checkpoints so that proofs can be relayed and verified.
   const crypto::KeyRegistry* registry = nullptr;
-
-  /// Client-request patience before a replica suspects the primary and
-  /// starts a view change.
-  sim::Duration request_timeout = 300 * sim::kMillisecond;
 
   /// A checkpoint is taken every this many executed requests.
   uint64_t checkpoint_interval = 16;
@@ -63,7 +59,7 @@ struct SignedVote {
 /// Subclass and override adversary hooks to build Byzantine replicas for
 /// tests (honest code paths verify all signatures and quorums, so
 /// adversaries can disrupt liveness but never safety).
-class PbftReplica : public sim::Process {
+class PbftReplica : public smr::SignedReplica {
  public:
   explicit PbftReplica(PbftOptions options);
 
@@ -72,15 +68,11 @@ class PbftReplica : public sim::Process {
     using smr::SignedRequestMsg::SignedRequestMsg;
     const char* TypeName() const override { return "pbft-request"; }
   };
-
-  /// True iff `cmd` is a well-formed request: either the protocol-internal
-  /// NOOP filler or a command whose client signature verifies.
-  static bool ValidRequest(const smr::Command& cmd,
-                           const crypto::Signature& sig,
-                           const crypto::KeyRegistry& registry);
   struct ReplyMsg : smr::SignedReplyMsg {
+    ReplyMsg(int64_t v, uint64_t seq, int32_t replica, std::string result)
+        : SignedReplyMsg(seq, replica, std::move(result)), view(v) {}
     const char* TypeName() const override { return "pbft-reply"; }
-    int64_t view = 0;
+    int64_t view;
   };
 
   // --- Protocol messages (public so adversaries in tests can forge their
@@ -110,7 +102,8 @@ class PbftReplica : public sim::Process {
   static crypto::Digest PrePrepareDigest(int64_t view, uint64_t seq,
                                          const crypto::Digest& digest);
 
-  /// True iff every command in the batch is well-formed and client-signed.
+  /// True iff every command in the batch is client-signed (the empty batch,
+  /// the view-change filler, is valid).
   static bool ValidBatch(const std::vector<smr::Command>& cmds,
                          const std::vector<crypto::Signature>& sigs,
                          const crypto::KeyRegistry& registry);
@@ -204,10 +197,6 @@ class PbftReplica : public sim::Process {
   sim::NodeId PrimaryOf(int64_t v) const { return v % options_.n; }
   uint64_t last_executed() const { return last_executed_; }
   uint64_t stable_checkpoint() const { return stable_checkpoint_; }
-  const smr::KvStore& kv() const { return kv_; }
-  const std::vector<smr::Command>& executed_commands() const {
-    return executed_commands_;
-  }
   const std::vector<std::string>& violations() const { return violations_; }
   int view_changes_sent() const { return view_changes_sent_; }
   size_t LogSizeForTest() const { return slots_.size(); }
@@ -260,9 +249,9 @@ class PbftReplica : public sim::Process {
   void GarbageCollect(uint64_t stable_seq);
   void StartViewChange(int64_t new_view);
   void ProcessNewView(const NewViewMsg& msg);
-  void ArmRequestTimer(const smr::Command& cmd);
-  void DisarmRequestTimer(int32_t client, uint64_t client_seq);
-  std::vector<sim::NodeId> Everyone() const;
+  /// Arms a request watchdog for a command not yet executed: if it does
+  /// not execute in time, the primary is suspect.
+  void WatchRequest(const smr::Command& cmd);
   crypto::Digest CheckpointDigest(uint64_t seq) const;
 
   int64_t view_ = 0;
@@ -274,13 +263,6 @@ class PbftReplica : public sim::Process {
   uint64_t last_executed_ = 0;  ///< Highest contiguously executed seq.
   uint64_t stable_checkpoint_ = 0;
   std::map<uint64_t, Slot> slots_;
-
-  smr::KvStore kv_;
-  smr::DedupingExecutor dedup_;
-  std::vector<smr::Command> executed_commands_;
-  std::map<std::pair<int32_t, uint64_t>, sim::NodeId> awaiting_client_;
-  std::map<std::pair<int32_t, uint64_t>, std::string> results_;
-  std::map<std::pair<int32_t, uint64_t>, uint64_t> request_timers_;
 
   /// checkpoint seq -> votes.
   std::map<uint64_t, std::map<sim::NodeId, SignedVote>> checkpoint_votes_;

@@ -189,11 +189,7 @@ class PbftCheckAdapter : public ProtocolAdapter {
   Observation Observe() const override {
     Observation o;
     for (const pbft::PbftReplica* r : replicas_) {
-      std::vector<std::string> log;
-      for (const smr::Command& cmd : r->executed_commands()) {
-        log.push_back(cmd.ToString());
-      }
-      o.logs.push_back(std::move(log));
+      o.logs.push_back(ExecutedLog(*r));
       for (const std::string& v : r->violations()) {
         o.self_reported.push_back("pbft replica " + std::to_string(r->id()) +
                                   ": " + v);
@@ -233,10 +229,10 @@ class PbftByzantineAdapter : public PbftCheckAdapter {
     b.byz_withhold = true;
     b.byz_mutate = true;
     b.byz_replay = true;
-    // Matches PbftOptions::request_timeout, so a burst of primary
-    // silencings spaced one period apart forces consecutive view changes
-    // while the client burst is still in flight.
-    b.view_change_period = 300 * sim::kMillisecond;
+    // One request-watchdog period, so a burst of primary silencings spaced
+    // one period apart forces consecutive view changes while the client
+    // burst is still in flight.
+    b.view_change_period = pbft::PbftReplica::kRequestTimeout;
     return b;
   }
 
@@ -311,11 +307,7 @@ class PbftOutOfBoundsAdapter : public ProtocolAdapter {
     // Only the honest backups' logs count; the Byzantine primary's state
     // is unconstrained.
     for (size_t i = 1; i < replicas_.size(); ++i) {
-      std::vector<std::string> log;
-      for (const smr::Command& cmd : replicas_[i]->executed_commands()) {
-        log.push_back(cmd.ToString());
-      }
-      o.logs.push_back(std::move(log));
+      o.logs.push_back(ExecutedLog(*replicas_[i]));
     }
     return o;
   }

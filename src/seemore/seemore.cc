@@ -3,16 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
-#include "pbft/pbft.h"
-
 namespace consensus40::seemore {
 
 namespace {
-
-bool ValidRequest(const smr::Command& cmd, const crypto::Signature& sig,
-                  const crypto::KeyRegistry& registry) {
-  return pbft::PbftReplica::ValidRequest(cmd, sig, registry);
-}
 
 crypto::Digest SlotDigest(uint64_t seq, const smr::Command& cmd) {
   crypto::Sha256 h;
@@ -36,7 +29,8 @@ const char* ToString(SeeMoReMode mode) {
   return "?";
 }
 
-SeeMoReReplica::SeeMoReReplica(SeeMoReOptions options) : options_(options) {
+SeeMoReReplica::SeeMoReReplica(SeeMoReOptions options)
+    : SignedReplica(options.n()), options_(options) {
   assert(options_.m >= 1 && options_.c >= 0);
   assert(options_.registry != nullptr);
   // Modes 1/2 place the trusted primary in the private cloud.
@@ -66,12 +60,6 @@ std::vector<sim::NodeId> SeeMoReReplica::Proxies() const {
     }
   }
   return proxies;
-}
-
-std::vector<sim::NodeId> SeeMoReReplica::Everyone() const {
-  std::vector<sim::NodeId> all;
-  for (int i = 0; i < options_.n(); ++i) all.push_back(i);
-  return all;
 }
 
 bool SeeMoReReplica::MaybeActMaliciouslyOnRequest(const smr::Command&,
@@ -106,20 +94,9 @@ void SeeMoReReplica::MaybeExecute() {
     Slot& slot = it->second;
     if (!slot.executed) {
       slot.executed = true;
-      auto key = std::make_pair(slot.cmd.client, slot.cmd.client_seq);
-      std::string result;
-      if (results_.count(key) > 0) {
-        result = results_[key];
-      } else {
-        result = dedup_.Apply(&kv_, slot.cmd);
-        results_[key] = result;
-        executed_commands_.push_back(slot.cmd);
-      }
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->client_seq = slot.cmd.client_seq;
-      reply->replica = id();
-      reply->result = result;
-      CountedSend(slot.cmd.client, reply);
+      CountedSend(slot.cmd.client,
+                  std::make_shared<ReplyMsg>(slot.cmd.client_seq, id(),
+                                             ExecuteOnce(slot.cmd)));
     }
     ++exec_cursor_;
   }
@@ -146,14 +123,9 @@ void SeeMoReReplica::SendAccept(uint64_t seq, Slot& slot) {
 void SeeMoReReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
   if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
     if (!ValidRequest(m->cmd, m->client_sig, *options_.registry)) return;
-    auto key = std::make_pair(m->cmd.client, m->cmd.client_seq);
-    auto done = results_.find(key);
-    if (done != results_.end()) {
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->client_seq = m->cmd.client_seq;
-      reply->replica = id();
-      reply->result = done->second;
-      CountedSend(m->cmd.client, reply);
+    if (const std::string* done = CachedResult(m->cmd)) {
+      CountedSend(m->cmd.client,
+                  std::make_shared<ReplyMsg>(m->cmd.client_seq, id(), *done));
       return;
     }
     if (!IsPrimary()) {
@@ -268,7 +240,6 @@ void SeeMoReReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
     Slot& slot = slots_[m->seq];
     (void)slot;
     commit_votes_[m->seq][m->cmd.Hash()].insert(from);
-    commit_cmds_[m->seq] = m->cmd;
     if (static_cast<int>(
             commit_votes_[m->seq][m->cmd.Hash()].size()) >= options_.m + 1) {
       Decide(m->seq, m->cmd);

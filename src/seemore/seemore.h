@@ -13,7 +13,7 @@
 #include "sim/simulation.h"
 #include "smr/client.h"
 #include "smr/command.h"
-#include "smr/state_machine.h"
+#include "smr/signed_replica.h"
 
 namespace consensus40::seemore {
 
@@ -58,7 +58,7 @@ struct SeeMoReOptions {
 /// the primary's location, the decision quorum, and the phase structure.
 /// View changes are out of scope (documented in DESIGN.md) — the module
 /// reproduces the deck's per-mode message-flow, quorum, and load figures.
-class SeeMoReReplica : public sim::Process {
+class SeeMoReReplica : public smr::SignedReplica {
  public:
   explicit SeeMoReReplica(SeeMoReOptions options);
 
@@ -67,6 +67,7 @@ class SeeMoReReplica : public sim::Process {
     const char* TypeName() const override { return "smr-request"; }
   };
   struct ReplyMsg : smr::SignedReplyMsg {
+    using smr::SignedReplyMsg::SignedReplyMsg;
     const char* TypeName() const override { return "smr-reply"; }
   };
   struct ProposeMsg : sim::Message {
@@ -110,13 +111,7 @@ class SeeMoReReplica : public sim::Process {
   sim::NodeId Primary() const { return options_.primary(); }
   bool IsPrimary() const { return id() == Primary(); }
   int DecisionQuorum() const;
-  uint64_t executed() const {
-    return static_cast<uint64_t>(executed_commands_.size());
-  }
-  const smr::KvStore& kv() const { return kv_; }
-  const std::vector<smr::Command>& executed_commands() const {
-    return executed_commands_;
-  }
+  uint64_t executed() const { return executed_commands().size(); }
   /// Messages this replica has sent (private-cloud load metric).
   uint64_t messages_sent() const { return messages_sent_; }
 
@@ -149,7 +144,6 @@ class SeeMoReReplica : public sim::Process {
   };
 
   std::vector<sim::NodeId> Proxies() const;
-  std::vector<sim::NodeId> Everyone() const;
   void Decide(uint64_t seq, const smr::Command& cmd);
   void MaybeExecute();
   void SendAccept(uint64_t seq, Slot& slot);
@@ -157,17 +151,11 @@ class SeeMoReReplica : public sim::Process {
   uint64_t next_seq_ = 1;
   uint64_t exec_cursor_ = 1;
   std::map<uint64_t, Slot> slots_;
-
-  smr::KvStore kv_;
-  smr::DedupingExecutor dedup_;
-  std::vector<smr::Command> executed_commands_;
-  std::map<std::pair<int32_t, uint64_t>, std::string> results_;
   uint64_t messages_sent_ = 0;
 
   /// Commit adoption votes for non-deciding nodes (modes 2/3).
   std::map<uint64_t, std::map<crypto::Digest, std::set<sim::NodeId>>>
       commit_votes_;
-  std::map<uint64_t, smr::Command> commit_cmds_;
 };
 
 /// SeeMoRe client: m+1 matching replies guarantee one correct reporter.

@@ -70,11 +70,13 @@ struct SignedRequestMsg : sim::Message {
   crypto::Signature client_sig;
 };
 struct SignedReplyMsg : sim::Message {
+  SignedReplyMsg(uint64_t s, int32_t r, std::string res)
+      : client_seq(s), replica(r), result(std::move(res)) {}
   int ByteSize() const override {
     return 24 + static_cast<int>(result.size());
   }
-  uint64_t client_seq = 0;
-  int32_t replica = -1;
+  uint64_t client_seq;
+  int32_t replica;
   std::string result;
 };
 

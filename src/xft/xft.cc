@@ -3,16 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
-#include "pbft/pbft.h"
-
 namespace consensus40::xft {
 
 namespace {
-
-bool ValidRequest(const smr::Command& cmd, const crypto::Signature& sig,
-                  const crypto::KeyRegistry& registry) {
-  return pbft::PbftReplica::ValidRequest(cmd, sig, registry);
-}
 
 crypto::Digest SlotDigest(int64_t view, uint64_t seq,
                           const smr::Command& cmd) {
@@ -30,15 +23,10 @@ bool InAnarchy(int n, int c, int m, int p) {
   return m > 0 && (c + m + p) > (n - 1) / 2;
 }
 
-XftReplica::XftReplica(XftOptions options) : options_(options) {
+XftReplica::XftReplica(XftOptions options)
+    : SignedReplica(options.n), options_(options) {
   assert(options_.n >= 3 && options_.n % 2 == 1);
   assert(options_.registry != nullptr);
-}
-
-std::vector<sim::NodeId> XftReplica::Everyone() const {
-  std::vector<sim::NodeId> all;
-  for (int i = 0; i < options_.n; ++i) all.push_back(i);
-  return all;
 }
 
 std::vector<sim::NodeId> XftReplica::SyncGroup(int64_t view) const {
@@ -56,26 +44,15 @@ bool XftReplica::InSyncGroup() const {
   return false;
 }
 
-void XftReplica::ArmRequestTimer(const smr::Command& cmd) {
-  auto key = std::make_pair(cmd.client, cmd.client_seq);
-  if (request_timers_.count(key) > 0 || results_.count(key) > 0) return;
-  request_timers_[key] = SetTimer(options_.request_timeout, [this, key, cmd] {
-    request_timers_.erase(key);
+void XftReplica::WatchRequest(const smr::Command& cmd) {
+  if (CachedResult(cmd) != nullptr) return;
+  ArmWatchdog(cmd, [this, cmd] {
     StartViewChange(view_ + 1);
     // Stay armed until the request settles: an armed watchdog is the
     // signal that keeps the view-change escalation alive (and its absence
     // is what lets a stale campaign stand down).
-    ArmRequestTimer(cmd);
+    WatchRequest(cmd);
   });
-}
-
-void XftReplica::DisarmRequestTimer(int32_t client, uint64_t client_seq) {
-  auto key = std::make_pair(client, client_seq);
-  auto it = request_timers_.find(key);
-  if (it != request_timers_.end()) {
-    CancelTimer(it->second);
-    request_timers_.erase(it);
-  }
 }
 
 void XftReplica::MaybeExecute() {
@@ -88,22 +65,11 @@ void XftReplica::MaybeExecute() {
     if (static_cast<int>(slot.commits.size()) < f() + 1) break;
     if (!slot.executed) {
       slot.executed = true;
-      auto key = std::make_pair(slot.cmd.client, slot.cmd.client_seq);
-      std::string result;
-      if (results_.count(key) > 0) {
-        result = results_[key];
-      } else {
-        result = dedup_.Apply(&kv_, slot.cmd);
-        results_[key] = result;
-        executed_commands_.push_back(slot.cmd);
-      }
-      DisarmRequestTimer(slot.cmd.client, slot.cmd.client_seq);
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->view = view_;
-      reply->client_seq = slot.cmd.client_seq;
-      reply->replica = id();
-      reply->result = result;
-      Send(slot.cmd.client, reply);
+      std::string result = ExecuteOnce(slot.cmd);
+      DisarmWatchdog(slot.cmd);
+      Send(slot.cmd.client,
+           std::make_shared<ReplyMsg>(view_, slot.cmd.client_seq, id(),
+                                      std::move(result)));
       // Lazy replication to every peer: non-group replicas learn the log
       // this way, and a group member that missed a commit quorum (e.g. it
       // installed the view after the quorum formed) catches up instead of
@@ -161,9 +127,9 @@ void XftReplica::StartViewChange(int64_t new_view) {
 
   CancelTimer(view_change_timer_);
   view_change_timer_ =
-      SetTimer(options_.request_timeout * 2, [this, new_view] {
+      SetTimer(kRequestTimeout * 2, [this, new_view] {
         if (!in_view_change_ || pending_view_ != new_view) return;
-        if (request_timers_.empty()) {
+        if (!AnyWatchdogArmed()) {
           // Every request that made us suspicious has since been settled:
           // stand down instead of campaigning against a working view.
           in_view_change_ = false;
@@ -177,15 +143,9 @@ void XftReplica::StartViewChange(int64_t new_view) {
 void XftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
   if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
     if (!ValidRequest(m->cmd, m->client_sig, *options_.registry)) return;
-    auto key = std::make_pair(m->cmd.client, m->cmd.client_seq);
-    auto done = results_.find(key);
-    if (done != results_.end()) {
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->view = view_;
-      reply->client_seq = m->cmd.client_seq;
-      reply->replica = id();
-      reply->result = done->second;
-      Send(m->cmd.client, reply);
+    if (const std::string* done = CachedResult(m->cmd)) {
+      Send(m->cmd.client,
+           std::make_shared<ReplyMsg>(view_, m->cmd.client_seq, id(), *done));
       // A retry for a request the leader already executed means some
       // group member is stuck behind a message gap and cannot reply —
       // the cached re-reply alone can never complete the client's f+1
@@ -219,7 +179,7 @@ void XftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       Send(Leader(view_), std::make_shared<RequestMsg>(m->cmd, m->client_sig));
       // Every replica (inside or outside the group) watches the request:
       // a faulty synchronous group must be replaced by the whole cluster.
-      ArmRequestTimer(m->cmd);
+      WatchRequest(m->cmd);
     }
     return;
   }
@@ -259,8 +219,8 @@ void XftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
     slot.cmd = m->cmd;
     slot.client_sig = m->client_sig;
     slot.commits.insert(from);  // The leader's prepare is its commit.
-    DisarmRequestTimer(m->cmd.client, m->cmd.client_seq);
-    ArmRequestTimer(m->cmd);  // Must commit within the timeout now.
+    DisarmWatchdog(m->cmd);
+    WatchRequest(m->cmd);  // Must commit within the timeout now.
     if (!slot.sent_commit && id() != from) {
       slot.sent_commit = true;
       auto commit = std::make_shared<CommitMsg>();
@@ -320,23 +280,15 @@ void XftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
         break;
       }
       const smr::Command cmd = it->second.cmd;
-      auto key = std::make_pair(cmd.client, cmd.client_seq);
-      if (results_.count(key) == 0) {
-        results_[key] = dedup_.Apply(&kv_, cmd);
-        executed_commands_.push_back(cmd);
-      }
+      std::string result = ExecuteOnce(cmd);
       // The request is settled for this replica: a still-armed watchdog
       // for it would depose a view that owes us nothing.
-      DisarmRequestTimer(cmd.client, cmd.client_seq);
+      DisarmWatchdog(cmd);
       // Reply as well: adoption may preempt this replica's own commit
       // path (the certificate proves the same commit), and the client
       // may be waiting on this very reply for its f+1 quorum.
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->view = view_;
-      reply->client_seq = cmd.client_seq;
-      reply->replica = id();
-      reply->result = results_[key];
-      Send(cmd.client, reply);
+      Send(cmd.client, std::make_shared<ReplyMsg>(view_, cmd.client_seq, id(),
+                                                  std::move(result)));
       pending_updates_.erase(it);
       ++exec_cursor_;
     }
@@ -376,7 +328,7 @@ void XftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       // Re-number the merged suffix here, once: every group member adopts
       // these seqs verbatim at install time, so the whole group agrees on
       // the slot numbering even if their execution cursors drifted.
-      uint64_t seq = executed_commands_.size() + 1;
+      uint64_t seq = executed() + 1;
       for (const auto& [old_seq, entry] : merged) {
         nv->reissue.push_back(entry);
         nv->reissue.back().seq = seq++;
@@ -414,15 +366,14 @@ void XftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
     CancelTimer(view_change_timer_);
     view_change_timer_ = 0;
     slots_.clear();
-    exec_cursor_ = executed_commands_.size() + 1;
+    exec_cursor_ = executed() + 1;
     view_changes_.erase(view_changes_.begin(),
                         view_changes_.upper_bound(view_));
     built_new_views_.erase(built_new_views_.begin(),
                            built_new_views_.upper_bound(view_));
     // The new view gets fresh patience: stale per-request watchdogs from
     // the old view would immediately re-depose it.
-    for (auto& [key, timer] : request_timers_) CancelTimer(timer);
-    request_timers_.clear();
+    DisarmAllWatchdogs();
 
     // Adopt the re-issued suffix straight from the (signed) new-view, so
     // the install and the re-adoption are atomic. Separate prepare
@@ -431,7 +382,7 @@ void XftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
     // cursor that nothing retransmits.
     if (InSyncGroup()) {
       const bool leading = (id() == Leader(view_));
-      if (leading) next_seq_ = executed_commands_.size() + 1;
+      if (leading) next_seq_ = executed() + 1;
       for (const auto& entry : m->reissue) {
         Slot& slot = slots_[entry.seq];
         slot.prepared = true;
@@ -461,7 +412,7 @@ void XftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
           Multicast(SyncGroup(view_), commit);
           slot.commits.insert(id());
         }
-        ArmRequestTimer(entry.cmd);  // Must commit within the timeout.
+        WatchRequest(entry.cmd);  // Must commit within the timeout.
       }
       MaybeExecute();
     }

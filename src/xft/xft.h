@@ -13,7 +13,7 @@
 #include "sim/simulation.h"
 #include "smr/client.h"
 #include "smr/command.h"
-#include "smr/state_machine.h"
+#include "smr/signed_replica.h"
 
 namespace consensus40::xft {
 
@@ -29,9 +29,6 @@ struct XftOptions {
   /// non-crash faults (plus partitioned nodes) tolerated outside anarchy.
   int n = 5;
   const crypto::KeyRegistry* registry = nullptr;
-
-  /// Patience before suspecting the synchronous group.
-  sim::Duration request_timeout = 300 * sim::kMillisecond;
 };
 
 /// An XPaxos replica: view v is served by the *synchronous group*
@@ -40,7 +37,7 @@ struct XftOptions {
 /// replicas, Paxos-grade cost against crash faults, Byzantine-grade
 /// accountability via signatures. A fault inside the group triggers a view
 /// change that installs the next group.
-class XftReplica : public sim::Process {
+class XftReplica : public smr::SignedReplica {
  public:
   explicit XftReplica(XftOptions options);
 
@@ -49,8 +46,10 @@ class XftReplica : public sim::Process {
     const char* TypeName() const override { return "xft-request"; }
   };
   struct ReplyMsg : smr::SignedReplyMsg {
+    ReplyMsg(int64_t v, uint64_t seq, int32_t replica, std::string result)
+        : SignedReplyMsg(seq, replica, std::move(result)), view(v) {}
     const char* TypeName() const override { return "xft-reply"; }
-    int64_t view = 0;
+    int64_t view;
   };
   struct PrepareMsg : sim::Message {
     const char* TypeName() const override { return "xft-prepare"; }
@@ -113,13 +112,7 @@ class XftReplica : public sim::Process {
   std::vector<sim::NodeId> SyncGroup(int64_t view) const;
   bool InSyncGroup() const;
   sim::NodeId Leader(int64_t view) const { return view % options_.n; }
-  uint64_t executed() const {
-    return static_cast<uint64_t>(executed_commands_.size());
-  }
-  const smr::KvStore& kv() const { return kv_; }
-  const std::vector<smr::Command>& executed_commands() const {
-    return executed_commands_;
-  }
+  uint64_t executed() const { return executed_commands().size(); }
 
   void OnMessage(sim::NodeId from, const sim::Message& msg) override;
 
@@ -139,11 +132,12 @@ class XftReplica : public sim::Process {
 
   int f() const { return (options_.n - 1) / 2; }
   void MaybeExecute();
-  void ArmRequestTimer(const smr::Command& cmd);
-  void DisarmRequestTimer(int32_t client, uint64_t client_seq);
+  /// Arms a request watchdog for a command not yet executed. It starts a
+  /// view change each time it fires and stays armed until the request
+  /// executes.
+  void WatchRequest(const smr::Command& cmd);
   void RetransmitLiveSlots();
   void StartViewChange(int64_t new_view);
-  std::vector<sim::NodeId> Everyone() const;
 
   XftOptions options_;
   int64_t view_ = 0;
@@ -156,12 +150,6 @@ class XftReplica : public sim::Process {
   uint64_t next_seq_ = 1;
   uint64_t exec_cursor_ = 1;
   std::map<uint64_t, Slot> slots_;
-
-  smr::KvStore kv_;
-  smr::DedupingExecutor dedup_;
-  std::vector<smr::Command> executed_commands_;
-  std::map<std::pair<int32_t, uint64_t>, std::string> results_;
-  std::map<std::pair<int32_t, uint64_t>, uint64_t> request_timers_;
 
   // Passive-side update application: certified commands buffered until the
   // execution cursor reaches them. Only certificates for the current view

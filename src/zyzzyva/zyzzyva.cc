@@ -3,16 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
-#include "pbft/pbft.h"
-
 namespace consensus40::zyzzyva {
 
 namespace {
-
-bool ValidRequest(const smr::Command& cmd, const crypto::Signature& sig,
-                  const crypto::KeyRegistry& registry) {
-  return pbft::PbftReplica::ValidRequest(cmd, sig, registry);
-}
 
 crypto::Digest OrderDigest(uint64_t seq, const crypto::Digest& cmd_digest,
                            const crypto::Digest& history) {
@@ -42,7 +35,8 @@ crypto::Digest ZyzzyvaReplica::SpecResponseMsg::SigningDigest() const {
   return h.Finish();
 }
 
-ZyzzyvaReplica::ZyzzyvaReplica(ZyzzyvaOptions options) : options_(options) {
+ZyzzyvaReplica::ZyzzyvaReplica(ZyzzyvaOptions options)
+    : SignedReplica(options.n), options_(options) {
   assert(options_.n >= 4 && (options_.n - 1) % 3 == 0);
   assert(options_.registry != nullptr);
   f_ = (options_.n - 1) / 3;
@@ -56,8 +50,7 @@ bool ZyzzyvaReplica::MaybeActMaliciouslyOnRequest(const smr::Command&,
 void ZyzzyvaReplica::SpeculativelyExecute(const OrderReqMsg& order) {
   // Extend local history and execute without waiting for agreement.
   history_ = ExtendHistory(history_, order.cmd.Hash());
-  std::string result = dedup_.Apply(&kv_, order.cmd);
-  executed_commands_.push_back(order.cmd);
+  std::string result = ApplyAndRecord(order.cmd);
   ++expected_seq_;
 
   auto resp = std::make_shared<SpecResponseMsg>();

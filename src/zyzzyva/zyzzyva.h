@@ -13,7 +13,7 @@
 #include "sim/simulation.h"
 #include "smr/client.h"
 #include "smr/command.h"
-#include "smr/state_machine.h"
+#include "smr/signed_replica.h"
 
 namespace consensus40::zyzzyva {
 
@@ -32,7 +32,7 @@ struct ZyzzyvaOptions {
 ///   case 1 — 3f+1 matching speculative replies: done in 3 message delays;
 ///   case 2 — between 2f+1 and 3f matching: the client assembles a commit
 ///            certificate from 2f+1 replies and gathers 2f+1 local-commits.
-class ZyzzyvaReplica : public sim::Process {
+class ZyzzyvaReplica : public smr::SignedReplica {
  public:
   explicit ZyzzyvaReplica(ZyzzyvaOptions options);
 
@@ -93,10 +93,6 @@ class ZyzzyvaReplica : public sim::Process {
   bool IsPrimary() const { return id() == 0; }
   uint64_t max_committed_certificate() const { return max_cc_; }
   const crypto::Digest& history() const { return history_; }
-  const smr::KvStore& kv() const { return kv_; }
-  const std::vector<smr::Command>& executed_commands() const {
-    return executed_commands_;
-  }
 
   void OnMessage(sim::NodeId from, const sim::Message& msg) override;
 
@@ -123,10 +119,6 @@ class ZyzzyvaReplica : public sim::Process {
   std::map<std::pair<int32_t, uint64_t>, std::shared_ptr<SpecResponseMsg>>
       spec_cache_;
   uint64_t max_cc_ = 0;  ///< Highest sequence covered by a commit cert.
-
-  smr::KvStore kv_;
-  smr::DedupingExecutor dedup_;
-  std::vector<smr::Command> executed_commands_;
 };
 
 /// Zyzzyva client: the commitment point of the protocol.

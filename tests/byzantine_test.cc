@@ -1,12 +1,15 @@
 // Systematic Byzantine adversaries across the BFT protocols: silent
-// replicas, equivocating leaders, vote equivocators, and lying repliers.
-// Every scenario asserts the same two things: honest replicas never
-// diverge, and clients never accept a corrupted result.
+// replicas, equivocating leaders, vote equivocators, lying repliers, and
+// leaders that order what no client signed or rewrite what the signature
+// leaves out. Every scenario asserts the same two things: honest replicas
+// never diverge, and clients never accept a corrupted result.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/signatures.h"
@@ -137,12 +140,8 @@ class LyingPbftReplica : public pbft::PbftReplica {
     PbftReplica::OnMessage(from, msg);
     // After honest processing, chase every request with a forged reply.
     if (const auto* m = dynamic_cast<const RequestMsg*>(&msg)) {
-      auto reply = std::make_shared<ReplyMsg>();
-      reply->view = view();
-      reply->client_seq = m->cmd.client_seq;
-      reply->replica = id();
-      reply->result = "666";  // The lie.
-      Send(m->cmd.client, reply);
+      Send(m->cmd.client, std::make_shared<ReplyMsg>(view(), m->cmd.client_seq,
+                                                     id(), "666"));  // The lie.
     }
   }
 };
@@ -225,6 +224,141 @@ TEST(ByzantineSilenceTest, MinBftBoundary) {
       EXPECT_FALSE(done) << "silent=" << silent;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// A leader orders only what a client signed, exactly as signed
+// ---------------------------------------------------------------------------
+
+/// MinBFT primary that, ahead of every request it orders, prepares the
+/// unsigned command {client -1, "NOOP"} under a valid USIG UI. No client
+/// signed it, so correct replicas must drop the prepare; executing it
+/// would also address a reply to node -1.
+class FillerInjectingPrimary : public minbft::MinBftReplica {
+ public:
+  explicit FillerInjectingPrimary(minbft::MinBftOptions options)
+      : MinBftReplica(options) {}
+
+ protected:
+  bool MaybeActMaliciouslyOnRequest(const smr::Command&,
+                                    const crypto::Signature&) override {
+    smr::Command filler;
+    filler.op = "NOOP";
+    auto prepare = std::make_shared<PrepareMsg>();
+    prepare->view = view();
+    prepare->cmd = filler;
+    crypto::Sha256 h;
+    h.Update(&prepare->view, sizeof(prepare->view));
+    const crypto::Digest d = filler.Hash();
+    h.Update(d.data(), d.size());
+    prepare->ui = options_.usig->CreateUi(id(), h.Finish());
+    for (int r = 0; r < options_.n; ++r) Send(r, prepare);
+    return false;  // Then order the real request as usual.
+  }
+};
+
+TEST(ByzantineLeaderTest, MinBftPrimaryCannotOrderUnsignedFiller) {
+  auto sim_owner = sim::Simulation::Builder(3).AutoStart(false).Build();
+  sim::Simulation& sim = *sim_owner;
+  crypto::KeyRegistry registry(3, 16);
+  crypto::Usig usig(&registry);
+  minbft::MinBftOptions opts;
+  opts.n = 3;
+  opts.registry = &registry;
+  opts.usig = &usig;
+  std::vector<minbft::MinBftReplica*> replicas;
+  replicas.push_back(sim.Spawn<FillerInjectingPrimary>(opts));
+  sim.MarkByzantine(0);
+  for (int i = 1; i < opts.n; ++i) {
+    replicas.push_back(sim.Spawn<minbft::MinBftReplica>(opts));
+  }
+  auto* client = sim.Spawn<minbft::MinBftClient>(opts.n, &registry, 3);
+  sim.Start();
+  // The dropped filler leaves a counter gap; the request watchdogs then
+  // depose the primary, and the next view orders the op.
+  ASSERT_TRUE(sim.RunUntil([&] { return client->done(); }, 30 * kSecond));
+  EXPECT_GT(replicas[1]->view(), 0);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(client->results()[i], std::to_string(i + 1)) << i;
+  }
+  for (size_t i = 1; i < replicas.size(); ++i) {
+    for (const smr::Command& cmd : replicas[i]->executed_commands()) {
+      EXPECT_EQ(cmd.client, client->id()) << "replica " << i << " executed "
+                                          << cmd.ToString();
+    }
+  }
+}
+
+/// PBFT primary that orders every request with `acked` rewritten to the
+/// request's own seq — "the client consumed this reply already" — on the
+/// copies it sends to `forged`. Command::Hash leaves `acked` out, so the
+/// client signature and the batch digest still verify everywhere.
+class AckForgingPrimary : public pbft::PbftReplica {
+ public:
+  AckForgingPrimary(pbft::PbftOptions options, std::set<sim::NodeId> forged)
+      : PbftReplica(options), forged_(std::move(forged)) {}
+
+ protected:
+  bool MaybeActMaliciouslyOnRequest(const smr::Command& cmd,
+                                    const crypto::Signature& sig) override {
+    if (!ordered_.insert({cmd.client, cmd.client_seq}).second) return true;
+    smr::Command rewritten = cmd;
+    rewritten.acked = cmd.client_seq;
+    const uint64_t seq = ordered_.size();
+    for (int r = 0; r < options_.n; ++r) {
+      auto pp = std::make_shared<PrePrepareMsg>();
+      pp->view = view();
+      pp->seq = seq;
+      pp->cmds = {forged_.count(r) > 0 ? rewritten : cmd};
+      pp->client_sigs = {sig};
+      pp->digest = BatchDigest(pp->cmds);
+      pp->sig = options_.registry->Sign(
+          id(), PrePrepareDigest(pp->view, seq, pp->digest));
+      Send(r, pp);
+    }
+    return true;
+  }
+
+ private:
+  std::set<sim::NodeId> forged_;
+  std::set<std::pair<int32_t, uint64_t>> ordered_;
+};
+
+/// Three INCs through an ack-forging primary: every op must return its
+/// own count and every correct replica must end in the same state.
+void ExpectAckForgeryHarmless(const std::set<sim::NodeId>& forged) {
+  auto sim_owner = sim::Simulation::Builder(11).AutoStart(false).Build();
+  sim::Simulation& sim = *sim_owner;
+  crypto::KeyRegistry registry(11, 16);
+  pbft::PbftOptions opts;
+  opts.n = 4;
+  opts.registry = &registry;
+  std::vector<pbft::PbftReplica*> replicas;
+  replicas.push_back(sim.Spawn<AckForgingPrimary>(opts, forged));
+  sim.MarkByzantine(0);
+  for (int i = 1; i < opts.n; ++i) {
+    replicas.push_back(sim.Spawn<pbft::PbftReplica>(opts));
+  }
+  auto* client = sim.Spawn<pbft::PbftClient>(opts.n, &registry, 3);
+  sim.Start();
+  ASSERT_TRUE(sim.RunUntil([&] { return client->done(); }, 30 * kSecond));
+  sim.RunFor(1 * kSecond);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(client->results()[i], std::to_string(i + 1)) << i;
+  }
+  for (size_t i = 2; i < replicas.size(); ++i) {
+    EXPECT_EQ(replicas[i]->kv().StateDigest(), replicas[1]->kv().StateDigest())
+        << "replicas 1 and " << i;
+  }
+  EXPECT_EQ(replicas[1]->kv().Get("x"), "3");
+}
+
+TEST(ByzantineLeaderTest, PbftPrimaryForgingEveryAckCannotSkipOps) {
+  ExpectAckForgeryHarmless({0, 1, 2, 3});
+}
+
+TEST(ByzantineLeaderTest, PbftPrimaryForgingSomeAcksCannotSplitState) {
+  ExpectAckForgeryHarmless({0, 2});
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@
 // change that alters any client send, timer or hint moves the hash.
 // Re-pin a row only with the reason stated here.
 //
+// ReplicaFingerprintTest pins the replica side of the same runs for the
+// Byzantine-fault protocols (smr::SignedReplica), Zyzzyva included: every
+// live replica's executed log and KvStore digest. A change to what a
+// replica executes, or in which order, moves it.
+//
 // The contract tests drive a client against scripted fake replicas and
 // check the client role itself: f forged replies never complete an op,
 // the (f+1)-th matching reply completes it exactly once, a retry reaches
@@ -24,6 +29,7 @@
 #include <vector>
 
 #include "cheapbft/cheapbft.h"
+#include "crypto/sha256.h"
 #include "crypto/signatures.h"
 #include "hotstuff/hotstuff.h"
 #include "minbft/minbft.h"
@@ -34,6 +40,7 @@
 #include "sim/simulation.h"
 #include "smr/command.h"
 #include "xft/xft.h"
+#include "zyzzyva/zyzzyva.h"
 
 namespace consensus40 {
 namespace {
@@ -100,6 +107,23 @@ uint64_t Fingerprint(sim::Simulation& sim, Client* client,
   return fnv.value();
 }
 
+/// Hash of every live replica's executed log and state digest.
+template <typename Replica>
+uint64_t ReplicaFingerprint(const sim::Simulation& sim,
+                            const std::vector<Replica*>& replicas) {
+  Fnv fnv;
+  for (const Replica* r : replicas) {
+    if (sim.IsCrashed(r->id())) continue;
+    fnv.Mix(static_cast<uint64_t>(r->id()));
+    fnv.Mix(r->executed_commands().size());
+    for (const smr::Command& cmd : r->executed_commands()) {
+      fnv.Mix(cmd.ToString());
+    }
+    for (uint8_t byte : r->kv().StateDigest()) fnv.Mix(byte);
+  }
+  return fnv.value();
+}
+
 /// The live replica of `replicas` that believes it leads (the one a
 /// crash-fault client has stuck to), or member 0.
 template <typename Replica>
@@ -111,7 +135,23 @@ sim::NodeId LeaderOf(const sim::Simulation& sim,
   return 0;
 }
 
-uint64_t ClientFingerprint(const std::string& name) {
+/// The two fingerprints of one pinned run. `replicas` stays 0 for the
+/// crash-fault protocols.
+struct PinnedRun {
+  uint64_t client = 0;
+  uint64_t replicas = 0;
+};
+
+/// Spawns `n` replicas of type Replica built from `options`.
+template <typename Replica, typename Options>
+std::vector<Replica*> SpawnReplicas(sim::Simulation& sim, int n,
+                                    const Options& options) {
+  std::vector<Replica*> replicas;
+  for (int i = 0; i < n; ++i) replicas.push_back(sim.Spawn<Replica>(options));
+  return replicas;
+}
+
+PinnedRun RunPinned(const std::string& name) {
   crypto::KeyRegistry registry(kSeed, 16);
   crypto::Usig usig(&registry);
   auto sim = sim::Simulation::Builder(kSeed).AutoStart(false).Build();
@@ -120,34 +160,38 @@ uint64_t ClientFingerprint(const std::string& name) {
     pbft::PbftOptions o;
     o.n = 4;
     o.registry = &registry;
-    for (int i = 0; i < o.n; ++i) sim->Spawn<pbft::PbftReplica>(o);
+    auto replicas = SpawnReplicas<pbft::PbftReplica>(*sim, o.n, o);
     auto* client = sim->Spawn<pbft::PbftClient>(o.n, &registry, kOps);
-    return Fingerprint(*sim, client, member0);
+    const uint64_t hash = Fingerprint(*sim, client, member0);
+    return {hash, ReplicaFingerprint(*sim, replicas)};
   }
   if (name == "minbft") {
     minbft::MinBftOptions o;
     o.n = 3;
     o.registry = &registry;
     o.usig = &usig;
-    for (int i = 0; i < o.n; ++i) sim->Spawn<minbft::MinBftReplica>(o);
+    auto replicas = SpawnReplicas<minbft::MinBftReplica>(*sim, o.n, o);
     auto* client = sim->Spawn<minbft::MinBftClient>(o.n, &registry, kOps);
-    return Fingerprint(*sim, client, member0);
+    const uint64_t hash = Fingerprint(*sim, client, member0);
+    return {hash, ReplicaFingerprint(*sim, replicas)};
   }
   if (name == "xft") {
     xft::XftOptions o;
     o.n = 3;
     o.registry = &registry;
-    for (int i = 0; i < o.n; ++i) sim->Spawn<xft::XftReplica>(o);
+    auto replicas = SpawnReplicas<xft::XftReplica>(*sim, o.n, o);
     auto* client = sim->Spawn<xft::XftClient>(o.n, &registry, kOps);
-    return Fingerprint(*sim, client, member0);
+    const uint64_t hash = Fingerprint(*sim, client, member0);
+    return {hash, ReplicaFingerprint(*sim, replicas)};
   }
   if (name == "hotstuff") {
     hotstuff::HotStuffOptions o;
     o.n = 4;
     o.registry = &registry;
-    for (int i = 0; i < o.n; ++i) sim->Spawn<hotstuff::HotStuffReplica>(o);
+    auto replicas = SpawnReplicas<hotstuff::HotStuffReplica>(*sim, o.n, o);
     auto* client = sim->Spawn<hotstuff::HotStuffClient>(o.n, &registry, kOps);
-    return Fingerprint(*sim, client, member0);
+    const uint64_t hash = Fingerprint(*sim, client, member0);
+    return {hash, ReplicaFingerprint(*sim, replicas)};
   }
   if (name == "cheapbft") {
     // Crashing an active replica forces the PANIC-driven switch to MinBFT.
@@ -155,11 +199,12 @@ uint64_t ClientFingerprint(const std::string& name) {
     o.f = 1;
     o.registry = &registry;
     o.usig = &usig;
-    for (int i = 0; i < 2 * o.f + 1; ++i) {
-      sim->Spawn<cheapbft::CheapBftReplica>(o);
-    }
+    auto replicas =
+        SpawnReplicas<cheapbft::CheapBftReplica>(*sim, 2 * o.f + 1, o);
     auto* client = sim->Spawn<cheapbft::CheapBftClient>(o.f, &registry, kOps);
-    return Fingerprint(*sim, client, [] { return sim::NodeId{1}; });
+    const uint64_t hash =
+        Fingerprint(*sim, client, [] { return sim::NodeId{1}; });
+    return {hash, ReplicaFingerprint(*sim, replicas)};
   }
   if (name == "seemore") {
     // SeeMoRe has no view change, so the primary stays up; a silent
@@ -169,35 +214,42 @@ uint64_t ClientFingerprint(const std::string& name) {
     o.c = 1;
     o.mode = seemore::SeeMoReMode::kMode3;
     o.registry = &registry;
-    for (int i = 0; i < o.n(); ++i) sim->Spawn<seemore::SeeMoReReplica>(o);
+    auto replicas = SpawnReplicas<seemore::SeeMoReReplica>(*sim, o.n(), o);
     auto* client = sim->Spawn<seemore::SeeMoReClient>(o, kOps);
     const sim::NodeId proxy = o.private_n() + 1;
-    return Fingerprint(*sim, client, [proxy] { return proxy; });
+    const uint64_t hash = Fingerprint(*sim, client, [proxy] { return proxy; });
+    return {hash, ReplicaFingerprint(*sim, replicas)};
+  }
+  if (name == "zyzzyva") {
+    // No view change either: a backup goes silent, which pushes every
+    // later op onto the case-2 commit path.
+    zyzzyva::ZyzzyvaOptions o;
+    o.n = 4;
+    o.registry = &registry;
+    auto replicas = SpawnReplicas<zyzzyva::ZyzzyvaReplica>(*sim, o.n, o);
+    auto* client = sim->Spawn<zyzzyva::ZyzzyvaClient>(o.n, &registry, kOps);
+    const uint64_t hash =
+        Fingerprint(*sim, client, [] { return sim::NodeId{3}; });
+    return {hash, ReplicaFingerprint(*sim, replicas)};
   }
   if (name == "raft") {
     raft::RaftOptions o;
     o.n = 3;
-    std::vector<raft::RaftReplica*> replicas;
-    for (int i = 0; i < o.n; ++i) {
-      replicas.push_back(sim->Spawn<raft::RaftReplica>(o));
-    }
+    auto replicas = SpawnReplicas<raft::RaftReplica>(*sim, o.n, o);
     auto* client = sim->Spawn<raft::RaftClient>(o.n, kOps);
-    return Fingerprint(*sim, client,
-                       [&] { return LeaderOf(*sim, replicas); });
+    return {Fingerprint(*sim, client,
+                        [&] { return LeaderOf(*sim, replicas); })};
   }
   if (name == "multi_paxos") {
     paxos::MultiPaxosOptions o;
     o.n = 3;
-    std::vector<paxos::MultiPaxosReplica*> replicas;
-    for (int i = 0; i < o.n; ++i) {
-      replicas.push_back(sim->Spawn<paxos::MultiPaxosReplica>(o));
-    }
+    auto replicas = SpawnReplicas<paxos::MultiPaxosReplica>(*sim, o.n, o);
     auto* client = sim->Spawn<paxos::MultiPaxosClient>(o.n, kOps);
-    return Fingerprint(*sim, client,
-                       [&] { return LeaderOf(*sim, replicas); });
+    return {Fingerprint(*sim, client,
+                        [&] { return LeaderOf(*sim, replicas); })};
   }
   ADD_FAILURE() << "unknown protocol " << name;
-  return 0;
+  return {};
 }
 
 const char* const kClientProtocols[] = {"pbft",     "minbft",  "xft",
@@ -217,16 +269,41 @@ TEST_P(ClientFingerprintTest, MatchesPinnedRun) {
       {"raft", 0x362e0415372ce6beull},
       {"multi_paxos", 0xaac4c343103a4f71ull},
   };
-  const uint64_t got = ClientFingerprint(GetParam());
+  const uint64_t got = RunPinned(GetParam()).client;
   EXPECT_EQ(got, kPinned.at(GetParam())) << std::hex << "fingerprint 0x"
                                          << got;
 }
 
+std::string ParamName(const testing::TestParamInfo<const char*>& info) {
+  return info.param;
+}
+
 INSTANTIATE_TEST_SUITE_P(Protocols, ClientFingerprintTest,
-                         testing::ValuesIn(kClientProtocols),
-                         [](const testing::TestParamInfo<const char*>& info) {
-                           return std::string(info.param);
-                         });
+                         testing::ValuesIn(kClientProtocols), ParamName);
+
+const char* const kSignedProtocols[] = {"pbft",     "minbft",   "xft",
+                                        "hotstuff", "cheapbft", "seemore",
+                                        "zyzzyva"};
+
+class ReplicaFingerprintTest : public testing::TestWithParam<const char*> {};
+
+TEST_P(ReplicaFingerprintTest, MatchesPinnedRun) {
+  // Runs that leave the same live members with the same log (one
+  // client's twelve INCs, each applied once) share a value: PBFT and
+  // HotStuff, MinBFT and XFT.
+  static const std::map<std::string, uint64_t> kPinned = {
+      {"pbft", 0x4be5c9d5a1f0d61bull},    {"minbft", 0x509cf76f3e90fea6ull},
+      {"xft", 0x509cf76f3e90fea6ull},     {"hotstuff", 0x4be5c9d5a1f0d61bull},
+      {"cheapbft", 0x6bf691c42bd4a827ull}, {"seemore", 0x5371b3b410d9c4f9ull},
+      {"zyzzyva", 0x91de60617c1e2018ull},
+  };
+  const uint64_t got = RunPinned(GetParam()).replicas;
+  EXPECT_EQ(got, kPinned.at(GetParam())) << std::hex << "fingerprint 0x"
+                                         << got;
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, ReplicaFingerprintTest,
+                         testing::ValuesIn(kSignedProtocols), ParamName);
 
 // ---------------------------------------------------------------------------
 // Contract, against scripted replicas
@@ -374,12 +451,14 @@ class ClientContractTest : public testing::Test {
   /// Replica `i` reports `result` for `seq` (Byzantine-fault replies).
   void Report(int i, uint64_t seq, const std::string& result,
               int64_t view = 0) {
-    auto reply = std::make_shared<typename Case::Reply>();
-    reply->client_seq = seq;
-    reply->replica = i;
-    reply->result = result;
-    if constexpr (requires { reply->view; }) reply->view = view;
-    replicas_[i]->Answer(client_->id(), reply);
+    using Reply = typename Case::Reply;
+    if constexpr (requires { &Reply::view; }) {
+      replicas_[i]->Answer(client_->id(),
+                           std::make_shared<Reply>(view, seq, i, result));
+    } else {
+      replicas_[i]->Answer(client_->id(),
+                           std::make_shared<Reply>(seq, i, result));
+    }
   }
 
   crypto::KeyRegistry registry_;

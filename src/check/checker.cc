@@ -82,16 +82,15 @@ std::vector<std::string> CheckInvariants(const Observation& o) {
   return out;
 }
 
-RunResult RunSchedule(const AdapterFactory& factory, uint64_t seed,
-                      const FaultSchedule& schedule) {
+RunEnd RunToEnd(const AdapterFactory& factory, uint64_t seed,
+                const FaultSchedule& schedule) {
   std::unique_ptr<ProtocolAdapter> adapter = factory(seed);
-  RunResult result;
+  RunEnd end;
 
   if (adapter->RunsDirect()) {
-    Observation o = adapter->RunDirect(schedule);
-    result.violations = CheckInvariants(o);
-    result.completed = true;
-    return result;
+    end.observation = adapter->RunDirect(schedule);
+    end.completed = true;
+    return end;
   }
 
   const FaultBounds bounds = adapter->bounds();
@@ -110,7 +109,6 @@ RunResult RunSchedule(const AdapterFactory& factory, uint64_t seed,
   // decided; any later snapshot showing a different value is a violation
   // even if the end state looks consistent again.
   std::map<std::pair<std::string, sim::NodeId>, std::string> first_decided;
-  std::vector<std::string> integrity;
   auto probe = [&] {
     Observation o = adapter->Observe();
     for (const auto& [inst, per_node] : o.decided) {
@@ -118,9 +116,9 @@ RunResult RunSchedule(const AdapterFactory& factory, uint64_t seed,
         auto key = std::make_pair(inst, node);
         auto [it, inserted] = first_decided.emplace(key, val);
         if (!inserted && it->second != val) {
-          integrity.push_back("integrity: instance " + inst + ": node " +
-                              NodeStr(node) + " decided \"" + it->second +
-                              "\" then re-decided \"" + val + "\"");
+          end.integrity.push_back("integrity: instance " + inst + ": node " +
+                                  NodeStr(node) + " decided \"" + it->second +
+                                  "\" then re-decided \"" + val + "\"");
           it->second = val;
         }
       }
@@ -128,29 +126,40 @@ RunResult RunSchedule(const AdapterFactory& factory, uint64_t seed,
   };
 
   const sim::Duration kProbeEvery = 50 * sim::kMillisecond;
-  const sim::Time deadline = bounds.horizon + bounds.quiesce;
+  end.deadline = bounds.horizon + bounds.quiesce;
   std::function<void()> tick = [&] {
     adapter->OnProbe(&sim);
     probe();
-    if (sim.now() + kProbeEvery <= deadline) {
+    if (sim.now() + kProbeEvery <= end.deadline) {
       sim.ScheduleAfter(kProbeEvery, tick);
     }
   };
   sim.ScheduleAfter(kProbeEvery, tick);
 
   sim.Start();
-  sim.RunUntil([&] { return adapter->Done(); }, deadline);
+  sim.RunUntil([&] { return adapter->Done(); }, end.deadline);
   probe();
 
-  Observation o = adapter->Observe();
-  result.violations = CheckInvariants(o);
-  result.violations.insert(result.violations.end(), integrity.begin(),
-                           integrity.end());
-  result.completed = adapter->Done();
-  if (adapter->ExpectTermination() && !result.completed) {
+  end.observation = adapter->Observe();
+  end.completed = adapter->Done();
+  end.expect_termination = adapter->ExpectTermination();
+  end.messages_sent = sim.stats().messages_sent;
+  end.bytes_sent = sim.stats().bytes_sent;
+  return end;
+}
+
+RunResult RunSchedule(const AdapterFactory& factory, uint64_t seed,
+                      const FaultSchedule& schedule) {
+  RunEnd end = RunToEnd(factory, seed, schedule);
+  RunResult result;
+  result.violations = CheckInvariants(end.observation);
+  result.violations.insert(result.violations.end(), end.integrity.begin(),
+                           end.integrity.end());
+  result.completed = end.completed;
+  if (end.expect_termination && !end.completed) {
     result.violations.push_back(
         "liveness: workload incomplete after faults healed (deadline " +
-        std::to_string(deadline / sim::kMillisecond) + "ms)");
+        std::to_string(end.deadline / sim::kMillisecond) + "ms)");
   }
   return result;
 }

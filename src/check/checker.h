@@ -117,10 +117,32 @@ struct RunResult {
   bool violated() const { return !violations.empty(); }
 };
 
-/// Runs one protocol instance under one fault schedule and checks every
-/// invariant, including the Integrity probe (decisions must never change
-/// once made) sampled throughout the run. Deterministic in (factory
-/// behaviour, seed, schedule).
+/// How one run ended, before the end-state invariants are evaluated.
+struct RunEnd {
+  /// The adapter's Observe() once the run stopped.
+  Observation observation;
+  /// Integrity-probe findings: decisions that changed mid-run.
+  std::vector<std::string> integrity;
+  /// Done() at the end, and whether the adapter requires it.
+  bool completed = false;
+  bool expect_termination = true;
+  /// The run stopped at the latest here (horizon + quiesce).
+  sim::Time deadline = 0;
+  /// Admitted sends (zero for adapters that run direct).
+  uint64_t messages_sent = 0;
+  uint64_t bytes_sent = 0;
+};
+
+/// Runs one protocol instance under one fault schedule until its workload
+/// is done or the deadline passes, probing Integrity (decisions must never
+/// change once made) throughout. Deterministic in (factory behaviour,
+/// seed, schedule).
+RunEnd RunToEnd(const AdapterFactory& factory, uint64_t seed,
+                const FaultSchedule& schedule);
+
+/// RunToEnd plus every invariant over its end: CheckInvariants, the
+/// Integrity findings and, where the adapter expects termination,
+/// liveness.
 RunResult RunSchedule(const AdapterFactory& factory, uint64_t seed,
                       const FaultSchedule& schedule);
 

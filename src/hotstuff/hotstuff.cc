@@ -171,10 +171,9 @@ void HotStuffReplica::CommitChainUpTo(const crypto::Digest& hash) {
       // there is nothing to do. Anything else (a chain that bypasses the
       // head and merges below it) is a real fork of committed state.
       if (chain.empty() && IsCommittedAncestor(cursor, b->height)) return;
-      violations_.push_back("commit of block at height " +
-                            std::to_string(b->height) +
-                            " below committed height " +
-                            std::to_string(last_committed_height_));
+      ReportViolation("commit of block at height " +
+                      std::to_string(b->height) + " below committed height " +
+                      std::to_string(last_committed_height_));
       return;
     }
     chain.push_back(b);

@@ -93,7 +93,6 @@ class HotStuffReplica : public smr::SignedReplica {
   uint64_t current_view() const { return cur_view_; }
   sim::NodeId LeaderOf(uint64_t view) const { return view % options_.n; }
   uint64_t last_committed_height() const { return last_committed_height_; }
-  const std::vector<std::string>& violations() const { return violations_; }
   int blocks_proposed() const { return blocks_proposed_; }
 
   void OnStart() override;
@@ -138,7 +137,6 @@ class HotStuffReplica : public smr::SignedReplica {
 
   uint64_t view_timer_ = 0;
   int blocks_proposed_ = 0;
-  std::vector<std::string> violations_;
 };
 
 /// HotStuff client: broadcasts requests (the leader rotates constantly),

@@ -379,9 +379,9 @@ void PbftReplica::ProcessNewView(const NewViewMsg& msg) {
     Slot& slot = slots_[pp->seq];
     bool was_executed = slot.executed;
     if (was_executed && !(BatchDigest(slot.cmds) == pp->digest)) {
-      violations_.push_back("new-view re-proposes different batch for "
-                            "executed seq " +
-                            std::to_string(pp->seq));
+      ReportViolation("new-view re-proposes different batch for executed "
+                      "seq " +
+                      std::to_string(pp->seq));
     }
     slot = Slot();
     slot.view = pp->view;
@@ -584,7 +584,7 @@ void PbftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       DisarmWatchdog(cmd);
     }
     if (!(kv().StateDigest() == m->state_digest)) {
-      violations_.push_back("state transfer digest mismatch");
+      ReportViolation("state transfer digest mismatch");
     }
     last_executed_ = std::max(last_executed_, m->last_executed);
     state_transfer_inflight_ = false;

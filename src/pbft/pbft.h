@@ -197,7 +197,6 @@ class PbftReplica : public smr::SignedReplica {
   sim::NodeId PrimaryOf(int64_t v) const { return v % options_.n; }
   uint64_t last_executed() const { return last_executed_; }
   uint64_t stable_checkpoint() const { return stable_checkpoint_; }
-  const std::vector<std::string>& violations() const { return violations_; }
   int view_changes_sent() const { return view_changes_sent_; }
   size_t LogSizeForTest() const { return slots_.size(); }
   /// Live view-change bookkeeping entries (pending view-change message
@@ -287,7 +286,6 @@ class PbftReplica : public smr::SignedReplica {
   std::set<int64_t> built_new_views_;  ///< Guard against duplicate NewViews.
   /// Latest installed NewView, kept to bring restarted replicas up to date.
   std::shared_ptr<const NewViewMsg> last_new_view_;
-  std::vector<std::string> violations_;
 };
 
 /// PBFT client: sends to the primary of the last reply's view,

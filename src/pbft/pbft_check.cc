@@ -1,9 +1,10 @@
-/// Checker adapters for PBFT: the in-bounds n=3f+1 configuration, the
-/// in-bounds Byzantine variant (one interposer-driven liar inside the
-/// stated f), and the out-of-bounds n=3f configuration (n=3, f=1) where
-/// the implementation's quorum math degenerates to f'=0 — replicas commit
-/// straight from a valid pre-prepare — so one equivocating primary
-/// (f'+1 liars for the degenerate f'=0) forks the two honest backups.
+/// Checker adapters for PBFT: the in-bounds n=3f+1 configuration and its
+/// Byzantine twin (one interposer-driven liar inside the stated f), both
+/// through the signed-replica adapter, and the out-of-bounds n=3f
+/// configuration (n=3, f=1) where the implementation's quorum math
+/// degenerates to f'=0 — replicas commit straight from a valid
+/// pre-prepare — so one equivocating primary (f'+1 liars for the
+/// degenerate f'=0) forks the two honest backups.
 ///
 /// All Byzantine behaviour rides the reusable sim::ByzantineInterposer;
 /// the protocol knowledge lives in the forge/corrupt hooks built by
@@ -157,93 +158,47 @@ sim::ByzantineInterposer::Hooks MakePbftByzantineHooks(
   return hooks;
 }
 
-class PbftCheckAdapter : public ProtocolAdapter {
- public:
-  explicit PbftCheckAdapter(uint64_t seed, int ops = 4)
-      : registry_(seed, kN + 4), ops_(ops) {}
-
-  const char* name() const override { return "pbft"; }
-
-  FaultBounds bounds() const override {
-    FaultBounds b;
-    b.nodes = kN;
-    b.max_crashed = (kN - 1) / 3;
-    b.restartable = true;
-    b.partitionable = true;
-    return b;
-  }
-
-  void Build(sim::Simulation* sim) override {
-    pbft::PbftOptions opts;
-    opts.n = kN;
-    opts.registry = &registry_;
-    opts.checkpoint_interval = 4;  // Exercise checkpointing in-sweep.
-    for (int i = 0; i < kN; ++i) {
-      replicas_.push_back(sim->Spawn<pbft::PbftReplica>(opts));
-    }
-    client_ = sim->Spawn<pbft::PbftClient>(kN, &registry_, ops_);
-  }
-
-  bool Done() const override { return client_->done(); }
-
-  Observation Observe() const override {
-    Observation o;
-    for (const pbft::PbftReplica* r : replicas_) {
-      o.logs.push_back(ExecutedLog(*r));
-      for (const std::string& v : r->violations()) {
-        o.self_reported.push_back("pbft replica " + std::to_string(r->id()) +
-                                  ": " + v);
-      }
-    }
-    return o;
-  }
-
- protected:
-  static constexpr int kN = 4;
-  crypto::KeyRegistry registry_;
-  int ops_;
-  std::vector<pbft::PbftReplica*> replicas_;
-  pbft::PbftClient* client_ = nullptr;
-};
-
-/// In-bounds Byzantine PBFT: one of the four replicas may lie — forged
-/// twin pre-prepares, flipped votes, corrupted digests, withheld or
-/// replayed traffic — inside seed-chosen windows, and schedules may also
-/// be view-change-heavy bursts that repeatedly silence the primary. With
-/// at most f=1 liar the prepare/commit quorums must still force a single
+/// The in-bounds n=3f+1 configuration restarts, partitions and
+/// checkpoints every 4 (exercising checkpointing in-sweep).
+///
+/// The Byzantine twin: one of the four replicas may lie — forged twin
+/// pre-prepares, flipped votes, corrupted digests, withheld or replayed
+/// traffic — inside seed-chosen windows, and schedules may also be
+/// view-change-heavy bursts that repeatedly silence the primary. With at
+/// most f=1 liar the prepare/commit quorums must still force a single
 /// order, so every safety invariant must survive the sweep.
-class PbftByzantineAdapter : public PbftCheckAdapter {
- public:
-  explicit PbftByzantineAdapter(uint64_t seed)
-      : PbftCheckAdapter(seed, /*ops=*/12),
-        byz_(MakePbftByzantineHooks(&registry_)) {}
-
-  const char* name() const override { return "pbft_byz"; }
-
-  FaultBounds bounds() const override {
-    FaultBounds b = PbftCheckAdapter::bounds();
-    b.max_byzantine = 1;
-    b.byz_first_node = 0;
-    b.byz_nodes = kN;
-    b.byz_equivocate = true;
-    b.byz_withhold = true;
-    b.byz_mutate = true;
-    b.byz_replay = true;
-    // One request-watchdog period, so a burst of primary silencings spaced
-    // one period apart forces consecutive view changes while the client
-    // burst is still in flight.
-    b.view_change_period = pbft::PbftReplica::kRequestTimeout;
-    return b;
-  }
-
-  void Build(sim::Simulation* sim) override {
-    PbftCheckAdapter::Build(sim);
-    byz_.Attach(sim);
-  }
-
- private:
-  sim::ByzantineInterposer byz_;
-};
+SignedProtocol Pbft() {
+  SignedProtocol p;
+  p.name = "pbft";
+  p.n = 4;
+  p.bounds.nodes = p.n;
+  p.bounds.max_crashed = (p.n - 1) / 3;
+  p.bounds.restartable = true;
+  p.bounds.partitionable = true;
+  p.twin_bounds = p.bounds;
+  p.twin_bounds.max_byzantine = 1;
+  p.twin_bounds.byz_nodes = p.n;
+  p.twin_bounds.byz_equivocate = true;
+  p.twin_bounds.byz_withhold = true;
+  p.twin_bounds.byz_mutate = true;
+  p.twin_bounds.byz_replay = true;
+  // One request-watchdog period, so a burst of primary silencings spaced
+  // one period apart forces consecutive view changes while the client
+  // burst is still in flight.
+  p.twin_bounds.view_change_period = pbft::PbftReplica::kRequestTimeout;
+  p.twin_hooks = MakePbftByzantineHooks;
+  p.spawn_replica = [n = p.n](sim::Simulation* sim, auto* registry, auto*) {
+    pbft::PbftOptions opts;
+    opts.n = n;
+    opts.registry = registry;
+    opts.checkpoint_interval = 4;
+    return sim->Spawn<pbft::PbftReplica>(opts);
+  };
+  p.spawn_client = [n = p.n](sim::Simulation* sim, auto* registry, int ops) {
+    return &sim->Spawn<pbft::PbftClient>(n, registry, ops)->results();
+  };
+  return p;
+}
 
 /// PBFT at n = 3, f = 1 (i.e. n = 3f): the implementation computes
 /// f' = 0, so replicas commit straight from a valid pre-prepare. One
@@ -323,13 +278,11 @@ class PbftOutOfBoundsAdapter : public ProtocolAdapter {
 }  // namespace
 
 AdapterFactory MakePbftAdapter() {
-  return [](uint64_t seed) { return std::make_unique<PbftCheckAdapter>(seed); };
+  return MakeSignedAdapter(Pbft(), /*twin=*/false);
 }
 
 AdapterFactory MakePbftByzantineAdapter() {
-  return [](uint64_t seed) {
-    return std::make_unique<PbftByzantineAdapter>(seed);
-  };
+  return MakeSignedAdapter(Pbft(), /*twin=*/true);
 }
 
 AdapterFactory MakePbftOutOfBoundsAdapter() {

@@ -52,6 +52,9 @@ class SignedReplica : public sim::Process {
   const KvStore& kv() const { return kv_; }
   /// Every command this replica applied, in order.
   const std::vector<Command>& executed_commands() const { return executed_; }
+  /// Safety violations this replica detected in itself (PBFT and HotStuff
+  /// check for some; the others report none).
+  const std::vector<std::string>& violations() const { return violations_; }
 
  protected:
   /// The replica group is processes 0..n-1.
@@ -83,6 +86,10 @@ class SignedReplica : public sim::Process {
   void DisarmAllWatchdogs();
   bool AnyWatchdogArmed() const { return !watchdogs_.empty(); }
 
+  void ReportViolation(std::string violation) {
+    violations_.push_back(std::move(violation));
+  }
+
  private:
   using RequestKey = std::pair<int32_t, uint64_t>;
 
@@ -91,6 +98,7 @@ class SignedReplica : public sim::Process {
   DedupingExecutor dedup_;
   std::vector<Command> executed_;
   std::map<RequestKey, uint64_t> watchdogs_;  ///< (client, seq) -> timer.
+  std::vector<std::string> violations_;
 };
 
 }  // namespace consensus40::smr

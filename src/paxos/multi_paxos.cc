@@ -5,6 +5,16 @@
 
 namespace consensus40::paxos {
 
+namespace {
+
+/// A slot of the leader's ballot still unchosen this long after its
+/// accept went out gets the accept again, on the next heartbeat.
+constexpr sim::Duration kStallTimeout = 60 * sim::kMillisecond;
+/// At most this many stalled slots are repaired per heartbeat.
+constexpr int kResendBudget = 8;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Messages
 // ---------------------------------------------------------------------------
@@ -202,6 +212,7 @@ void MultiPaxosReplica::SendHeartbeat() {
   hb->frontier = log_.commit_frontier();
   Multicast(Everyone(), hb);
   if (leader_active_) {
+    ResendStalledAccepts();
     CancelTimer(heartbeat_timer_);
     heartbeat_timer_ =
         SetTimer(options_.heartbeat_interval, [this] { SendHeartbeat(); });
@@ -228,7 +239,35 @@ void MultiPaxosReplica::ProposeNext() {
 }
 
 void MultiPaxosReplica::AcceptSlot(uint64_t index, const smr::Command& cmd) {
+  Slot(index).proposed_at = Now();
   Multicast(Everyone(), std::make_shared<AcceptMsg>(my_ballot_, index, cmd));
+}
+
+// The accept of AcceptSlot goes out once, and the pipeline drops a
+// client's retries of a command already in flight, so without this a
+// lost accept leaves a hole at the commit frontier that nothing fills
+// while the leader keeps its ballot. Crossword's stall repair, without
+// the coding parts.
+void MultiPaxosReplica::ResendStalledAccepts() {
+  const sim::Time now = Now();
+  int budget = kResendBudget;
+  for (auto it = slots_.lower_bound(log_.commit_frontier());
+       it != slots_.end() && it->first < next_index_ && budget > 0; ++it) {
+    SlotState& slot = it->second;
+    if (slot.chosen || !slot.has_value || slot.accept_num != my_ballot_) {
+      continue;
+    }
+    if (now - slot.proposed_at <= kStallTimeout) continue;
+    auto accept = std::make_shared<AcceptMsg>(my_ballot_, it->first,
+                                              slot.value);
+    for (sim::NodeId member : options_.members) {
+      if (member != id() && slot.accepts.count(member) == 0) {
+        Send(member, accept);
+      }
+    }
+    slot.proposed_at = now;
+    --budget;
+  }
 }
 
 void MultiPaxosReplica::Chosen(uint64_t index, const smr::Command& cmd) {

@@ -115,6 +115,7 @@ class MultiPaxosReplica : public smr::PipelineProcess {
     bool has_value = false;
     bool chosen = false;
     std::set<sim::NodeId> accepts;  ///< Leader-side accepted counters.
+    sim::Time proposed_at = 0;      ///< Leader-side: last accept sent.
   };
 
   void StartPhase1();
@@ -124,6 +125,9 @@ class MultiPaxosReplica : public smr::PipelineProcess {
   void Deposed();
   void ProposeNext();
   void AcceptSlot(uint64_t index, const smr::Command& cmd);
+  /// Re-sends the accepts of slots stalled below the proposal cursor to
+  /// the members that have not acked them (see the definition).
+  void ResendStalledAccepts();
   void Chosen(uint64_t index, const smr::Command& cmd);
   void ResetLeaderTimer();
   void SendHeartbeat();

@@ -27,14 +27,28 @@ XftReplica::XftReplica(XftOptions options)
     : SignedReplica(options.n), options_(options) {
   assert(options_.n >= 3 && options_.n % 2 == 1);
   assert(options_.registry != nullptr);
-}
-
-std::vector<sim::NodeId> XftReplica::SyncGroup(int64_t view) const {
-  std::vector<sim::NodeId> group;
-  for (int k = 0; k <= f(); ++k) {
-    group.push_back((view + k) % options_.n);
+  const int n = options_.n;
+  const int size = f() + 1;
+  std::set<std::vector<sim::NodeId>> windows;
+  for (int v = 0; v < n; ++v) {
+    std::vector<sim::NodeId> window;
+    for (int k = 0; k < size; ++k) window.push_back((v + k) % n);
+    groups_.push_back(window);
+    std::sort(window.begin(), window.end());
+    windows.insert(window);
   }
-  return group;
+  // The other subsets, lexicographically: c steps through the sorted
+  // (f+1)-combinations of 0..n-1.
+  std::vector<sim::NodeId> c;
+  for (int k = 0; k < size; ++k) c.push_back(k);
+  while (true) {
+    if (windows.count(c) == 0) groups_.push_back(c);
+    int i = size - 1;
+    while (i >= 0 && c[i] == n - size + i) --i;
+    if (i < 0) break;
+    ++c[i];
+    for (int k = i + 1; k < size; ++k) c[k] = c[k - 1] + 1;
+  }
 }
 
 bool XftReplica::InSyncGroup() const {

@@ -31,8 +31,12 @@ struct XftOptions {
   const crypto::KeyRegistry* registry = nullptr;
 };
 
-/// An XPaxos replica: view v is served by the *synchronous group*
-/// sg(v) = { v%n, v%n+1, ..., v%n+f } (f+1 replicas, first is the leader).
+/// An XPaxos replica: view v is served by the *synchronous group* sg(v),
+/// f+1 replicas whose first member leads. Views cycle through every
+/// (f+1)-subset of the n replicas: first the n windows {v, v+1, ..., v+f}
+/// mod n, then the other subsets in lexicographic order. Windows alone
+/// would not do: with f crashed replicas spread out, every window holds
+/// one, and no view could ever serve the client's f+1 matching replies.
 /// The common case touches only the group: prepare + commit among f+1
 /// replicas, Paxos-grade cost against crash faults, Byzantine-grade
 /// accountability via signatures. A fault inside the group triggers a view
@@ -109,9 +113,11 @@ class XftReplica : public smr::SignedReplica {
   };
 
   int64_t view() const { return view_; }
-  std::vector<sim::NodeId> SyncGroup(int64_t view) const;
+  const std::vector<sim::NodeId>& SyncGroup(int64_t view) const {
+    return groups_[static_cast<size_t>(view) % groups_.size()];
+  }
   bool InSyncGroup() const;
-  sim::NodeId Leader(int64_t view) const { return view % options_.n; }
+  sim::NodeId Leader(int64_t view) const { return SyncGroup(view).front(); }
   uint64_t executed() const { return executed_commands().size(); }
 
   void OnMessage(sim::NodeId from, const sim::Message& msg) override;
@@ -140,6 +146,9 @@ class XftReplica : public smr::SignedReplica {
   void StartViewChange(int64_t new_view);
 
   XftOptions options_;
+  /// Every (f+1)-subset of the replicas, in view order (see the class
+  /// comment): C(n, f+1) of them, 10 at n=5.
+  std::vector<std::vector<sim::NodeId>> groups_;
   int64_t view_ = 0;
   bool in_view_change_ = false;
   int64_t pending_view_ = 0;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <vector>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "crypto/signatures.h"
 #include "sim/simulation.h"
@@ -154,6 +156,45 @@ TEST(XftTest, SmallestClusterWorks) {
       cluster.sim.RunUntil([&] { return client->done(); }, 60 * kSecond));
   cluster.CheckSafety();
 }
+
+// Two of five replicas crash after op 2 of a 12-op client, for each of
+// the ten pairs. Views once cycled through the n windows {v, ..., v+f}
+// mod n only, so when the crashed pair was not adjacent every group held
+// one of them and the client never finished.
+class XftCrashPairTest
+    : public testing::TestWithParam<std::pair<sim::NodeId, sim::NodeId>> {};
+
+TEST_P(XftCrashPairTest, ClientFinishesWithTwoReplicasDown) {
+  const auto [a, b] = GetParam();
+  XftCluster cluster(5);
+  XftClient* client = cluster.AddClient(12);
+  cluster.sim.Start();
+  ASSERT_TRUE(cluster.sim.RunUntil([&] { return client->completed() >= 2; },
+                                   30 * kSecond));
+  cluster.sim.Crash(a);
+  cluster.sim.Crash(b);
+  ASSERT_TRUE(
+      cluster.sim.RunUntil([&] { return client->done(); }, 240 * kSecond));
+  cluster.CheckSafety();
+  for (int i = 0; i < 12; ++i) {
+    EXPECT_EQ(client->results()[i], std::to_string(i + 1)) << i;
+  }
+}
+
+std::vector<std::pair<sim::NodeId, sim::NodeId>> AllPairs() {
+  std::vector<std::pair<sim::NodeId, sim::NodeId>> pairs;
+  for (sim::NodeId a = 0; a < 5; ++a) {
+    for (sim::NodeId b = a + 1; b < 5; ++b) pairs.push_back({a, b});
+  }
+  return pairs;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pairs, XftCrashPairTest, testing::ValuesIn(AllPairs()),
+    [](const testing::TestParamInfo<std::pair<sim::NodeId, sim::NodeId>>& i) {
+      return std::to_string(i.param.first) + "_" +
+             std::to_string(i.param.second);
+    });
 
 }  // namespace
 }  // namespace consensus40::xft

@@ -35,10 +35,8 @@ int main() {
   std::printf("-- the rich-get-richer loop, with and without coin-age --\n");
   {
     std::vector<StakeAccount> initial = {{60, 30}, {30, 30}, {10, 30}};
-    PosSimulator randomized(initial, PosSimulator::Mode::kRandomized,
-                            CoinAgeOptions{}, 21);
-    PosSimulator coinage(initial, PosSimulator::Mode::kCoinAge,
-                         CoinAgeOptions{}, 21);
+    PosSimulator randomized(initial, PosSimulator::Mode::kRandomized, 21);
+    PosSimulator coinage(initial, PosSimulator::Mode::kCoinAge, 21);
     const int kDays = 5000;
     int rwins[3] = {0, 0, 0}, cwins[3] = {0, 0, 0};
     for (int day = 0; day < kDays; ++day) {
@@ -68,8 +66,7 @@ int main() {
   std::printf("-- coin-age eligibility window in action --\n");
   {
     TextTable t({"day", "whale age", "minnow age", "eligible", "winner"});
-    PosSimulator pos({{90, 29}, {10, 29}}, PosSimulator::Mode::kCoinAge,
-                     CoinAgeOptions{}, 5);
+    PosSimulator pos({{90, 29}, {10, 29}}, PosSimulator::Mode::kCoinAge, 5);
     for (int day = 0; day < 8; ++day) {
       const auto& a = pos.accounts();
       std::string eligible;

@@ -107,10 +107,8 @@ int main() {
   {
     std::printf("-- proof of stake: 1000 rounds --\n");
     std::vector<StakeAccount> accounts = {{600, 30}, {300, 30}, {100, 30}};
-    PosSimulator randomized(accounts, PosSimulator::Mode::kRandomized,
-                            CoinAgeOptions{}, 42);
-    PosSimulator coinage(accounts, PosSimulator::Mode::kCoinAge,
-                         CoinAgeOptions{}, 42);
+    PosSimulator randomized(accounts, PosSimulator::Mode::kRandomized, 42);
+    PosSimulator coinage(accounts, PosSimulator::Mode::kCoinAge, 42);
     int rwins[3] = {0, 0, 0}, cwins[3] = {0, 0, 0};
     for (int round = 0; round < 1000; ++round) {
       int r = randomized.Step(1);

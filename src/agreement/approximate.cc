@@ -6,6 +6,13 @@
 
 namespace consensus40::agreement {
 
+namespace {
+
+/// Upper bound on rounds (safety net for tests).
+constexpr int kMaxRounds = 64;
+
+}  // namespace
+
 int RoundsForSpread(double spread, double epsilon) {
   assert(epsilon > 0);
   int rounds = 0;
@@ -40,7 +47,7 @@ std::vector<sim::NodeId> ApproxAgreementNode::Everyone() const {
 void ApproxAgreementNode::OnStart() { StartRound(); }
 
 void ApproxAgreementNode::StartRound() {
-  if (round_ > rounds_to_run_ || round_ > options_.max_rounds) {
+  if (round_ > rounds_to_run_ || round_ > kMaxRounds) {
     halted_ = true;
     return;
   }

@@ -17,8 +17,6 @@ struct ApproxOptions {
   /// Convergence threshold: nodes halt once their value is provably within
   /// epsilon of every other correct node's.
   double epsilon = 0.01;
-  /// Upper bound on rounds (safety net for tests).
-  int max_rounds = 64;
 };
 
 /// Asynchronous approximate agreement (Dolev, Lynch, Pinter, Stark, Weihl

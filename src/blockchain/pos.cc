@@ -5,6 +5,13 @@
 
 namespace consensus40::blockchain {
 
+namespace {
+
+constexpr int kMinAgeDays = 30;
+constexpr int kMaxAgeDays = 90;
+
+}  // namespace
+
 size_t SelectRandomized(const std::vector<StakeAccount>& accounts, Rng* rng) {
   std::vector<double> weights;
   weights.reserve(accounts.size());
@@ -14,14 +21,13 @@ size_t SelectRandomized(const std::vector<StakeAccount>& accounts, Rng* rng) {
   return rng->WeightedIndex(weights);
 }
 
-int SelectByCoinAge(const std::vector<StakeAccount>& accounts,
-                    const CoinAgeOptions& options, Rng* rng) {
+int SelectByCoinAge(const std::vector<StakeAccount>& accounts, Rng* rng) {
   std::vector<double> weights;
   weights.reserve(accounts.size());
   bool any = false;
   for (const StakeAccount& account : accounts) {
-    if (account.age_days >= options.min_age_days && account.stake > 0) {
-      int age = std::min(account.age_days, options.max_age_days);
+    if (account.age_days >= kMinAgeDays && account.stake > 0) {
+      int age = std::min(account.age_days, kMaxAgeDays);
       weights.push_back(account.stake * age);
       any = true;
     } else {
@@ -33,11 +39,8 @@ int SelectByCoinAge(const std::vector<StakeAccount>& accounts,
 }
 
 PosSimulator::PosSimulator(std::vector<StakeAccount> accounts, Mode mode,
-                           CoinAgeOptions options, uint64_t seed)
-    : accounts_(std::move(accounts)),
-      mode_(mode),
-      options_(options),
-      rng_(seed) {
+                           uint64_t seed)
+    : accounts_(std::move(accounts)), mode_(mode), rng_(seed) {
   assert(!accounts_.empty());
 }
 
@@ -46,7 +49,7 @@ int PosSimulator::Step(double reward) {
   if (mode_ == Mode::kRandomized) {
     winner = static_cast<int>(SelectRandomized(accounts_, &rng_));
   } else {
-    winner = SelectByCoinAge(accounts_, options_, &rng_);
+    winner = SelectByCoinAge(accounts_, &rng_);
   }
   for (auto& account : accounts_) account.age_days += 1;
   if (winner >= 0) {

@@ -19,17 +19,11 @@ struct StakeAccount {
 /// a random number with the stake size.
 size_t SelectRandomized(const std::vector<StakeAccount>& accounts, Rng* rng);
 
-/// Coin-age parameters from the deck: coins compete only after 30 unspent
-/// days, and the age bonus saturates at 90 days.
-struct CoinAgeOptions {
-  int min_age_days = 30;
-  int max_age_days = 90;
-};
-
-/// Coin-age-based selection: weight = stake * age, for eligible accounts
-/// (age >= min). Returns the winner's index, or -1 if nobody is eligible.
-int SelectByCoinAge(const std::vector<StakeAccount>& accounts,
-                    const CoinAgeOptions& options, Rng* rng);
+/// Coin-age-based selection: weight = stake * age, for eligible accounts.
+/// As in the deck, coins compete only after 30 unspent days, and the age
+/// bonus saturates at 90 days. Returns the winner's index, or -1 if
+/// nobody is eligible.
+int SelectByCoinAge(const std::vector<StakeAccount>& accounts, Rng* rng);
 
 /// A proof-of-stake lottery simulator: each Step() advances one day, picks
 /// a validator, pays the reward into its stake, and manages coin ages.
@@ -37,8 +31,7 @@ class PosSimulator {
  public:
   enum class Mode { kRandomized, kCoinAge };
 
-  PosSimulator(std::vector<StakeAccount> accounts, Mode mode,
-               CoinAgeOptions options, uint64_t seed);
+  PosSimulator(std::vector<StakeAccount> accounts, Mode mode, uint64_t seed);
 
   /// Runs one selection round (one day). Returns the winner (-1 if none).
   int Step(double reward);
@@ -49,7 +42,6 @@ class PosSimulator {
  private:
   std::vector<StakeAccount> accounts_;
   Mode mode_;
-  CoinAgeOptions options_;
   Rng rng_;
   std::vector<int> wins_;
 };

@@ -73,7 +73,7 @@ SweepReport RunSweep(
 
   auto task = [&](int /*worker*/, uint64_t idx) {
     const size_t p = static_cast<size_t>(idx / per_protocol);
-    const uint64_t seed = options.first_seed + (idx % per_protocol);
+    const uint64_t seed = 1 + idx % per_protocol;
     const AdapterFactory& factory = roster[p].second;
 
     FaultSchedule schedule;
@@ -86,19 +86,15 @@ SweepReport RunSweep(
     o.violations = r.violations;
     if (!r.violated()) return;
 
-    FaultSchedule repro = schedule;
-    if (options.shrink_repros) {
-      // The shrink replays run inside this task, so the pool's lanes stay
-      // busy with whole seeds; determinism of the result only needs the
-      // (factory, seed) pair.
-      auto replay = [&](const FaultSchedule& candidate) {
-        return RunSchedule(factory, seed, candidate).violated();
-      };
-      const FaultBounds bounds = factory(seed)->bounds();
-      repro = ShrinkSchedule(std::move(repro), bounds, replay,
-                             options.shrink_max_runs);
-      repro = CanonicalizeSchedule(std::move(repro), bounds, replay);
-    }
+    // The shrink replays run inside this task, so the pool's lanes stay
+    // busy with whole seeds; determinism of the result only needs the
+    // (factory, seed) pair.
+    auto replay = [&](const FaultSchedule& candidate) {
+      return RunSchedule(factory, seed, candidate).violated();
+    };
+    const FaultBounds bounds = factory(seed)->bounds();
+    const FaultSchedule repro = CanonicalizeSchedule(
+        ShrinkSchedule(schedule, bounds, replay), bounds, replay);
     o.repro = "seed " + std::to_string(seed) + ": " + r.violations[0] +
               " | " + repro.ToString();
   };

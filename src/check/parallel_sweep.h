@@ -18,8 +18,8 @@
 /// Concurrency contract for adapters: a roster factory may be invoked
 /// from several threads at once (one invocation per in-flight seed), so
 /// factories must be stateless or internally synchronized. Every factory
-/// in check/adapters.h is a stateless lambda; the adapter instances they
-/// return are used by exactly one worker.
+/// in check/adapters.h is a lambda over immutable captures; the adapter
+/// instances they return are used by exactly one worker.
 
 #ifndef CONSENSUS40_CHECK_PARALLEL_SWEEP_H_
 #define CONSENSUS40_CHECK_PARALLEL_SWEEP_H_
@@ -36,14 +36,8 @@
 namespace consensus40::check {
 
 struct SweepOptions {
-  /// Seeds swept per protocol: [first_seed, first_seed + seeds).
-  uint64_t first_seed = 1;
+  /// Seeds swept per protocol: [1, seeds].
   uint64_t seeds = 200;
-
-  /// On violation, ddmin-shrink the schedule and canonicalize the
-  /// survivors (shrink.h) so the report carries a minimal, stable repro.
-  bool shrink_repros = true;
-  int shrink_max_runs = 400;
 };
 
 /// Per-protocol slice of a sweep, merged in seed order.
@@ -58,7 +52,8 @@ struct ProtocolSweepResult {
   std::map<std::string, uint64_t> by_invariant;
   /// One line per violating seed, in seed order:
   ///   "seed 7: agreement: ... | schedule --seed=7: [ ... ]"
-  /// Shrunk + canonicalized when SweepOptions::shrink_repros is set.
+  /// The schedule is ddmin-shrunk and canonicalized (shrink.h), so the
+  /// report carries a minimal, stable repro.
   std::vector<std::string> repros;
 };
 

@@ -2,6 +2,15 @@
 
 namespace consensus40::commit {
 
+namespace {
+
+/// Participant patience before suspecting the coordinator.
+constexpr sim::Duration kDecisionTimeout = 200 * sim::kMillisecond;
+/// Coordinator patience for votes before it aborts.
+constexpr sim::Duration kVoteTimeout = 100 * sim::kMillisecond;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Participant
 // ---------------------------------------------------------------------------
@@ -35,7 +44,7 @@ void ThreePcParticipant::ArmDecisionTimer(uint64_t tx_id) {
   CancelTimer(info.decision_timer);
   // Stagger by id so the lowest-id survivor acts first (its timer fires
   // earliest) — a deterministic "elect the lowest alive participant".
-  sim::Duration t = options_.decision_timeout +
+  sim::Duration t = kDecisionTimeout +
                     id() * 10 * sim::kMillisecond +
                     static_cast<sim::Duration>(
                         rng().NextBounded(5 * sim::kMillisecond));
@@ -177,10 +186,6 @@ void ThreePcParticipant::OnMessage(sim::NodeId from, const sim::Message& msg) {
 // Coordinator
 // ---------------------------------------------------------------------------
 
-ThreePcCoordinator::ThreePcCoordinator()
-    : ThreePcCoordinator(Options()) {}
-ThreePcCoordinator::ThreePcCoordinator(Options options) : options_(options) {}
-
 void ThreePcCoordinator::Begin(const Transaction& tx) {
   TxRun& run = runs_[tx.tx_id];
   run.tx = tx;
@@ -194,7 +199,7 @@ void ThreePcCoordinator::Begin(const Transaction& tx) {
     Send(op.participant, can);
   }
   uint64_t tx_id = tx.tx_id;
-  run.timer = SetTimer(options_.vote_timeout, [this, tx_id] {
+  run.timer = SetTimer(kVoteTimeout, [this, tx_id] {
     auto it = runs_.find(tx_id);
     if (it != runs_.end() && !it->second.decision) Abort(it->second);
   });

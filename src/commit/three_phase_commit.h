@@ -29,8 +29,6 @@ class ThreePcParticipant : public sim::Process {
     /// Enables the termination protocol (FT-3PC). Without it, a coordinator
     /// crash leaves participants stuck just like 2PC.
     bool enable_termination = true;
-    /// Patience before suspecting the coordinator.
-    sim::Duration decision_timeout = 200 * sim::kMillisecond;
   };
 
   struct CanCommitMsg : sim::Message {
@@ -119,13 +117,6 @@ class ThreePcParticipant : public sim::Process {
 /// 3PC coordinator: can-commit -> pre-commit -> do-commit.
 class ThreePcCoordinator : public sim::Process {
  public:
-  struct Options {
-    sim::Duration vote_timeout = 100 * sim::kMillisecond;
-  };
-
-  ThreePcCoordinator();
-  explicit ThreePcCoordinator(Options options);
-
   void Begin(const Transaction& tx);
   std::optional<bool> outcome(uint64_t tx_id) const;
 
@@ -142,7 +133,6 @@ class ThreePcCoordinator : public sim::Process {
 
   void Abort(TxRun& run);
 
-  Options options_;
   std::map<uint64_t, TxRun> runs_;
 };
 

@@ -2,6 +2,14 @@
 
 namespace consensus40::commit {
 
+namespace {
+
+/// Votes not received within this window abort the transaction
+/// (participant failure before voting is the non-blocking direction).
+constexpr sim::Duration kVoteTimeout = 100 * sim::kMillisecond;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Participant
 // ---------------------------------------------------------------------------
@@ -55,9 +63,6 @@ void TwoPcParticipant::OnMessage(sim::NodeId from, const sim::Message& msg) {
 // Coordinator
 // ---------------------------------------------------------------------------
 
-TwoPcCoordinator::TwoPcCoordinator() : TwoPcCoordinator(Options()) {}
-TwoPcCoordinator::TwoPcCoordinator(Options options) : options_(options) {}
-
 void TwoPcCoordinator::Begin(const Transaction& tx) {
   TxRun& run = runs_[tx.tx_id];
   run.tx = tx;
@@ -68,7 +73,7 @@ void TwoPcCoordinator::Begin(const Transaction& tx) {
     Send(op.participant, prepare);
   }
   uint64_t tx_id = tx.tx_id;
-  run.timer = SetTimer(options_.vote_timeout, [this, tx_id] {
+  run.timer = SetTimer(kVoteTimeout, [this, tx_id] {
     auto it = runs_.find(tx_id);
     if (it != runs_.end() && !it->second.decision) {
       Decide(it->second, false);  // Missing votes => abort.

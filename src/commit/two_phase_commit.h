@@ -67,15 +67,6 @@ class TwoPcParticipant : public sim::Process {
 /// broadcast to reproduce the blocking window.
 class TwoPcCoordinator : public sim::Process {
  public:
-  struct Options {
-    /// Votes not received within this window abort the transaction
-    /// (participant failure before voting is the non-blocking direction).
-    sim::Duration vote_timeout = 100 * sim::kMillisecond;
-  };
-
-  TwoPcCoordinator();
-  explicit TwoPcCoordinator(Options options);
-
   /// Starts 2PC for `tx`. Participant ids are simulation node ids.
   void Begin(const Transaction& tx);
 
@@ -99,7 +90,6 @@ class TwoPcCoordinator : public sim::Process {
 
   void Decide(TxRun& run, bool commit);
 
-  Options options_;
   std::map<uint64_t, TxRun> runs_;
 };
 

@@ -5,6 +5,14 @@
 
 namespace consensus40::paxos {
 
+namespace {
+
+/// Time the coordinator waits for further Accepted messages before
+/// declaring a collision that cannot reach a fast quorum.
+constexpr sim::Duration kCollisionTimeout = 50 * sim::kMillisecond;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Messages
 // ---------------------------------------------------------------------------
@@ -157,7 +165,7 @@ void FastPaxosAcceptor::OnMessage(sim::NodeId from, const sim::Message& msg) {
     if (round_is_fast_) {
       if (responses_.size() == 1) {
         // Arm the collision timeout on the first response.
-        collision_timer_ = SetTimer(options_.collision_timeout, [this] {
+        collision_timer_ = SetTimer(kCollisionTimeout, [this] {
           if (!chosen_ && round_is_fast_ &&
               static_cast<int>(responses_.size()) >= classic_quorum_) {
             StartClassicRound();

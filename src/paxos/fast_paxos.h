@@ -16,10 +16,6 @@ struct FastPaxosOptions {
   /// Number of acceptors; must be 3f+1 for f tolerated crash faults.
   /// Acceptors are processes 0..n-1; process 0 is also the coordinator.
   int n = 4;
-
-  /// Time the coordinator waits for further Accepted messages before
-  /// declaring a collision that cannot reach a fast quorum.
-  sim::Duration collision_timeout = 50 * sim::kMillisecond;
 };
 
 /// Fast Paxos acceptor (process 0 doubles as coordinator/leader):

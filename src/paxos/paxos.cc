@@ -4,6 +4,16 @@
 
 namespace consensus40::paxos {
 
+namespace {
+
+/// A stalled attempt (no quorum, no nack — e.g. the other side crashed)
+/// is restarted after this long.
+constexpr sim::Duration kAttemptTimeout = 100 * sim::kMillisecond;
+/// Randomized backoff multiplies the retry delay by Uniform[1, this].
+constexpr int kBackoffSpread = 10;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Messages
 // ---------------------------------------------------------------------------
@@ -101,7 +111,7 @@ void PaxosNode::StartPhase1() {
   // Liveness fallback: if this attempt stalls entirely (e.g. quorum
   // unreachable), start over after the attempt timeout.
   CancelTimer(retry_timer_);
-  retry_timer_ = SetTimer(options_.attempt_timeout, [this] {
+  retry_timer_ = SetTimer(kAttemptTimeout, [this] {
     if (!decided_ && proposing_) StartPhase1();
   });
 }
@@ -111,7 +121,7 @@ void PaxosNode::ScheduleRetry(sim::Duration base_delay) {
   sim::Duration d = base_delay;
   if (options_.randomized_backoff) {
     d *= 1 + static_cast<sim::Duration>(
-                 rng().NextBounded(options_.backoff_spread));
+                 rng().NextBounded(kBackoffSpread));
   }
   retry_timer_ = SetTimer(d, [this] {
     if (!decided_ && proposing_) StartPhase1();

@@ -38,14 +38,9 @@ struct PaxosOptions {
   /// ballot. Zero = retry immediately (the livelock configuration).
   sim::Duration retry_delay = 10 * sim::kMillisecond;
 
-  /// Timeout after which a stalled attempt (no quorum, no nack — e.g. the
-  /// other side crashed) is restarted. Must be positive.
-  sim::Duration attempt_timeout = 100 * sim::kMillisecond;
-
-  /// If true, the retry delay is multiplied by Uniform[1, backoff_spread].
-  /// The deck's livelock fix: "randomized delay before restarting".
+  /// If true, the retry delay is multiplied by Uniform[1, 10]. The deck's
+  /// livelock fix: "randomized delay before restarting".
   bool randomized_backoff = true;
-  int backoff_spread = 10;
 };
 
 /// Single-decree Paxos (the deck's Phase I "prepare" / Phase II "accept"

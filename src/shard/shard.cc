@@ -14,6 +14,11 @@ namespace {
 /// How often a frozen TM nudges the mover (stalled-move recovery) and
 /// re-announces drain completion.
 constexpr sim::Duration kNudgePeriod = 500 * sim::kMillisecond;
+/// Coordinator patience for votes before it decides ABORT.
+constexpr sim::Duration kVoteTimeout = 250 * sim::kMillisecond;
+/// Prepared-TM patience for the decision before it asks the decision
+/// group itself (participant-driven termination).
+constexpr sim::Duration kRecoveryTimeout = 1 * sim::kSecond;
 
 bool InRange(uint64_t h, uint64_t lo, uint64_t hi) {
   return h >= lo && (hi == 0 || h < hi);
@@ -304,7 +309,7 @@ void TxManager::OnShardResult(uint64_t seq, const std::string& result,
     tx.phase = Phase::kPrepared;
     Vote(tx_id, tx, true);
     tx.recovery_timer =
-        SetTimer(owner_->options().recovery_timeout, [this, tx_id] {
+        SetTimer(kRecoveryTimeout, [this, tx_id] {
           auto rec = txs_.find(tx_id);
           if (rec == txs_.end() || rec->second.phase != Phase::kPrepared) {
             return;
@@ -552,7 +557,7 @@ void TxCoordinator::OnMessage(sim::NodeId from, const sim::Message& msg) {
     }
     if (!tx.one_phase) {
       uint64_t tx_id = m->tx_id;
-      tx.vote_timer = SetTimer(owner_->options().vote_timeout, [this, tx_id] {
+      tx.vote_timer = SetTimer(kVoteTimeout, [this, tx_id] {
         auto late = txs_.find(tx_id);
         if (late == txs_.end() || late->second.decided ||
             late->second.decision_pending) {

@@ -255,11 +255,6 @@ struct ShardOptions {
   int decision_replicas = 3;
   /// consensus::ReplicaGroup registry key for every group.
   std::string protocol = "raft";
-  /// Coordinator patience for votes before it decides ABORT.
-  sim::Duration vote_timeout = 250 * sim::kMillisecond;
-  /// Prepared-TM patience for the decision before it asks the decision
-  /// group itself (participant-driven termination).
-  sim::Duration recovery_timeout = 1 * sim::kSecond;
 
   /// Hot-path tuning, applied uniformly to every group (shards and the
   /// decision group) and to every GroupClient the layer spawns. The

@@ -257,24 +257,14 @@ bool Simulation::LinkAllowed(NodeId from, NodeId to) const {
   return true;
 }
 
-double Simulation::BandwidthFor(NodeId from, NodeId to) const {
-  if (!options_.link_bytes_per_ms.empty()) {
-    auto it = options_.link_bytes_per_ms.find({from, to});
-    if (it != options_.link_bytes_per_ms.end()) return it->second;
-  }
-  return options_.bytes_per_ms;
-}
-
-Duration Simulation::SerializationDelay(NodeId from, NodeId to, int bytes) {
-  const double bw = BandwidthFor(from, to);
-  if (bw <= 0) return 0;  // This link is infinite-bandwidth.
+Duration Simulation::SerializationDelay(NodeId from, int bytes) {
   // The sender's egress port serializes one message at a time: this send
   // starts when the port next idles and holds it for bytes/bw. The charge
   // sticks even if the network then loses the message — the wire time was
   // spent either way.
   const Time start = egress_free_[from] > now_ ? egress_free_[from] : now_;
-  const auto ser = static_cast<Duration>(
-      std::ceil(static_cast<double>(bytes) * kMillisecond / bw));
+  const auto ser = static_cast<Duration>(std::ceil(
+      static_cast<double>(bytes) * kMillisecond / options_.bytes_per_ms));
   egress_free_[from] = start + ser;
   return egress_free_[from] - now_;
 }
@@ -357,9 +347,9 @@ void Simulation::SendMessage(NodeId from, NodeId to, MessagePtr msg) {
   const int bytes = msg->ByteSize();
   // Serialization is charged before the propagation draw so the egress
   // queue advances even for messages the network then loses.
-  const Duration ser = options_.HasBandwidth() && to != from
-                           ? SerializationDelay(from, to, bytes)
-                           : 0;
+  const Duration ser =
+      options_.HasBandwidth() && to != from ? SerializationDelay(from, bytes)
+                                            : 0;
   const Duration fd = fixed_delay_;
   const Duration delay =
       fd >= 0 ? (to == from ? 0 : fd) : DelayFor(from, to, msg, envelope_id);
@@ -410,7 +400,7 @@ void Simulation::MulticastMessage(NodeId from,
     // port in turn — a full-payload multicast pays n serializations, which
     // is exactly the cost erasure-coded assignment shrinks.
     const Duration ser =
-        has_bw && to != from ? SerializationDelay(from, to, bytes) : 0;
+        has_bw && to != from ? SerializationDelay(from, bytes) : 0;
     const Duration delay =
         fd >= 0 ? (to == from ? 0 : fd) : DelayFor(from, to, msg, envelope_id);
     ++admitted;  // Sent even if the network then loses it.

@@ -103,19 +103,14 @@ struct NetStats {
 /// serialization + propagation). The default (0) is an infinite-bandwidth
 /// network: no serialization charge, no egress queue, and — critically —
 /// no extra rng draws, so every pre-existing seeded run is bit-identical.
-/// `link_bytes_per_ms` overrides the rate for individual (from, to) links
-/// (0 in an override = infinite for that link).
 struct NetworkOptions {
   Duration min_delay = 1 * kMillisecond;
   Duration max_delay = 5 * kMillisecond;
   double drop_rate = 0.0;
   double bytes_per_ms = 0.0;  ///< 0 = infinite bandwidth (default).
-  std::map<std::pair<NodeId, NodeId>, double> link_bytes_per_ms;
 
   /// True when any serialization charge applies (the bandwidth model is on).
-  bool HasBandwidth() const {
-    return bytes_per_ms > 0 || !link_bytes_per_ms.empty();
-  }
+  bool HasBandwidth() const { return bytes_per_ms > 0; }
 };
 
 class Simulation;
@@ -548,8 +543,7 @@ class Simulation {
 
   void Register(std::unique_ptr<Process> p);
   bool LinkAllowed(NodeId from, NodeId to) const;
-  double BandwidthFor(NodeId from, NodeId to) const;
-  Duration SerializationDelay(NodeId from, NodeId to, int bytes);
+  Duration SerializationDelay(NodeId from, int bytes);
   Duration DefaultDelay(NodeId from, NodeId to);
   Duration DelayFor(NodeId from, NodeId to, const MessagePtr& msg,
                     uint64_t envelope_id);

@@ -323,11 +323,11 @@ TEST(PosTest, CoinAgeRequiresThirtyDays) {
   Rng rng(5);
   // Only the aged small account is eligible despite the big young stake.
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(SelectByCoinAge(accounts, CoinAgeOptions{}, &rng), 1);
+    EXPECT_EQ(SelectByCoinAge(accounts, &rng), 1);
   }
   // Nobody eligible -> -1.
   std::vector<StakeAccount> young = {{100, 0}, {50, 29}};
-  EXPECT_EQ(SelectByCoinAge(young, CoinAgeOptions{}, &rng), -1);
+  EXPECT_EQ(SelectByCoinAge(young, &rng), -1);
 }
 
 TEST(PosTest, CoinAgeSaturatesAtNinetyDays) {
@@ -336,14 +336,13 @@ TEST(PosTest, CoinAgeSaturatesAtNinetyDays) {
   Rng rng(5);
   std::map<int, int> wins;
   for (int i = 0; i < 20000; ++i) {
-    wins[SelectByCoinAge(accounts, CoinAgeOptions{}, &rng)]++;
+    wins[SelectByCoinAge(accounts, &rng)]++;
   }
   EXPECT_NEAR(wins[0] / 20000.0, 0.5, 0.02);
 }
 
 TEST(PosTest, SimulatorResetsWinnersAge) {
-  PosSimulator pos({{50, 40}, {50, 40}}, PosSimulator::Mode::kCoinAge,
-                   CoinAgeOptions{}, 3);
+  PosSimulator pos({{50, 40}, {50, 40}}, PosSimulator::Mode::kCoinAge, 3);
   int winner = pos.Step(10);
   ASSERT_GE(winner, 0);
   EXPECT_EQ(pos.accounts()[winner].age_days, 0);
@@ -356,8 +355,7 @@ TEST(PosTest, CoinAgeGivesSmallHoldersTurns) {
   // winner-age resets, a 10%-stake account ends up winning about as many
   // blocks as a 90%-stake whale — each win benches the winner for 30 days,
   // during which the other account's age (eventually) makes it win.
-  PosSimulator pos({{90, 30}, {10, 30}}, PosSimulator::Mode::kCoinAge,
-                   CoinAgeOptions{}, 9);
+  PosSimulator pos({{90, 30}, {10, 30}}, PosSimulator::Mode::kCoinAge, 9);
   int wins[2] = {0, 0};
   for (int day = 0; day < 3000; ++day) {
     int w = pos.Step(0);
@@ -368,8 +366,7 @@ TEST(PosTest, CoinAgeGivesSmallHoldersTurns) {
   EXPECT_GT(wins[1], wins[0] * 7 / 10);
 
   // Contrast: pure randomized selection IS stake-proportional.
-  PosSimulator rich({{90, 0}, {10, 0}}, PosSimulator::Mode::kRandomized,
-                    CoinAgeOptions{}, 9);
+  PosSimulator rich({{90, 0}, {10, 0}}, PosSimulator::Mode::kRandomized, 9);
   int rwins[2] = {0, 0};
   for (int day = 0; day < 3000; ++day) ++rwins[rich.Step(0)];
   EXPECT_LT(rwins[1], rwins[0]);

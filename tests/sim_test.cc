@@ -634,44 +634,6 @@ TEST(SimulationTest, MulticastPaysPerTargetSerializationAndExposesBacklog) {
   EXPECT_EQ(sim.EgressBacklog(sinks[0]->id()), 0);
 }
 
-/// Per-link overrides take precedence over the global rate, and links
-/// without bandwidth stay serialization-free even when others charge.
-TEST(SimulationTest, PerLinkBandwidthOverridesGlobalRate) {
-  NetworkOptions net;
-  net.min_delay = net.max_delay = 1 * kMillisecond;
-  net.bytes_per_ms = 100.0;
-  // Spawn order below fixes ids: sink 0, sink 1, sender 2. The sender's
-  // link to sink 0 runs at 500 B/ms; to sink 1 it keeps the global rate.
-  net.link_bytes_per_ms[{2, 0}] = 500.0;
-  auto sim_owner = Simulation::Builder(1).Network(net).AutoStart(false).Build();
-  Simulation& sim = *sim_owner;
-  BlobSink* fast_sink = sim.Spawn<BlobSink>();
-  BlobSink* slow_sink = sim.Spawn<BlobSink>();
-  class Sender : public Process {
-   public:
-    Sender(NodeId fast, NodeId slow) : fast_(fast), slow_(slow) {}
-    void OnMessage(NodeId, const Message&) override {}
-    void OnStart() override {
-      Send(fast_, std::make_shared<Blob>(500));
-      Send(slow_, std::make_shared<Blob>(500));
-    }
-
-   private:
-    NodeId fast_;
-    NodeId slow_;
-  };
-  sim.Spawn<Sender>(fast_sink->id(), slow_sink->id());
-  sim.Start();
-  sim.RunFor(1 * kSecond);
-  // 500 B at 500 B/ms = 1 ms serialization + 1 ms propagation.
-  ASSERT_EQ(fast_sink->arrivals.size(), 1u);
-  EXPECT_EQ(fast_sink->arrivals[0], 2 * kMillisecond);
-  // The slow blob queues behind the fast one on the SHARED egress port:
-  // it starts serializing at 1 ms, takes 5 ms, arrives at 7 ms.
-  ASSERT_EQ(slow_sink->arrivals.size(), 1u);
-  EXPECT_EQ(slow_sink->arrivals[0], 7 * kMillisecond);
-}
-
 /// The default configuration (no bandwidth) must replay the chaotic
 /// scenario byte-identically to an explicit zero rate: the bandwidth
 /// plumbing is inert unless enabled, so every pinned repro and bench

@@ -1,6 +1,6 @@
 // C1/C2 — safety-checker throughput: seeded fault-schedule exploration
 // rate per protocol adapter and its scaling across sweep workers
-// (src/check/parallel_sweep.h over common/thread_pool.h), plus the
+// (src/check/parallel_sweep.h over common/parallel_for.h), plus the
 // shrinker's cost on a known out-of-bounds violation.
 //
 // Results go to stdout and to BENCH_checker.json in the working directory
@@ -18,9 +18,8 @@
 #include "check/adapters.h"
 #include "check/checker.h"
 #include "check/parallel_sweep.h"
-#include "check/shrink.h"
+#include "common/parallel_for.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 
 using namespace consensus40;
 
@@ -48,12 +47,10 @@ struct ShrinkResult {
   int replays = 0;
   int snapped = 0;
   double wall_ms = 0;
-  bool parallel_matches = false;
-  std::string repro;
 };
 
 std::vector<int> WorkerCounts() {
-  std::vector<int> counts = {1, 2, 4, ThreadPool::Hardware()};
+  std::vector<int> counts = {1, 2, 4, HardwareConcurrency()};
   std::sort(counts.begin(), counts.end());
   counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
   return counts;
@@ -73,7 +70,7 @@ void WriteJson(const std::vector<std::pair<const char*, check::AdapterFactory>>&
                "  \"schedules_per_protocol\": %llu,\n"
                "  \"hardware_workers\": %d,\n  \"protocols\": [\n",
                static_cast<unsigned long long>(kSchedules),
-               ThreadPool::Hardware());
+               HardwareConcurrency());
   for (size_t p = 0; p < roster.size(); ++p) {
     std::fprintf(f, "    {\"name\": \"%s\", \"rates\": [", roster[p].first);
     for (size_t s = 0; s < scaling.size(); ++s) {
@@ -97,11 +94,10 @@ void WriteJson(const std::vector<std::pair<const char*, check::AdapterFactory>>&
   std::fprintf(f,
                "  ],\n  \"shrink\": {\"seed\": %llu, \"actions_before\": %zu, "
                "\"actions_after\": %zu, \"replays\": %d, \"snapped\": %d, "
-               "\"wall_ms\": %.1f, \"parallel_matches_serial\": %s}\n}\n",
+               "\"wall_ms\": %.1f}\n}\n",
                static_cast<unsigned long long>(shrink.seed),
                shrink.actions_before, shrink.actions_after, shrink.replays,
-               shrink.snapped, shrink.wall_ms,
-               shrink.parallel_matches ? "true" : "false");
+               shrink.snapped, shrink.wall_ms);
   std::fclose(f);
 }
 
@@ -119,17 +115,14 @@ int main() {
   std::vector<ScalingResult> scaling;
   std::vector<std::string> serial_reports(roster.size());
   for (int workers : counts) {
-    ThreadPool pool(workers);
     ScalingResult r;
     r.workers = workers;
     double total_s = 0;
     for (size_t p = 0; p < roster.size(); ++p) {
-      check::SweepOptions options;
-      options.seeds = kSchedules;
       const std::vector<std::pair<const char*, check::AdapterFactory>> one = {
           roster[p]};
       auto t0 = std::chrono::steady_clock::now();
-      check::SweepReport report = check::RunSweep(one, options, &pool);
+      check::SweepReport report = check::RunSweep(one, kSchedules, workers);
       const double s = Seconds(t0);
       total_s += s;
       r.per_protocol_rate.push_back(kSchedules / s);
@@ -170,8 +163,8 @@ int main() {
     for (size_t i = 0; i < counts.size(); ++i) {
       std::printf("%s%d", i ? "/" : "", counts[i]);
     }
-    std::printf("; %d hardware core%s) --\n",
-                ThreadPool::Hardware(), ThreadPool::Hardware() == 1 ? "" : "s");
+    std::printf("; %d hardware core%s) --\n", HardwareConcurrency(),
+                HardwareConcurrency() == 1 ? "" : "s");
     std::printf("%s\n", t.ToString().c_str());
     bool all_identical = true;
     for (const ScalingResult& s : scaling) all_identical &= s.report_identical;
@@ -183,50 +176,30 @@ int main() {
         "then evaluate every safety invariant.\n\n");
   }
 
-  // -- Shrinker cost on a real violation (Flexible Paxos, q1+q2<=n),
-  // including the canonicalization pass and the parallel-ddmin check.
+  // -- Shrinker cost on a real violation (Flexible Paxos, q1+q2<=n): the
+  // first violating seed, checked the way a sweep checks it, so the wall
+  // time covers its run, the ddmin and the canonicalization pass.
   ShrinkResult shrink;
   std::printf("-- shrinker cost on a real violation (Flexible Paxos, "
               "q1+q2<=n) --\n");
-  {
-    check::AdapterFactory factory = check::MakePaxosOutOfBoundsAdapter();
-    for (uint64_t seed = 1; seed <= 400; ++seed) {
-      check::FaultSchedule schedule;
-      check::RunResult r = check::RunSeed(factory, seed, &schedule);
-      if (!r.violated()) continue;
-      auto replay = [&](const check::FaultSchedule& candidate) {
-        return check::RunSchedule(factory, seed, candidate).violated();
-      };
-      const check::FaultBounds bounds = factory(seed)->bounds();
-      auto t0 = std::chrono::steady_clock::now();
-      check::ShrinkStats stats;
-      check::FaultSchedule min =
-          check::ShrinkSchedule(schedule, bounds, replay, 400, &stats);
-      min = check::CanonicalizeSchedule(std::move(min), bounds, replay, &stats);
-      shrink.wall_ms = Seconds(t0) * 1000.0;
-
-      check::ShrinkStats pstats;
-      ThreadPool pool(4);
-      check::FaultSchedule pmin =
-          check::ShrinkSchedule(schedule, bounds, replay, 400, &pstats, &pool);
-      pmin = check::CanonicalizeSchedule(std::move(pmin), bounds, replay,
-                                         &pstats);
-      shrink.parallel_matches = pmin.ToString() == min.ToString();
-
-      shrink.seed = seed;
-      shrink.actions_before = schedule.actions.size();
-      shrink.actions_after = min.actions.size();
-      shrink.replays = stats.runs;
-      shrink.snapped = stats.snapped;
-      shrink.repro = min.ToString();
-      std::printf(
-          "seed %llu: %zu actions -> %zu in %d replays (%.1f ms), "
-          "%d canonical snaps\n  %s\n  parallel ddmin identical: %s\n",
-          static_cast<unsigned long long>(seed), shrink.actions_before,
-          shrink.actions_after, stats.runs, shrink.wall_ms, stats.snapped,
-          min.ToString().c_str(), shrink.parallel_matches ? "yes" : "NO");
-      break;
-    }
+  const check::AdapterFactory factory = check::MakePaxosOutOfBoundsAdapter();
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    auto t0 = std::chrono::steady_clock::now();
+    const check::SeedCheck c = check::CheckSeed(factory, seed);
+    if (!c.result.violated()) continue;
+    shrink.wall_ms = Seconds(t0) * 1000.0;
+    shrink.seed = seed;
+    shrink.actions_before = c.schedule.actions.size();
+    shrink.actions_after = c.repro.actions.size();
+    shrink.replays = c.shrink.runs;
+    shrink.snapped = c.shrink.snapped;
+    std::printf(
+        "seed %llu: %zu actions -> %zu in %d replays (%.1f ms), "
+        "%d canonical snaps\n  %s\n",
+        static_cast<unsigned long long>(seed), shrink.actions_before,
+        shrink.actions_after, shrink.replays, shrink.wall_ms, shrink.snapped,
+        c.repro.ToString().c_str());
+    break;
   }
 
   WriteJson(roster, scaling, shrink);

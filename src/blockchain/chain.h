@@ -79,9 +79,6 @@ class BlockTree {
   Result<crypto::MerkleProof> ProveInclusion(
       const crypto::Digest& block_hash, const crypto::Digest& tx_hash) const;
 
-  /// Total number of blocks stored (including stale branches).
-  size_t TotalBlocks() const { return entries_.size(); }
-
   const ChainOptions& options() const { return options_; }
 
  private:

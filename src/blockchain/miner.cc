@@ -76,15 +76,6 @@ Block Miner::BuildBlock(const crypto::Digest& parent) {
   return block;
 }
 
-void Miner::PublishBlock(const Block& block) {
-  tree_.AddBlock(block);
-  mempool_.SyncWithChain(tree_);
-  auto msg = std::make_shared<BlockMsg>(block);
-  for (int peer = 0; peer < num_miners_; ++peer) {
-    if (peer != id()) Send(peer, msg);
-  }
-}
-
 void Miner::OnBlockFound() {
   Block block = BuildBlock(MiningParent());
   Status s = tree_.AddBlock(block);

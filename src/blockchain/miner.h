@@ -90,9 +90,6 @@ class Miner : public sim::Process {
   /// Builds a candidate block on `parent` with mempool transactions.
   Block BuildBlock(const crypto::Digest& parent);
 
-  /// Adds to the local tree and gossips to all peers.
-  void PublishBlock(const Block& block);
-
   /// (Re)schedules the Poisson mining clock against MiningParent().
   void ScheduleMining();
 

@@ -98,9 +98,6 @@ class CheapBftReplica : public smr::SignedReplica {
 
   CheapMode mode() const { return mode_; }
   int n() const { return 2 * options_.f + 1; }
-  bool IsActive() const {
-    return mode_ != CheapMode::kCheapTiny || id() <= options_.f;
-  }
   uint64_t executed() const { return executed_commands().size(); }
 
   void OnMessage(sim::NodeId from, const sim::Message& msg) override;

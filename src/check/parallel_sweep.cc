@@ -1,24 +1,11 @@
 #include "check/parallel_sweep.h"
 
-#include <utility>
-
-#include "check/shrink.h"
+#include "common/parallel_for.h"
 #include "common/table.h"
 
 namespace consensus40::check {
 
 namespace {
-
-/// Everything one (protocol, seed) task records. Slots are pre-sized and
-/// written by exactly one worker, then merged in index order — this is
-/// what makes the report independent of execution order.
-struct SeedOutcome {
-  bool violated = false;
-  bool completed = false;
-  uint32_t actions = 0;
-  std::vector<std::string> violations;
-  std::string repro;  ///< Formatted repro line; empty unless violated.
-};
 
 /// "agreement: instance 0: ..." -> "agreement".
 std::string InvariantFamily(const std::string& violation) {
@@ -64,46 +51,30 @@ std::string SweepReport::ToString() const {
   return s;
 }
 
+SeedCheck CheckSeed(const AdapterFactory& factory, uint64_t seed) {
+  SeedCheck c;
+  c.result = RunSeed(factory, seed, &c.schedule);
+  if (!c.result.violated()) return c;
+
+  auto replay = [&](const FaultSchedule& candidate) {
+    return RunSchedule(factory, seed, candidate).violated();
+  };
+  const FaultBounds bounds = factory(seed)->bounds();
+  c.repro = CanonicalizeSchedule(
+      ShrinkSchedule(c.schedule, bounds, replay, 400, &c.shrink), bounds,
+      replay, &c.shrink);
+  c.repro_line = "seed " + std::to_string(seed) + ": " +
+                 c.result.violations[0] + " | " + c.repro.ToString();
+  return c;
+}
+
 SweepReport RunSweep(
     const std::vector<std::pair<const char*, AdapterFactory>>& roster,
-    const SweepOptions& options, ThreadPool* pool) {
-  const uint64_t per_protocol = options.seeds;
-  const uint64_t total = roster.size() * per_protocol;
-  std::vector<SeedOutcome> outcomes(total);
-
-  auto task = [&](int /*worker*/, uint64_t idx) {
-    const size_t p = static_cast<size_t>(idx / per_protocol);
-    const uint64_t seed = 1 + idx % per_protocol;
-    const AdapterFactory& factory = roster[p].second;
-
-    FaultSchedule schedule;
-    RunResult r = RunSeed(factory, seed, &schedule);
-
-    SeedOutcome& o = outcomes[idx];
-    o.violated = r.violated();
-    o.completed = r.completed;
-    o.actions = static_cast<uint32_t>(schedule.actions.size());
-    o.violations = r.violations;
-    if (!r.violated()) return;
-
-    // The shrink replays run inside this task, so the pool's lanes stay
-    // busy with whole seeds; determinism of the result only needs the
-    // (factory, seed) pair.
-    auto replay = [&](const FaultSchedule& candidate) {
-      return RunSchedule(factory, seed, candidate).violated();
-    };
-    const FaultBounds bounds = factory(seed)->bounds();
-    const FaultSchedule repro = CanonicalizeSchedule(
-        ShrinkSchedule(schedule, bounds, replay), bounds, replay);
-    o.repro = "seed " + std::to_string(seed) + ": " + r.violations[0] +
-              " | " + repro.ToString();
-  };
-
-  if (pool != nullptr) {
-    pool->ParallelFor(total, task);
-  } else {
-    for (uint64_t i = 0; i < total; ++i) task(0, i);
-  }
+    uint64_t seeds, int workers) {
+  std::vector<SeedCheck> outcomes(roster.size() * seeds);
+  ParallelFor(workers, outcomes.size(), [&](uint64_t idx) {
+    outcomes[idx] = CheckSeed(roster[idx / seeds].second, 1 + idx % seeds);
+  });
 
   // Merge in roster-then-seed order: deterministic regardless of which
   // worker ran which slot.
@@ -112,17 +83,17 @@ SweepReport RunSweep(
   for (size_t p = 0; p < roster.size(); ++p) {
     ProtocolSweepResult& out = report.protocols[p];
     out.protocol = roster[p].first;
-    for (uint64_t k = 0; k < per_protocol; ++k) {
-      const SeedOutcome& o = outcomes[p * per_protocol + k];
+    for (uint64_t k = 0; k < seeds; ++k) {
+      const SeedCheck& o = outcomes[p * seeds + k];
       ++out.schedules;
-      out.actions += o.actions;
-      if (!o.completed) ++out.incomplete;
-      if (o.violated) {
+      out.actions += o.schedule.actions.size();
+      if (!o.result.completed) ++out.incomplete;
+      if (o.result.violated()) {
         ++out.violations;
-        for (const std::string& v : o.violations) {
+        for (const std::string& v : o.result.violations) {
           ++out.by_invariant[InvariantFamily(v)];
         }
-        out.repros.push_back(o.repro);
+        out.repros.push_back(o.repro_line);
       }
     }
   }

@@ -1,14 +1,14 @@
 /// \file
-/// Parallel fault-schedule sweep engine. Shards (adapter factory, seed)
-/// pairs across a work-stealing thread pool (common/thread_pool.h), runs
-/// each pair in its own Simulation on whichever worker picks it up, and
-/// merges the per-seed outcomes into a deterministic, seed-ordered report.
+/// Parallel fault-schedule sweep engine. Runs every (adapter factory,
+/// seed) pair of a roster on a plain parallel-for
+/// (common/parallel_for.h), each in its own Simulation, and merges the
+/// per-seed outcomes into a deterministic, seed-ordered report.
 ///
 /// Determinism contract: the merged SweepReport — including its exact
-/// ToString() rendering — is a pure function of (roster, SweepOptions).
-/// It is byte-identical whether the sweep ran on 1 worker or N, because
-/// every task writes into a pre-sized per-seed slot and the merge walks
-/// the slots in roster-then-seed order; nothing observable depends on
+/// ToString() rendering — is a pure function of (roster, seeds). It is
+/// byte-identical whether the sweep ran on 1 worker or N, because every
+/// pair writes into a pre-sized per-seed slot and the merge walks the
+/// slots in roster-then-seed order; nothing observable depends on
 /// execution order. This only holds because nothing in the simulator or
 /// checker path shares mutable state across Simulation instances (RNG,
 /// string interner, slab queues, key registries, and USIG counters are
@@ -19,7 +19,7 @@
 /// from several threads at once (one invocation per in-flight seed), so
 /// factories must be stateless or internally synchronized. Every factory
 /// in check/adapters.h is a lambda over immutable captures; the adapter
-/// instances they return are used by exactly one worker.
+/// instances they return are used by exactly one thread.
 
 #ifndef CONSENSUS40_CHECK_PARALLEL_SWEEP_H_
 #define CONSENSUS40_CHECK_PARALLEL_SWEEP_H_
@@ -31,14 +31,26 @@
 #include <vector>
 
 #include "check/checker.h"
-#include "common/thread_pool.h"
+#include "check/shrink.h"
 
 namespace consensus40::check {
 
-struct SweepOptions {
-  /// Seeds swept per protocol: [1, seeds].
-  uint64_t seeds = 200;
+/// One seed checked the way a sweep checks it.
+struct SeedCheck {
+  FaultSchedule schedule;  ///< Generated from the seed and the bounds.
+  RunResult result;        ///< The run under `schedule`.
+  /// The rest is filled only when the run violated: `schedule` ddmin-shrunk
+  /// and canonicalized (shrink.h), what that cost, and the report line
+  ///   "seed 7: agreement: ... | schedule --seed=7: [ ... ]".
+  FaultSchedule repro;
+  ShrinkStats shrink;
+  std::string repro_line;
 };
+
+/// Runs `seed`'s generated schedule and, if any invariant broke, shrinks
+/// and canonicalizes it into a minimal, stable repro. Deterministic in
+/// (factory behaviour, seed); safe to call from several threads at once.
+SeedCheck CheckSeed(const AdapterFactory& factory, uint64_t seed);
 
 /// Per-protocol slice of a sweep, merged in seed order.
 struct ProtocolSweepResult {
@@ -50,10 +62,7 @@ struct ProtocolSweepResult {
   /// Violation count per invariant family — the text before the first
   /// ':' of each violation line ("agreement", "prefix", "liveness", ...).
   std::map<std::string, uint64_t> by_invariant;
-  /// One line per violating seed, in seed order:
-  ///   "seed 7: agreement: ... | schedule --seed=7: [ ... ]"
-  /// The schedule is ddmin-shrunk and canonicalized (shrink.h), so the
-  /// report carries a minimal, stable repro.
+  /// SeedCheck::repro_line of each violating seed, in seed order.
   std::vector<std::string> repros;
 };
 
@@ -64,16 +73,16 @@ struct SweepReport {
   uint64_t total_violations() const;
 
   /// Deterministic rendering: protocol table plus every repro line.
-  /// Byte-identical across worker counts for the same (roster, options).
+  /// Byte-identical across worker counts for the same (roster, seeds).
   std::string ToString() const;
 };
 
-/// Sweeps every (factory, seed) pair of the roster. `pool` may be null
-/// (or single-worker), which runs the identical code path inline — the
-/// serial reference the equivalence tests compare against.
+/// Runs CheckSeed for every factory of the roster and seeds [1, seeds]
+/// on `workers` threads; `workers` <= 1 is the serial loop the
+/// equivalence tests compare against.
 SweepReport RunSweep(
     const std::vector<std::pair<const char*, AdapterFactory>>& roster,
-    const SweepOptions& options, ThreadPool* pool = nullptr);
+    uint64_t seeds, int workers);
 
 }  // namespace consensus40::check
 

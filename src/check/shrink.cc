@@ -1,89 +1,41 @@
 #include "check/shrink.h"
 
 #include <algorithm>
-#include <vector>
-
-#include "common/thread_pool.h"
 
 namespace consensus40::check {
 
 FaultSchedule ShrinkSchedule(FaultSchedule schedule, const FaultBounds& bounds,
                              const ScheduleTestFn& still_violates,
-                             int max_runs, ShrinkStats* stats,
-                             ThreadPool* pool) {
+                             int max_runs, ShrinkStats* stats) {
   ShrinkStats local;
   ShrinkStats* st = stats != nullptr ? stats : &local;
-  st->runs = 0;
-  st->removed = 0;
-  st->snapped = 0;
-  st->speculative = 0;
+  *st = ShrinkStats{};
 
   // Idempotent on generator output; repairs hand-built inputs up front so
   // the invariant "current schedule is closed-world" holds from run one.
   schedule = RestoreScheduleTail(std::move(schedule), bounds);
-
-  const size_t width =
-      pool != nullptr ? static_cast<size_t>(pool->workers()) : 1;
 
   size_t chunk = std::max<size_t>(1, schedule.actions.size() / 2);
   while (!schedule.actions.empty() && st->runs < max_runs) {
     bool removed_any = false;
     for (size_t start = 0;
          start < schedule.actions.size() && st->runs < max_runs;) {
-      // Speculative batch: the next `width` deletion candidates along the
-      // scan, all built against the current schedule. The serial scan
-      // would evaluate them in this exact order as long as none hits.
-      std::vector<size_t> starts;
-      for (size_t s = start; s < schedule.actions.size() &&
-                             starts.size() < width;
-           s += chunk) {
-        starts.push_back(s);
+      const size_t end = std::min(start + chunk, schedule.actions.size());
+      FaultSchedule c = schedule;
+      c.actions.erase(c.actions.begin() + start, c.actions.begin() + end);
+      c = RestoreScheduleTail(std::move(c), bounds);
+      ++st->runs;
+      // A deletion the repair fully re-appends (e.g. removing the tail
+      // heal) cannot shrink the schedule; skip the replay.
+      if (c.actions.size() < schedule.actions.size() && still_violates(c)) {
+        // Net of anything the tail repair re-appended.
+        st->removed +=
+            static_cast<int>(schedule.actions.size() - c.actions.size());
+        schedule = std::move(c);
+        removed_any = true;
+        continue;  // Do not advance: the next chunk slid into `start`.
       }
-      std::vector<FaultSchedule> candidates(starts.size());
-      std::vector<char> hits(starts.size(), 0);
-      auto evaluate = [&](int, uint64_t k) {
-        FaultSchedule c = schedule;
-        const size_t s = starts[k];
-        const size_t e = std::min(s + chunk, schedule.actions.size());
-        c.actions.erase(c.actions.begin() + s, c.actions.begin() + e);
-        c = RestoreScheduleTail(std::move(c), bounds);
-        // A deletion the repair fully re-appends (e.g. removing the tail
-        // heal) cannot shrink the schedule; skip the replay.
-        hits[k] = c.actions.size() < schedule.actions.size() &&
-                          still_violates(c)
-                      ? 1
-                      : 0;
-        candidates[k] = std::move(c);
-      };
-      if (pool != nullptr && starts.size() > 1) {
-        pool->ParallelFor(starts.size(), evaluate);
-      } else {
-        for (size_t k = 0; k < starts.size(); ++k) evaluate(0, k);
-      }
-
-      // Commit in scan order, keeping only the first hit: the committed
-      // decision sequence is byte-identical to the serial scan; whatever
-      // was evaluated past the hit (or past the budget) is discarded
-      // speculation.
-      size_t committed = 0;
-      for (size_t k = 0; k < starts.size() && st->runs < max_runs; ++k) {
-        ++st->runs;
-        ++committed;
-        const size_t end =
-            std::min(starts[k] + chunk, schedule.actions.size());
-        if (hits[k]) {
-          // Net of anything the tail repair re-appended.
-          st->removed += static_cast<int>(schedule.actions.size() -
-                                          candidates[k].actions.size());
-          schedule = std::move(candidates[k]);
-          removed_any = true;
-          // Do not advance: the next chunk slid into `starts[k]`.
-          start = starts[k];
-          break;
-        }
-        start = end;
-      }
-      st->speculative += static_cast<int>(starts.size() - committed);
+      start = end;
     }
     if (!removed_any) {
       if (chunk == 1) break;

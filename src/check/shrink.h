@@ -14,26 +14,18 @@
 
 #include "check/fault_schedule.h"
 
-namespace consensus40 {
-class ThreadPool;
-}
-
 namespace consensus40::check {
 
 /// Returns true if the candidate schedule still exhibits the violation.
 /// Must be deterministic (re-running the same candidate gives the same
 /// answer) — which the simulator guarantees as long as the test replays
-/// with the same seed — and, when a pool is passed to ShrinkSchedule,
-/// safe to invoke from several threads at once (each invocation runs its
-/// own Simulation, so the stock RunSchedule-based closures qualify).
+/// with the same seed.
 using ScheduleTestFn = std::function<bool(const FaultSchedule&)>;
 
 struct ShrinkStats {
-  int runs = 0;         ///< Candidate schedules evaluated (committed).
-  int removed = 0;      ///< Actions shrunk away.
-  int snapped = 0;      ///< Canonicalization edits accepted.
-  int speculative = 0;  ///< Parallel-only: evaluations discarded because an
-                        ///< earlier candidate in the batch already hit.
+  int runs = 0;     ///< Candidate schedules evaluated.
+  int removed = 0;  ///< Actions shrunk away.
+  int snapped = 0;  ///< Canonicalization edits accepted.
 };
 
 /// ddmin-style greedy minimization: repeatedly tries to delete chunks of
@@ -49,18 +41,10 @@ struct ShrinkStats {
 /// cluster can never finish behind a permanent partition — and the
 /// printed repro would mask the real bug. A deletion whose repair merely
 /// re-appends what was deleted is rejected without a replay (it cannot
-/// shrink the schedule).
-///
-/// With a `pool`, candidate evaluation is speculative: up to workers()
-/// deletion candidates are evaluated concurrently against the current
-/// schedule, then committed in scan order, keeping only the first hit.
-/// The committed decision sequence — and therefore the result, and
-/// `stats->runs` — is byte-identical to the serial scan; discarded
-/// evaluations are tallied in `stats->speculative` instead.
+/// shrink the schedule), but still counts against `max_runs`.
 FaultSchedule ShrinkSchedule(FaultSchedule schedule, const FaultBounds& bounds,
                              const ScheduleTestFn& still_violates,
-                             int max_runs = 400, ShrinkStats* stats = nullptr,
-                             ThreadPool* pool = nullptr);
+                             int max_runs = 400, ShrinkStats* stats = nullptr);
 
 /// Canonicalization pass, run after ddmin: for each surviving action,
 /// zero its generator-drawn `aux` randomness and snap its time to the

@@ -23,6 +23,8 @@ constexpr sim::Duration kBacklogLow = 500 * sim::kMicrosecond;
 constexpr sim::Duration kStallTimeout = 60 * sim::kMillisecond;
 /// Follower-side reconstruction: base retry cadence for shard pulls.
 constexpr sim::Duration kReconstructRetry = 25 * sim::kMillisecond;
+/// c under Mode::kFixedRs: one shard per acceptor (k = majority >= 1).
+constexpr int kFixedRsShards = 1;
 
 }  // namespace
 
@@ -191,7 +193,7 @@ int CrosswordReplica::ChooseShards(int payload) {
     case CrosswordOptions::Mode::kFullCopy:
       return k_;
     case CrosswordOptions::Mode::kFixedRs:
-      return std::clamp(options_.fixed_shards, 1, k_);
+      return kFixedRsShards;
     case CrosswordOptions::Mode::kAdaptive:
       break;
   }

@@ -46,11 +46,9 @@ struct CrosswordOptions {
 
   /// Assignment policy. kAdaptive slides c per slot on the smoothed
   /// payload size and egress backlog; the fixed modes pin it (the
-  /// bench's baselines).
+  /// bench's baselines): kFullCopy at c = k, kFixedRs at c = 1.
   enum class Mode { kAdaptive, kFullCopy, kFixedRs };
   Mode mode = Mode::kAdaptive;
-  /// c for kFixedRs (clamped to [1, k]).
-  int fixed_shards = 1;
 
   /// OUT OF BOUNDS: commit at a bare majority regardless of c. Under
   /// c < k a chosen entry may live on acceptors jointly holding fewer

@@ -58,14 +58,12 @@ class CrosswordGroup : public consensus::LogReplicaGroup<CrosswordReplica> {
         break;
       case Variant::kRs:
         options.mode = CrosswordOptions::Mode::kFixedRs;
-        options.fixed_shards = 1;
         break;
       case Variant::kFull:
         options.mode = CrosswordOptions::Mode::kFullCopy;
         break;
       case Variant::kUnsafe:
         options.mode = CrosswordOptions::Mode::kFixedRs;
-        options.fixed_shards = 1;
         options.unsafe_majority_quorum = true;
         break;
     }

@@ -297,8 +297,9 @@ void ShardMover::OnDecisionResult(uint64_t seq, const std::string& result) {
       }
       if (sub_ == 1) {
         // Resume: base table for the claimed epoch.
-        std::optional<RoutingTable> t = RoutingTable::Decode(result);
-        if (!t.has_value() || !t->WithinGroups(owner_->total_groups())) {
+        std::optional<RoutingTable> t =
+            RoutingTable::Decode(result, owner_->total_groups());
+        if (!t.has_value()) {
           Reject("resume: missing base table");
           return;
         }
@@ -331,8 +332,9 @@ void ShardMover::OnDecisionResult(uint64_t seq, const std::string& result) {
       return;
 
     case Step::kCheckFlipped: {
-      std::optional<RoutingTable> t = RoutingTable::Decode(result);
-      if (t.has_value() && t->WithinGroups(owner_->total_groups())) {
+      std::optional<RoutingTable> t =
+          RoutingTable::Decode(result, owner_->total_groups());
+      if (t.has_value()) {
         new_table_ = *t;
         GoUnfreeze();
         return;
@@ -379,8 +381,9 @@ void ShardMover::OnDecisionResult(uint64_t seq, const std::string& result) {
         // Epoch collision: someone published this epoch first. Re-base
         // and retry — the single-mover design makes this a stale-base
         // case (e.g. a restarted mover claiming against an old table).
-        std::optional<RoutingTable> t = RoutingTable::Decode(result);
-        if (!t.has_value() || !t->WithinGroups(owner_->total_groups())) {
+        std::optional<RoutingTable> t =
+            RoutingTable::Decode(result, owner_->total_groups());
+        if (!t.has_value()) {
           Reject("flip: unparseable table at epoch");
           return;
         }

@@ -1,7 +1,6 @@
 #include "shard/routing.h"
 
 #include <algorithm>
-#include <limits>
 #include <string_view>
 
 #include "smr/command.h"
@@ -47,14 +46,6 @@ int RoutingTable::GroupForKey(const std::string& key) const {
   return GroupFor(smr::KeyHash(key));
 }
 
-void RoutingTable::RangeFor(uint64_t h, uint64_t* lo, uint64_t* hi) const {
-  auto it = std::upper_bound(
-      entries_.begin(), entries_.end(), h,
-      [](uint64_t v, const Entry& e) { return v < e.lo; });
-  *hi = it == entries_.end() ? 0 : it->lo;
-  *lo = std::prev(it)->lo;
-}
-
 bool RoutingTable::SoleOwner(uint64_t lo, uint64_t hi, int* owner) const {
   if (hi != 0 && hi <= lo) return false;
   int g = GroupFor(lo);
@@ -98,7 +89,8 @@ std::string RoutingTable::Encode() const {
   return out;
 }
 
-std::optional<RoutingTable> RoutingTable::Decode(const std::string& encoded) {
+std::optional<RoutingTable> RoutingTable::Decode(const std::string& encoded,
+                                                 int total_groups) {
   const std::string_view s = encoded;
   if (s.empty() || s[0] != 'e') return std::nullopt;
   size_t bar = s.find('|');
@@ -113,13 +105,10 @@ std::optional<RoutingTable> RoutingTable::Decode(const std::string& encoded) {
     size_t comma = s.find(',', colon);
     if (comma == std::string_view::npos) comma = s.size();
     Entry e;
-    // The group token must parse in full and be a non-negative int:
-    // adopters index per-group arrays with it, so a torn or corrupt
-    // record must fail decoding, not become an out-of-bounds access.
     uint64_t group = 0;
     if (!smr::ParseU64(s.substr(pos, colon - pos), &e.lo, 16) ||
         !smr::ParseU64(s.substr(colon + 1, comma - colon - 1), &group) ||
-        group > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+        group >= static_cast<uint64_t>(std::max(total_groups, 0))) {
       return std::nullopt;
     }
     e.group = static_cast<int>(group);
@@ -139,13 +128,6 @@ std::optional<RoutingTable> RoutingTable::Decode(const std::string& encoded) {
 bool RoutingTable::MaybeAdopt(const RoutingTable& other) {
   if (other.epoch_ <= epoch_) return false;
   *this = other;
-  return true;
-}
-
-bool RoutingTable::WithinGroups(int total_groups) const {
-  for (const Entry& e : entries_) {
-    if (e.group < 0 || e.group >= total_groups) return false;
-  }
   return true;
 }
 

@@ -41,10 +41,6 @@ class RoutingTable {
   /// The group owning `key` (FNV-1a of the key).
   int GroupForKey(const std::string& key) const;
 
-  /// The [lo, hi) bounds (hi == 0 means 2^64) of the range containing
-  /// hash `h`.
-  void RangeFor(uint64_t h, uint64_t* lo, uint64_t* hi) const;
-
   /// True if [lo, hi) (hi == 0 means 2^64) is wholly owned by one group,
   /// returned in *owner. A move may only claim such a range.
   bool SoleOwner(uint64_t lo, uint64_t hi, int* owner) const;
@@ -59,16 +55,17 @@ class RoutingTable {
   /// Whitespace-free wire form "e<epoch>|<lo_hex>:<group>,..." — safe to
   /// store as a KvStore value and to carry in redirect replies.
   std::string Encode() const;
-  static std::optional<RoutingTable> Decode(const std::string& encoded);
+
+  /// The table `encoded` holds, if it is exactly what Encode writes and
+  /// every entry names a group in [0, total_groups). Adopters index
+  /// per-group arrays (clients, TMs, shard groups) with the entries, so a
+  /// torn record or one naming a nonexistent group must fail here, not
+  /// become an out-of-bounds access.
+  static std::optional<RoutingTable> Decode(const std::string& encoded,
+                                            int total_groups);
 
   /// Adopts `other` if it is strictly newer; returns true on adoption.
   bool MaybeAdopt(const RoutingTable& other);
-
-  /// True if every entry's group is a valid index below `total_groups`.
-  /// Adoption sites check this before trusting a decoded table: entries
-  /// index per-group arrays (clients, TMs, shard groups), so a record
-  /// naming a nonexistent group must be dropped, not indexed with.
-  bool WithinGroups(int total_groups) const;
 
   uint64_t epoch() const { return epoch_; }
   const std::vector<Entry>& entries() const { return entries_; }

@@ -34,24 +34,6 @@ std::string PrepareKey(uint64_t tx_id) {
   return "__p." + std::to_string(tx_id);
 }
 
-const char* TxAbortReasonName(TxAbortReason reason) {
-  switch (reason) {
-    case TxAbortReason::kNone:
-      return "none";
-    case TxAbortReason::kLockConflict:
-      return "lock-conflict";
-    case TxAbortReason::kFrozenRange:
-      return "frozen-range";
-    case TxAbortReason::kCasMismatch:
-      return "cas-mismatch";
-    case TxAbortReason::kMoved:
-      return "moved";
-    case TxAbortReason::kDecisionTimeout:
-      return "decision-timeout";
-  }
-  return "unknown";
-}
-
 // ---------------------------------------------------------------------------
 // TxManager
 // ---------------------------------------------------------------------------
@@ -126,8 +108,9 @@ void TxManager::ArmNudge(const std::string& move_id) {
 }
 
 void TxManager::OnMoveInstall(sim::NodeId from, const MoveInstallMsg& m) {
-  std::optional<RoutingTable> t = RoutingTable::Decode(m.table);
-  if (t.has_value() && t->WithinGroups(owner_->total_groups())) {
+  std::optional<RoutingTable> t =
+      RoutingTable::Decode(m.table, owner_->total_groups());
+  if (t.has_value()) {
     if (!table_.MaybeAdopt(*t) && m.force && t->epoch() == table_.epoch()) {
       // A mover standing down at the flip pushes the ESTABLISHED table,
       // which replaces the same-epoch table its losing pre-flip install
@@ -142,8 +125,9 @@ void TxManager::OnMoveInstall(sim::NodeId from, const MoveInstallMsg& m) {
 }
 
 void TxManager::OnMoveUnfreeze(sim::NodeId from, const MoveUnfreezeMsg& m) {
-  if (std::optional<RoutingTable> t = RoutingTable::Decode(m.table)) {
-    if (t->WithinGroups(owner_->total_groups())) table_.MaybeAdopt(*t);
+  if (std::optional<RoutingTable> t =
+          RoutingTable::Decode(m.table, owner_->total_groups())) {
+    table_.MaybeAdopt(*t);
   }
   auto it = frozen_.find(m.move_id);
   if (it != frozen_.end()) {
@@ -617,8 +601,9 @@ void TxCoordinator::OnMessage(sim::NodeId from, const sim::Message& msg) {
     // A TM refused a key we routed to it: adopt its (newer) table, then
     // abort the transaction — never split it across routing epochs. The
     // client's retry re-splits against the adopted table.
-    if (std::optional<RoutingTable> t = RoutingTable::Decode(m->table)) {
-      if (t->WithinGroups(owner_->total_groups())) table_.MaybeAdopt(*t);
+    if (std::optional<RoutingTable> t =
+            RoutingTable::Decode(m->table, owner_->total_groups())) {
+      table_.MaybeAdopt(*t);
     }
     auto it = txs_.find(m->tx_id);
     if (it == txs_.end()) return;
@@ -667,8 +652,9 @@ void TxCoordinator::OnDecisionResult(uint64_t seq, const std::string& result) {
     uint64_t epoch = rt_it->second;
     rt_seq_epoch_.erase(rt_it);
     rt_epochs_inflight_.erase(epoch);
-    std::optional<RoutingTable> t = RoutingTable::Decode(result);
-    if (t.has_value() && t->WithinGroups(owner_->total_groups())) {
+    std::optional<RoutingTable> t =
+        RoutingTable::Decode(result, owner_->total_groups());
+    if (t.has_value()) {
       table_.MaybeAdopt(*t);
       RestartParkedSnapshots();
       return;
@@ -962,15 +948,6 @@ consensus::GroupClient* ShardedStateMachine::snapshot_client(int group) {
     snapshot_clients_[group] = client;
   }
   return snapshot_clients_[group];
-}
-
-std::vector<sim::NodeId> ShardedStateMachine::ConsensusNodes() const {
-  std::vector<sim::NodeId> nodes;
-  for (const auto& group : shard_groups_) {
-    for (sim::NodeId id : group->members()) nodes.push_back(id);
-  }
-  for (sim::NodeId id : decision_group_->members()) nodes.push_back(id);
-  return nodes;
 }
 
 void ShardedStateMachine::Probe() {

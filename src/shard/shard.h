@@ -108,7 +108,6 @@ enum class TxAbortReason : uint8_t {
   kMoved = 4,         ///< Routed by a stale epoch; a retry re-splits.
   kDecisionTimeout = 5,  ///< Votes missing at the deadline; presumed abort.
 };
-const char* TxAbortReasonName(TxAbortReason reason);
 
 /// One evaluated read of a committed transaction, keyed by the op's
 /// position in the BeginTx op list. `found == false` means the key had
@@ -516,9 +515,6 @@ class ShardedStateMachine {
   const consensus::ReplicaGroup* decision_group() const {
     return decision_group_.get();
   }
-  /// Every consensus node id, shard groups then decision group — the
-  /// crash/partition surface for fault injection.
-  std::vector<sim::NodeId> ConsensusNodes() const;
   /// Replica ids of one shard group (for targeted partitions).
   const std::vector<sim::NodeId>& ShardMembers(int shard) const {
     return shard_groups_[shard]->members();

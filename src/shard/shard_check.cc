@@ -416,7 +416,9 @@ class ShardScenarioAdapter : public ProtocolAdapter {
     for (uint64_t e = 2; e <= 8; ++e) {
       auto rt = decisions.Get(shard::RoutingTable::RtKey(e));
       if (!rt.has_value()) break;
-      if (auto t = shard::RoutingTable::Decode(*rt)) table.MaybeAdopt(*t);
+      if (auto t = shard::RoutingTable::Decode(*rt, ssm_->total_groups())) {
+        table.MaybeAdopt(*t);
+      }
     }
 
     std::vector<smr::KvStore> kvs;

@@ -230,9 +230,8 @@ void WorkloadDriver::OnRtResult(uint64_t seq, const std::string& result) {
   if (it == rt_fetches_.end()) return;
   uint64_t epoch = it->second;
   rt_fetches_.erase(it);
-  std::optional<RoutingTable> t;
-  if (result != "NIL") t = RoutingTable::Decode(result);
-  if (t.has_value() && !t->WithinGroups(ssm_->total_groups())) t.reset();
+  std::optional<RoutingTable> t =
+      RoutingTable::Decode(result, ssm_->total_groups());
   if (!t.has_value()) {
     // Fence observed before the flip record landed (the fence commits one
     // phase earlier in the move ladder), or a torn record: retry shortly.

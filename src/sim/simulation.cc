@@ -235,13 +235,6 @@ void Simulation::BlockLink(NodeId from, NodeId to) {
   topology_restricted_ = true;
 }
 
-void Simulation::UnblockLink(NodeId from, NodeId to) {
-  const auto link = std::make_pair(from, to);
-  auto it = std::lower_bound(blocked_links_.begin(), blocked_links_.end(), link);
-  if (it != blocked_links_.end() && *it == link) blocked_links_.erase(it);
-  topology_restricted_ = !blocked_links_.empty() || !partition_group_.empty();
-}
-
 bool Simulation::LinkAllowed(NodeId from, NodeId to) const {
   if (!topology_restricted_) return true;
   if (!blocked_links_.empty() &&

@@ -293,9 +293,8 @@ class Simulation {
   /// Removes any partition.
   void Heal();
 
-  /// Blocks / unblocks a directed link independent of partitions.
+  /// Blocks a directed link independent of partitions.
   void BlockLink(NodeId from, NodeId to);
-  void UnblockLink(NodeId from, NodeId to);
 
   /// Overrides the delay model. The function returns the delivery delay for
   /// an envelope, or a negative value to drop it. Pass nullptr to restore
@@ -384,12 +383,6 @@ class Simulation {
       return *this;
     }
 
-    /// Adversarial delay model (see SetDelayFn).
-    Builder& DelayModel(DelayFn fn) {
-      delay_fn_ = std::move(fn);
-      return *this;
-    }
-
     /// Message-flow trace hook (see SetTraceFn).
     Builder& Trace(TraceFn fn) {
       trace_fn_ = std::move(fn);
@@ -421,7 +414,6 @@ class Simulation {
     std::unique_ptr<Simulation> Build() {
       // make_unique can't reach the private constructor; Builder can.
       auto sim = std::unique_ptr<Simulation>(new Simulation(seed_, options_));
-      if (delay_fn_) sim->SetDelayFn(delay_fn_);
       if (trace_fn_) sim->SetTraceFn(trace_fn_);
       for (auto& fn : setup_) fn(*sim);
       for (auto& [t, fn] : at_) {
@@ -435,7 +427,6 @@ class Simulation {
    private:
     uint64_t seed_;
     NetworkOptions options_;
-    DelayFn delay_fn_;
     TraceFn trace_fn_;
     std::vector<std::function<void(Simulation&)>> setup_;
     std::vector<std::pair<Time, std::function<void(Simulation&)>>> at_;

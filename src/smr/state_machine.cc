@@ -356,7 +356,7 @@ const std::string kDiscardedResult;
 
 }  // namespace
 
-std::string DedupingExecutor::Apply(StateMachine* sm, const Command& cmd) {
+std::string DedupingExecutor::Apply(KvStore* kv, const Command& cmd) {
   Session& s = sessions_[cmd.client];
   // Piggybacked cumulative ack: the client consumed every reply up to
   // cmd.acked, so those results are unreachable and can be discarded.
@@ -374,7 +374,7 @@ std::string DedupingExecutor::Apply(StateMachine* sm, const Command& cmd) {
   }
   auto it = s.above.find(cmd.client_seq);
   if (it != s.above.end()) return it->second;  // Duplicate: exact result.
-  std::string result = sm->Apply(cmd);
+  std::string result = kv->Apply(cmd);
   s.above[cmd.client_seq] = result;
   return result;
 }
@@ -390,16 +390,16 @@ const std::string* DedupingExecutor::Lookup(int32_t client,
 }
 
 std::vector<std::string> ReplicatedLog::ApplyCommitted(
-    StateMachine* sm, DedupingExecutor* dedup) {
+    KvStore* kv, DedupingExecutor* dedup) {
   std::vector<std::string> outputs;
-  ApplyCommitted(sm, dedup,
+  ApplyCommitted(kv, dedup,
                  [&outputs](uint64_t, const Command&, const std::string& out) {
                    outputs.push_back(out);
                  });
   return outputs;
 }
 
-void ApplyLogEntry(uint64_t index, const Command& entry, StateMachine* sm,
+void ApplyLogEntry(uint64_t index, const Command& entry, KvStore* kv,
                    DedupingExecutor* dedup, const ReplicatedLog::ApplyFn& fn,
                    std::vector<std::string>* violations) {
   // A no-op is protocol-internal filler (a leader's term-start entry, or a
@@ -420,19 +420,19 @@ void ApplyLogEntry(uint64_t index, const Command& entry, StateMachine* sm,
   }
   for (const Command& sub : subs) {
     std::string result =
-        dedup != nullptr ? dedup->Apply(sm, sub) : sm->Apply(sub);
+        dedup != nullptr ? dedup->Apply(kv, sub) : kv->Apply(sub);
     if (fn) fn(index, sub, result);
   }
 }
 
-void ReplicatedLog::ApplyCommitted(StateMachine* sm, DedupingExecutor* dedup,
+void ReplicatedLog::ApplyCommitted(KvStore* kv, DedupingExecutor* dedup,
                                    const ApplyFn& fn) {
   while (applied_frontier_ < commit_frontier_) {
     const Command* cmd = Get(applied_frontier_);
     if (cmd == nullptr) break;  // Gap: cannot apply past it yet.
     // The cursor advances past a malformed batch too: wedging there would
     // livelock.
-    ApplyLogEntry(applied_frontier_, *cmd, sm, dedup, fn, &violations_);
+    ApplyLogEntry(applied_frontier_, *cmd, kv, dedup, fn, &violations_);
     ++applied_frontier_;
   }
 }

@@ -16,22 +16,10 @@
 
 namespace consensus40::smr {
 
-/// Deterministic state machine interface: the paper's "add jmp mov shl"
-/// boxes. Replicas apply the same commands in the same order and must
-/// produce identical states and outputs.
-class StateMachine {
- public:
-  virtual ~StateMachine() = default;
-
-  /// Applies one command and returns its output.
-  virtual std::string Apply(const Command& cmd) = 0;
-
-  /// Digest of the full current state, used by checkpointing (PBFT) and by
-  /// the test suite's replica-equivalence checks.
-  virtual crypto::Digest StateDigest() const = 0;
-};
-
-/// An in-memory key-value store understanding:
+/// The replicated state machine: the paper's "add jmp mov shl" boxes.
+/// Replicas apply the same commands in the same order and must produce
+/// identical states and outputs. An in-memory key-value store
+/// understanding:
 ///   "PUT <key> <value>"          -> "OK"
 ///   "GET <key>"                  -> value or "NIL"
 ///   "DEL <key>"                  -> "OK" or "NIL"
@@ -74,7 +62,7 @@ class StateMachine {
 /// which is all a fence check reads. Whatever exposes key order —
 /// StateDigest and the MIGRATE payload — sorts on the way out, so both
 /// stay in the byte order of one ordered map over every key.
-class KvStore : public StateMachine {
+class KvStore {
  public:
   /// Hashes std::string and std::string_view alike (heterogeneous
   /// lookup).
@@ -95,8 +83,12 @@ class KvStore : public StateMachine {
     RangeTable ranges;  ///< "__disown." and "__own." records.
   };
 
-  std::string Apply(const Command& cmd) override;
-  crypto::Digest StateDigest() const override;
+  /// Applies one command and returns its output.
+  std::string Apply(const Command& cmd);
+
+  /// Digest of the full current state, used by checkpointing (PBFT) and by
+  /// the test suite's replica-equivalence checks.
+  crypto::Digest StateDigest() const;
 
   /// Direct read access for tests.
   std::optional<std::string> Get(std::string_view key) const;
@@ -160,9 +152,9 @@ class DedupingExecutor {
     std::map<uint64_t, std::string> above;
   };
 
-  /// Applies `cmd` to `sm` unless this (client, client_seq) was already
+  /// Applies `cmd` to `kv` unless this (client, client_seq) was already
   /// executed, in which case the cached result is returned.
-  std::string Apply(StateMachine* sm, const Command& cmd);
+  std::string Apply(KvStore* kv, const Command& cmd);
 
   /// Cached result of an already-executed (client, seq), or nullptr.
   /// Leaders use this as the duplicate-request fast path. Seqs at or
@@ -209,13 +201,13 @@ class ReplicatedLog {
   /// Largest occupied index + 1, or start() when empty.
   uint64_t Size() const;
 
-  /// Applies newly committed, contiguous commands to `sm` starting at the
+  /// Applies newly committed, contiguous commands to `kv` starting at the
   /// apply cursor; returns outputs in order. With a non-null `dedup`,
   /// duplicate client commands are skipped (their cached result is
   /// returned in place of re-execution). Batch entries are flattened, so
   /// outputs align with slots only in batch-free logs; batch-cutting
   /// protocols use the callback overload below.
-  std::vector<std::string> ApplyCommitted(StateMachine* sm,
+  std::vector<std::string> ApplyCommitted(KvStore* kv,
                                           DedupingExecutor* dedup = nullptr);
 
   /// Callback form: invokes `fn(slot_index, cmd, result)` once per applied
@@ -223,7 +215,7 @@ class ReplicatedLog {
   /// sub-command reports its batch's slot index).
   using ApplyFn = std::function<void(uint64_t index, const Command& cmd,
                                      const std::string& result)>;
-  void ApplyCommitted(StateMachine* sm, DedupingExecutor* dedup,
+  void ApplyCommitted(KvStore* kv, DedupingExecutor* dedup,
                       const ApplyFn& fn);
 
   /// Index the apply cursor has reached.
@@ -260,12 +252,12 @@ class ReplicatedLog {
   std::vector<std::string> violations_;
 };
 
-/// Applies one committed log entry to `sm`, through `dedup` when non-null:
+/// Applies one committed log entry to `kv`, through `dedup` when non-null:
 /// a no-op is skipped, a batch is decoded into its sub-commands, and `fn`
 /// sees every applied client command. A batch whose framing fails to
 /// decode applies nothing and is reported in `violations` — applying zero
 /// commands for the entry would otherwise silently drop the whole batch.
-void ApplyLogEntry(uint64_t index, const Command& entry, StateMachine* sm,
+void ApplyLogEntry(uint64_t index, const Command& entry, KvStore* kv,
                    DedupingExecutor* dedup, const ReplicatedLog::ApplyFn& fn,
                    std::vector<std::string>* violations);
 

@@ -13,169 +13,47 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "check/adapters.h"
 #include "check/checker.h"
-#include "check/shrink.h"
+#include "check/parallel_sweep.h"
+#include "common/parallel_for.h"
 
 namespace consensus40::check {
 namespace {
 
-constexpr int kSchedulesPerProtocol = 200;
+constexpr uint64_t kSchedulesPerProtocol = 200;
 
-void SweepInBounds(const char* label, const AdapterFactory& factory) {
-  for (uint64_t seed = 1; seed <= kSchedulesPerProtocol; ++seed) {
-    FaultSchedule schedule;
-    RunResult result = RunSeed(factory, seed, &schedule);
-    if (!result.violated()) continue;
-    auto replay = [&](const FaultSchedule& candidate) {
-      return RunSchedule(factory, seed, candidate).violated();
-    };
-    const FaultBounds bounds = factory(seed)->bounds();
-    FaultSchedule min = CanonicalizeSchedule(
-        ShrinkSchedule(schedule, bounds, replay), bounds, replay);
-    ADD_FAILURE() << label << ": safety violation at seed " << seed << ":\n  "
-                  << result.violations[0] << "\n  repro: " << min.ToString();
-    return;  // One shrunk repro per protocol is enough signal.
+// One instance per roster entry of AllInBoundsAdapters() (adapters.h
+// says what each one runs and under which faults), named after it, so a
+// new roster entry is gated without a test edit. Every entry must come
+// through seeds 1-200 with no violation; a failure prints the sweep's
+// shrunk repro line of every violating seed.
+class CheckSweepInBounds
+    : public testing::TestWithParam<std::pair<const char*, AdapterFactory>> {};
+
+TEST_P(CheckSweepInBounds, Clean) {
+  const SweepReport report =
+      RunSweep({GetParam()}, kSchedulesPerProtocol, HardwareConcurrency());
+  std::string repros;
+  for (const std::string& line : report.protocols[0].repros) {
+    repros += "\n  " + line;
   }
+  EXPECT_EQ(report.total_violations(), 0u)
+      << GetParam().first << ": safety violations:" << repros;
 }
 
-TEST(CheckSweepInBounds, Paxos) { SweepInBounds("paxos", MakePaxosAdapter()); }
+INSTANTIATE_TEST_SUITE_P(
+    Roster, CheckSweepInBounds, testing::ValuesIn(AllInBoundsAdapters()),
+    [](const testing::TestParamInfo<CheckSweepInBounds::ParamType>& info) {
+      return std::string(info.param.first);
+    });
 
-TEST(CheckSweepInBounds, MultiPaxos) {
-  SweepInBounds("multi_paxos", MakeMultiPaxosAdapter());
-}
-
-TEST(CheckSweepInBounds, FastPaxos) {
-  SweepInBounds("fast_paxos", MakeFastPaxosAdapter());
-}
-
-TEST(CheckSweepInBounds, Raft) { SweepInBounds("raft", MakeRaftAdapter()); }
-
-TEST(CheckSweepInBounds, Pbft) { SweepInBounds("pbft", MakePbftAdapter()); }
-
-TEST(CheckSweepInBounds, MinBft) {
-  SweepInBounds("minbft", MakeMinBftAdapter());
-}
-
-TEST(CheckSweepInBounds, HotStuff) {
-  SweepInBounds("hotstuff", MakeHotStuffAdapter());
-}
-
-TEST(CheckSweepInBounds, Xft) { SweepInBounds("xft", MakeXftAdapter()); }
-
-TEST(CheckSweepInBounds, Zyzzyva) {
-  SweepInBounds("zyzzyva", MakeZyzzyvaAdapter());
-}
-
-TEST(CheckSweepInBounds, CheapBft) {
-  SweepInBounds("cheapbft", MakeCheapBftAdapter());
-}
-
-TEST(CheckSweepInBounds, TwoPhaseCommit) {
-  SweepInBounds("2pc", MakeTwoPhaseCommitAdapter());
-}
-
-TEST(CheckSweepInBounds, ThreePhaseCommit) {
-  SweepInBounds("3pc", MakeThreePhaseCommitAdapter());
-}
-
-TEST(CheckSweepInBounds, BenOr) { SweepInBounds("benor", MakeBenOrAdapter()); }
-
-// The sharded 2PC-over-consensus composition: atomicity and prefix
-// consistency must survive replica crashes, whole-shard partitions, AND
-// the classic coordinator-crash-between-prepare-and-commit — the fault
-// plain 2PC (below, out of bounds) demonstrably blocks under.
-TEST(CheckSweepInBounds, ShardedTwoPhaseCommitOverConsensus) {
-  SweepInBounds("shard", MakeShardAdapter());
-}
-
-// Crossword's adaptive assignment: command sizes in the generic workload
-// sit below kMinPayloadToShard, so this sweeps the protocol's classic
-// full-copy path plus leader-change recovery of full-value slots.
-TEST(CheckSweepInBounds, Crossword) {
-  SweepInBounds("crossword", MakeCrosswordAdapter());
-}
-
-// Pinned at one shard per acceptor: every accept is a coded fragment,
-// every follower apply is a reconstruction, and every leader change
-// reassembles possibly-chosen values from promise fragments — the
-// maximum-stress configuration for the widened quorum q2(1) = n and the
-// chosen-slot promise/teach machinery.
-TEST(CheckSweepInBounds, CrosswordRs) {
-  SweepInBounds("crossword_rs", MakeCrosswordRsAdapter());
-}
-
-TEST(CheckSweepInBounds, FloodSet) {
-  SweepInBounds("floodset", MakeFloodSetAdapter());
-}
-
-// The hot-path optimisations — leader-side batching, linger timers, and
-// windowed (out-of-order-tolerant) clients — must not move any protocol
-// outside its safety envelope.
-TEST(CheckSweepInBounds, RaftBatched) {
-  SweepInBounds("raft_batched", MakeBatchedGroupAdapter("raft"));
-}
-
-TEST(CheckSweepInBounds, MultiPaxosBatched) {
-  SweepInBounds("multi_paxos_batched", MakeBatchedGroupAdapter("multi_paxos"));
-}
-
-TEST(CheckSweepInBounds, ShardBatched) {
-  SweepInBounds("shard_batched", MakeShardBatchedAdapter());
-}
-
-// Elastic resharding: a live range move (shard 0's whole initial range
-// to a spare group) races the cross-shard transactions while schedules
-// crash the mover inside the move window, cut the old or new owner off
-// mid-copy, and keep the usual replica/coordinator faults. Atomicity,
-// prefix consistency, no lost writes, AND termination must all hold: the
-// move's transitions are write-once decision-group records, so any
-// participant finishes a dead mover's move.
-TEST(CheckSweepInBounds, ShardReshard) {
-  SweepInBounds("shard_reshard", MakeShardReshardAdapter());
-}
-
-// Typed read-write transactions (GET/PUT/DELETE/CAS under prepare-time
-// shared/exclusive locking) plus repeated read-only snapshots, racing a
-// live range move under the reshard fault envelope. On top of atomicity
-// and prefix consistency the adapter audits serializability: for every
-// schedule the committed transactions' observed reads must admit a
-// serial order, and every snapshot value must be one a committed
-// transaction wrote.
-TEST(CheckSweepInBounds, ShardTxn) {
-  SweepInBounds("shard_txn", MakeShardTxnAdapter());
-}
-
-// --- Byzantine variants: one interposer-driven liar inside the stated f.
-// Schedules may equivocate (where a forge hook exists), withhold, corrupt,
-// or replay one node's outbound traffic in seed-chosen windows — and for
-// PBFT may also be view-change-heavy bursts that silence consecutive
-// primaries mid-client-burst. Safety must hold for every schedule.
-
-TEST(CheckSweepInBounds, PbftByzantine) {
-  SweepInBounds("pbft_byz", MakePbftByzantineAdapter());
-}
-
-TEST(CheckSweepInBounds, ZyzzyvaByzantine) {
-  SweepInBounds("zyzzyva_byz", MakeZyzzyvaByzantineAdapter());
-}
-
-TEST(CheckSweepInBounds, MinBftByzantine) {
-  SweepInBounds("minbft_byz", MakeMinBftByzantineAdapter());
-}
-
-TEST(CheckSweepInBounds, HotStuffByzantine) {
-  SweepInBounds("hotstuff_byz", MakeHotStuffByzantineAdapter());
-}
-
-TEST(CheckSweepInBounds, XftByzantine) {
-  SweepInBounds("xft_byz", MakeXftByzantineAdapter());
-}
-
-TEST(CheckSweepInBounds, CheapBftByzantine) {
-  SweepInBounds("cheapbft_byz", MakeCheapBftByzantineAdapter());
+TEST(CheckSweepRoster, CoversAtLeastTenProtocols) {
+  EXPECT_GE(AllInBoundsAdapters().size(), 10u);
 }
 
 // A lost accept once stalled Multi-Paxos for good: the leader sent each
@@ -191,58 +69,57 @@ TEST(CheckRegression, MultiPaxosRepairsLostAccepts) {
   }
 }
 
-TEST(CheckSweepInBounds, RosterCoversAtLeastTenProtocols) {
-  EXPECT_GE(AllInBoundsAdapters().size(), 10u);
-}
-
 // ---------------------------------------------------------------------------
 // Out-of-bounds: the checker must find what the paper says must break.
 // ---------------------------------------------------------------------------
 
-/// Sweeps seeds until a violating schedule is found; then shrinks it,
-/// verifies the shrunk schedule still violates when replayed (twice, to
-/// pin determinism), prints the repro, and checks the violation matches
-/// `expect_substr`.
+/// The first of seeds [1, max_seeds] whose schedule violates, checked as
+/// the sweep checks it (so its repro is shrunk and canonicalized).
+std::optional<SeedCheck> FirstViolation(const AdapterFactory& factory,
+                                        uint64_t max_seeds) {
+  for (uint64_t seed = 1; seed <= max_seeds; ++seed) {
+    SeedCheck check = CheckSeed(factory, seed);
+    if (check.result.violated()) return check;
+  }
+  return std::nullopt;
+}
+
+/// Finds the first violating seed; checks that the violation matches
+/// `expect_substr`, that its shrunk repro still violates when replayed
+/// (twice, to pin determinism), and prints the repro.
 void ExpectViolationFound(const char* label, const AdapterFactory& factory,
-                          int max_seeds, const std::string& expect_substr) {
-  for (uint64_t seed = 1; seed <= static_cast<uint64_t>(max_seeds); ++seed) {
-    FaultSchedule schedule;
-    RunResult result = RunSeed(factory, seed, &schedule);
-    if (!result.violated()) continue;
-
-    bool matched = false;
-    for (const std::string& v : result.violations) {
-      matched |= v.find(expect_substr) != std::string::npos;
-    }
-    EXPECT_TRUE(matched) << label << ": expected a \"" << expect_substr
-                         << "\" violation, got: " << result.violations[0];
-
-    auto replay = [&](const FaultSchedule& candidate) {
-      return RunSchedule(factory, seed, candidate).violated();
-    };
-    const FaultBounds bounds = factory(seed)->bounds();
-    FaultSchedule min = CanonicalizeSchedule(
-        ShrinkSchedule(schedule, bounds, replay), bounds, replay);
-    EXPECT_LE(min.actions.size(), schedule.actions.size());
-
-    // The shrunk schedule is a replayable repro: deterministic violations
-    // on every re-run.
-    RunResult replay1 = RunSchedule(factory, seed, min);
-    RunResult replay2 = RunSchedule(factory, seed, min);
-    EXPECT_TRUE(replay1.violated()) << label << ": shrunk schedule lost the "
-                                    << "violation: " << min.ToString();
-    EXPECT_EQ(replay1.violations, replay2.violations)
-        << label << ": repro is not deterministic";
-
-    std::printf("[checker] %s: violation at seed %llu: %s\n  repro: %s\n",
-                label, static_cast<unsigned long long>(seed),
-                replay1.violations.empty() ? result.violations[0].c_str()
-                                           : replay1.violations[0].c_str(),
-                min.ToString().c_str());
+                          uint64_t max_seeds, const std::string& expect_substr) {
+  const std::optional<SeedCheck> found = FirstViolation(factory, max_seeds);
+  if (!found.has_value()) {
+    ADD_FAILURE() << label << ": no violation found in " << max_seeds
+                  << " seeds — the checker missed a known-unsafe configuration";
     return;
   }
-  ADD_FAILURE() << label << ": no violation found in " << max_seeds
-                << " seeds — the checker missed a known-unsafe configuration";
+  const RunResult& result = found->result;
+  const FaultSchedule& min = found->repro;
+
+  bool matched = false;
+  for (const std::string& v : result.violations) {
+    matched |= v.find(expect_substr) != std::string::npos;
+  }
+  EXPECT_TRUE(matched) << label << ": expected a \"" << expect_substr
+                       << "\" violation, got: " << result.violations[0];
+  EXPECT_LE(min.actions.size(), found->schedule.actions.size());
+
+  // The shrunk schedule is a replayable repro: deterministic violations
+  // on every re-run.
+  RunResult replay1 = RunSchedule(factory, min.seed, min);
+  RunResult replay2 = RunSchedule(factory, min.seed, min);
+  EXPECT_TRUE(replay1.violated()) << label << ": shrunk schedule lost the "
+                                  << "violation: " << min.ToString();
+  EXPECT_EQ(replay1.violations, replay2.violations)
+      << label << ": repro is not deterministic";
+
+  std::printf("[checker] %s: violation at seed %llu: %s\n  repro: %s\n",
+              label, static_cast<unsigned long long>(min.seed),
+              replay1.violations.empty() ? result.violations[0].c_str()
+                                         : replay1.violations[0].c_str(),
+              min.ToString().c_str());
 }
 
 TEST(CheckSweepOutOfBounds, FlexiblePaxosNonIntersectingQuorumsDoubleDecide) {
@@ -309,6 +186,18 @@ TEST(CheckSweepOutOfBounds, ReshardFlipBeforeDrainLosesWrites) {
 // Canonicalization: repro lines must be minimal AND stable.
 // ---------------------------------------------------------------------------
 
+/// A pinned repro must still violate when replayed, and every action in
+/// it must read canonically: aux zeroed (simulation-based adapters ignore
+/// it, so canonicalization always zeroes it) and times snapped to >= 1 ms
+/// grains.
+void ExpectCanonical(const AdapterFactory& factory, const FaultSchedule& min) {
+  EXPECT_TRUE(RunSchedule(factory, min.seed, min).violated());
+  for (const FaultAction& a : min.actions) {
+    EXPECT_EQ(a.aux, 0u);
+    EXPECT_EQ(a.at % sim::kMillisecond, 0);
+  }
+}
+
 /// The first Flexible-Paxos violation's repro, after ddmin + the
 /// canonicalization pass, is pinned byte-for-byte: action times snapped
 /// to round milliseconds and aux randomness zeroed, so the line survives
@@ -316,38 +205,17 @@ TEST(CheckSweepOutOfBounds, ReshardFlipBeforeDrainLosesWrites) {
 /// because the *generator* intentionally changed, re-pin the string; if
 /// it fails with the same generator, canonicalization regressed.
 TEST(ShrinkCanonicalize, KnownReproHasCanonicalForm) {
-  AdapterFactory factory = MakePaxosOutOfBoundsAdapter();
-  for (uint64_t seed = 1; seed <= 400; ++seed) {
-    FaultSchedule schedule;
-    RunResult result = RunSeed(factory, seed, &schedule);
-    if (!result.violated()) continue;
-
-    auto replay = [&](const FaultSchedule& candidate) {
-      return RunSchedule(factory, seed, candidate).violated();
-    };
-    const FaultBounds bounds = factory(seed)->bounds();
-    ShrinkStats stats;
-    FaultSchedule min = ShrinkSchedule(schedule, bounds, replay, 400, &stats);
-    min = CanonicalizeSchedule(std::move(min), bounds, replay, &stats);
-
-    // Canonical repros still violate, deterministically.
-    EXPECT_TRUE(RunSchedule(factory, seed, min).violated());
-    // Simulation-based adapters ignore aux, so canonicalization always
-    // zeroes it; times snap to >= 1 ms grains.
-    for (const FaultAction& a : min.actions) {
-      EXPECT_EQ(a.aux, 0u);
-      EXPECT_EQ(a.at % sim::kMillisecond, 0);
-    }
-    EXPECT_GT(stats.snapped, 0) << "canonicalization accepted no edits";
-    // The repro keeps its heal: the shrinker may not delete the tail
-    // restore (RestoreScheduleTail re-establishes it), so every printed
-    // schedule is one the generator could actually emit.
-    EXPECT_EQ(min.ToString(),
-              "schedule --seed=29: [ partition({0,2}|{1,3})@200ms "
-              "heal@1700ms ]");
-    return;
-  }
-  FAIL() << "no Flexible-Paxos violation in 400 seeds";
+  const AdapterFactory factory = MakePaxosOutOfBoundsAdapter();
+  const std::optional<SeedCheck> found = FirstViolation(factory, 400);
+  ASSERT_TRUE(found.has_value()) << "no Flexible-Paxos violation in 400 seeds";
+  ExpectCanonical(factory, found->repro);
+  EXPECT_GT(found->shrink.snapped, 0) << "canonicalization accepted no edits";
+  // The repro keeps its heal: the shrinker may not delete the tail
+  // restore (RestoreScheduleTail re-establishes it), so every printed
+  // schedule is one the generator could actually emit.
+  EXPECT_EQ(found->repro.ToString(),
+            "schedule --seed=29: [ partition({0,2}|{1,3})@200ms "
+            "heal@1700ms ]");
 }
 
 /// The f+1-equivocator repro is pinned the same way: the first violating
@@ -357,30 +225,16 @@ TEST(ShrinkCanonicalize, KnownReproHasCanonicalForm) {
 /// *generator* intentionally changed, update the string; otherwise the
 /// shrinker or the Byzantine injection path regressed.
 TEST(ShrinkCanonicalize, EquivocatorReproHasCanonicalForm) {
-  AdapterFactory factory = MakePbftOutOfBoundsAdapter();
-  for (uint64_t seed = 1; seed <= 50; ++seed) {
-    FaultSchedule schedule;
-    RunResult result = RunSeed(factory, seed, &schedule);
-    if (!result.violated()) continue;
-
-    auto replay = [&](const FaultSchedule& candidate) {
-      return RunSchedule(factory, seed, candidate).violated();
-    };
-    const FaultBounds bounds = factory(seed)->bounds();
-    FaultSchedule min = CanonicalizeSchedule(
-        ShrinkSchedule(schedule, bounds, replay), bounds, replay);
-
-    EXPECT_TRUE(RunSchedule(factory, seed, min).violated());
-    ASSERT_EQ(min.actions.size(), 1u);
-    EXPECT_EQ(min.actions[0].kind, FaultKind::kEquivocate);
-    EXPECT_EQ(min.actions[0].aux, 0u);
-    EXPECT_EQ(min.actions[0].at % sim::kMillisecond, 0);
-    EXPECT_EQ(min.actions[0].window % sim::kMillisecond, 0);
-    EXPECT_EQ(min.ToString(),
-              "schedule --seed=1: [ equivocate(0,500ms)@100ms ]");
-    return;
-  }
-  FAIL() << "no PBFT n=3f violation in 50 seeds";
+  const AdapterFactory factory = MakePbftOutOfBoundsAdapter();
+  const std::optional<SeedCheck> found = FirstViolation(factory, 50);
+  ASSERT_TRUE(found.has_value()) << "no PBFT n=3f violation in 50 seeds";
+  const FaultSchedule& min = found->repro;
+  ExpectCanonical(factory, min);
+  ASSERT_EQ(min.actions.size(), 1u);
+  EXPECT_EQ(min.actions[0].kind, FaultKind::kEquivocate);
+  EXPECT_EQ(min.actions[0].window % sim::kMillisecond, 0);
+  EXPECT_EQ(min.ToString(),
+            "schedule --seed=1: [ equivocate(0,500ms)@100ms ]");
 }
 
 /// The flip-before-drain lost-write repro is pinned the same way: the
@@ -393,30 +247,13 @@ TEST(ShrinkCanonicalize, EquivocatorReproHasCanonicalForm) {
 /// rule as above: if the *generator* intentionally changed, update the
 /// string; otherwise the shrinker or the reshard ladder regressed.
 TEST(ShrinkCanonicalize, ReshardLostWriteReproHasCanonicalForm) {
-  AdapterFactory factory = MakeShardReshardOutOfBoundsAdapter();
-  for (uint64_t seed = 1; seed <= 50; ++seed) {
-    FaultSchedule schedule;
-    RunResult result = RunSeed(factory, seed, &schedule);
-    if (!result.violated()) continue;
-
-    auto replay = [&](const FaultSchedule& candidate) {
-      return RunSchedule(factory, seed, candidate).violated();
-    };
-    const FaultBounds bounds = factory(seed)->bounds();
-    FaultSchedule min = CanonicalizeSchedule(
-        ShrinkSchedule(schedule, bounds, replay), bounds, replay);
-
-    EXPECT_TRUE(RunSchedule(factory, seed, min).violated());
-    for (const FaultAction& a : min.actions) {
-      EXPECT_EQ(a.aux, 0u);
-      EXPECT_EQ(a.at % sim::kMillisecond, 0);
-    }
-    EXPECT_EQ(min.ToString(),
-              "schedule --seed=8: [ crash(8)@100ms mover-crash(23)@400ms "
-              "restart(23)@2000ms restart(8)@2000ms ]");
-    return;
-  }
-  FAIL() << "no flip-before-drain violation in 50 seeds";
+  const AdapterFactory factory = MakeShardReshardOutOfBoundsAdapter();
+  const std::optional<SeedCheck> found = FirstViolation(factory, 50);
+  ASSERT_TRUE(found.has_value()) << "no flip-before-drain violation in 50 seeds";
+  ExpectCanonical(factory, found->repro);
+  EXPECT_EQ(found->repro.ToString(),
+            "schedule --seed=8: [ crash(8)@100ms mover-crash(23)@400ms "
+            "restart(23)@2000ms restart(8)@2000ms ]");
 }
 
 /// The write-skew repro is pinned the same way — and is the starkest of
@@ -429,30 +266,16 @@ TEST(ShrinkCanonicalize, ReshardLostWriteReproHasCanonicalForm) {
 /// intentionally changed; otherwise the audit or the lock path
 /// regressed.
 TEST(ShrinkCanonicalize, WriteSkewReproHasCanonicalForm) {
-  AdapterFactory factory = MakeShardTxnNoReadLocksAdapter();
-  for (uint64_t seed = 1; seed <= 50; ++seed) {
-    FaultSchedule schedule;
-    RunResult result = RunSeed(factory, seed, &schedule);
-    if (!result.violated()) continue;
-
-    EXPECT_NE(result.violations[0].find(
-                  "no serial order of the committed transactions {1,2}"),
-              std::string::npos)
-        << result.violations[0];
-
-    auto replay = [&](const FaultSchedule& candidate) {
-      return RunSchedule(factory, seed, candidate).violated();
-    };
-    const FaultBounds bounds = factory(seed)->bounds();
-    FaultSchedule min = CanonicalizeSchedule(
-        ShrinkSchedule(schedule, bounds, replay), bounds, replay);
-
-    EXPECT_TRUE(RunSchedule(factory, seed, min).violated());
-    EXPECT_EQ(min.actions.size(), 0u);
-    EXPECT_EQ(min.ToString(), "schedule --seed=2: [ ]");
-    return;
-  }
-  FAIL() << "no write-skew violation in 50 seeds";
+  const AdapterFactory factory = MakeShardTxnNoReadLocksAdapter();
+  const std::optional<SeedCheck> found = FirstViolation(factory, 50);
+  ASSERT_TRUE(found.has_value()) << "no write-skew violation in 50 seeds";
+  EXPECT_NE(found->result.violations[0].find(
+                "no serial order of the committed transactions {1,2}"),
+            std::string::npos)
+      << found->result.violations[0];
+  ExpectCanonical(factory, found->repro);
+  EXPECT_EQ(found->repro.actions.size(), 0u);
+  EXPECT_EQ(found->repro.ToString(), "schedule --seed=2: [ ]");
 }
 
 /// The Crossword bare-majority repro, pinned the same way. The shape
@@ -467,30 +290,14 @@ TEST(ShrinkCanonicalize, WriteSkewReproHasCanonicalForm) {
 /// intentionally changed; any other drift means the shrinker or the
 /// protocol's recovery path regressed.
 TEST(ShrinkCanonicalize, CrosswordUnderReplicationReproHasCanonicalForm) {
-  AdapterFactory factory = MakeCrosswordOutOfBoundsAdapter();
-  for (uint64_t seed = 1; seed <= 50; ++seed) {
-    FaultSchedule schedule;
-    RunResult result = RunSeed(factory, seed, &schedule);
-    if (!result.violated()) continue;
-
-    auto replay = [&](const FaultSchedule& candidate) {
-      return RunSchedule(factory, seed, candidate).violated();
-    };
-    const FaultBounds bounds = factory(seed)->bounds();
-    FaultSchedule min = CanonicalizeSchedule(
-        ShrinkSchedule(schedule, bounds, replay), bounds, replay);
-
-    EXPECT_TRUE(RunSchedule(factory, seed, min).violated());
-    for (const FaultAction& a : min.actions) {
-      EXPECT_EQ(a.aux, 0u);
-      EXPECT_EQ(a.at % sim::kMillisecond, 0);
-    }
-    EXPECT_EQ(min.ToString(),
-              "schedule --seed=1: [ spike(13ms..33ms)@200ms "
-              "partition({0,1,4}|{2,3})@1300ms unspike@2000ms heal@2000ms ]");
-    return;
-  }
-  FAIL() << "no crossword under-replication violation in 50 seeds";
+  const AdapterFactory factory = MakeCrosswordOutOfBoundsAdapter();
+  const std::optional<SeedCheck> found = FirstViolation(factory, 50);
+  ASSERT_TRUE(found.has_value())
+      << "no crossword under-replication violation in 50 seeds";
+  ExpectCanonical(factory, found->repro);
+  EXPECT_EQ(found->repro.ToString(),
+            "schedule --seed=1: [ spike(13ms..33ms)@200ms "
+            "partition({0,1,4}|{2,3})@1300ms unspike@2000ms heal@2000ms ]");
 }
 
 }  // namespace

@@ -5,8 +5,6 @@
 //      engine's determinism contract.
 //   2. Violation discovery parity: an out-of-bounds roster yields the same
 //      violations, repro lines included, at every worker count.
-//   3. Parallel ddmin: speculative candidate evaluation returns the exact
-//      schedule (and committed-run count) of the serial shrinker.
 //
 // Under the tsan preset this binary doubles as the audit that nothing in
 // the simulator/checker path shares mutable state across concurrent
@@ -14,35 +12,27 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include <utility>
+#include <vector>
 
 #include "check/adapters.h"
 #include "check/checker.h"
 #include "check/parallel_sweep.h"
-#include "check/shrink.h"
-#include "common/thread_pool.h"
 
 namespace consensus40::check {
 namespace {
 
 TEST(ParallelSweep, SerialAndParallelReportsAreByteIdentical) {
-  SweepOptions options;
-  options.seeds = 50;
+  constexpr uint64_t kSeeds = 50;
   const auto roster = AllInBoundsAdapters();
 
-  SweepReport serial = RunSweep(roster, options, /*pool=*/nullptr);
-
-  ThreadPool pool4(4);
-  SweepReport parallel = RunSweep(roster, options, &pool4);
-  EXPECT_EQ(serial.ToString(), parallel.ToString());
-
-  ThreadPool pool3(3);
-  SweepReport parallel3 = RunSweep(roster, options, &pool3);
-  EXPECT_EQ(serial.ToString(), parallel3.ToString());
+  SweepReport serial = RunSweep(roster, kSeeds, /*workers=*/1);
+  EXPECT_EQ(serial.ToString(), RunSweep(roster, kSeeds, 4).ToString());
+  EXPECT_EQ(serial.ToString(), RunSweep(roster, kSeeds, 3).ToString());
 
   // In-bounds sweeps must stay clean, and the totals must add up.
   EXPECT_EQ(serial.total_violations(), 0u);
-  EXPECT_EQ(serial.total_schedules(), roster.size() * options.seeds);
+  EXPECT_EQ(serial.total_schedules(), roster.size() * kSeeds);
 }
 
 TEST(ParallelSweep, OutOfBoundsViolationsIdenticalAcrossWorkerCounts) {
@@ -52,12 +42,10 @@ TEST(ParallelSweep, OutOfBoundsViolationsIdenticalAcrossWorkerCounts) {
       {"paxos-oob", MakePaxosOutOfBoundsAdapter()},
       {"floodset-oob", MakeFloodSetOutOfBoundsAdapter()},
   };
-  SweepOptions options;
-  options.seeds = 60;
+  constexpr uint64_t kSeeds = 60;
 
-  SweepReport serial = RunSweep(roster, options, nullptr);
-  ThreadPool pool(4);
-  SweepReport parallel = RunSweep(roster, options, &pool);
+  SweepReport serial = RunSweep(roster, kSeeds, 1);
+  SweepReport parallel = RunSweep(roster, kSeeds, 4);
 
   EXPECT_EQ(serial.ToString(), parallel.ToString());
   EXPECT_GT(serial.total_violations(), 0u)
@@ -66,76 +54,6 @@ TEST(ParallelSweep, OutOfBoundsViolationsIdenticalAcrossWorkerCounts) {
   for (const ProtocolSweepResult& p : serial.protocols) {
     EXPECT_EQ(p.repros.size(), p.violations);
   }
-}
-
-TEST(ParallelSweep, SingleWorkerPoolMatchesNullPool) {
-  SweepOptions options;
-  options.seeds = 30;
-  std::vector<std::pair<const char*, AdapterFactory>> roster = {
-      {"paxos", MakePaxosAdapter()}, {"raft", MakeRaftAdapter()}};
-  SweepReport inline_run = RunSweep(roster, options, nullptr);
-  ThreadPool pool1(1);
-  SweepReport pooled = RunSweep(roster, options, &pool1);
-  EXPECT_EQ(inline_run.ToString(), pooled.ToString());
-}
-
-TEST(ParallelShrink, SpeculativeDdminMatchesSerial) {
-  AdapterFactory factory = MakePaxosOutOfBoundsAdapter();
-  bool found = false;
-  for (uint64_t seed = 1; seed <= 400; ++seed) {
-    FaultSchedule schedule;
-    if (!RunSeed(factory, seed, &schedule).violated()) continue;
-    found = true;
-
-    auto replay = [&](const FaultSchedule& candidate) {
-      return RunSchedule(factory, seed, candidate).violated();
-    };
-    const FaultBounds bounds = factory(seed)->bounds();
-    ShrinkStats serial_stats;
-    FaultSchedule serial =
-        ShrinkSchedule(schedule, bounds, replay, 400, &serial_stats, nullptr);
-
-    ThreadPool pool(4);
-    ShrinkStats parallel_stats;
-    FaultSchedule parallel =
-        ShrinkSchedule(schedule, bounds, replay, 400, &parallel_stats, &pool);
-
-    // The committed decision sequence is serial-identical: same result,
-    // same committed-run count; only the discarded speculation differs.
-    EXPECT_EQ(serial.ToString(), parallel.ToString());
-    EXPECT_EQ(serial_stats.runs, parallel_stats.runs);
-    EXPECT_EQ(serial_stats.removed, parallel_stats.removed);
-    EXPECT_EQ(serial_stats.speculative, 0);
-    break;
-  }
-  ASSERT_TRUE(found) << "no violating seed in 400 — fixture regressed";
-}
-
-TEST(ParallelShrink, BudgetExhaustionMatchesSerial) {
-  // A tight max_runs must cut off at the same committed evaluation in
-  // both modes, leaving the same partially-shrunk schedule.
-  AdapterFactory factory = MakePaxosOutOfBoundsAdapter();
-  for (uint64_t seed = 1; seed <= 400; ++seed) {
-    FaultSchedule schedule;
-    if (!RunSeed(factory, seed, &schedule).violated()) continue;
-
-    auto replay = [&](const FaultSchedule& candidate) {
-      return RunSchedule(factory, seed, candidate).violated();
-    };
-    const FaultBounds bounds = factory(seed)->bounds();
-    for (int budget : {1, 2, 3, 5}) {
-      ShrinkStats ss, ps;
-      FaultSchedule serial =
-          ShrinkSchedule(schedule, bounds, replay, budget, &ss);
-      ThreadPool pool(4);
-      FaultSchedule parallel =
-          ShrinkSchedule(schedule, bounds, replay, budget, &ps, &pool);
-      EXPECT_EQ(serial.ToString(), parallel.ToString()) << "budget " << budget;
-      EXPECT_EQ(ss.runs, ps.runs) << "budget " << budget;
-    }
-    return;
-  }
-  FAIL() << "no violating seed in 400 — fixture regressed";
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST(RoutingTableTest, ApplyMoveToTheEndOfTheSpace) {
 TEST(RoutingTableTest, EncodeDecodeRoundTrip) {
   RoutingTable t = RoutingTable::Initial(3);
   t.ApplyMove(1ull << 62, 1ull << 63, 2);
-  std::optional<RoutingTable> back = RoutingTable::Decode(t.Encode());
+  std::optional<RoutingTable> back = RoutingTable::Decode(t.Encode(), 3);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->epoch(), t.epoch());
   ASSERT_EQ(back->entries().size(), t.entries().size());
@@ -88,18 +88,26 @@ TEST(RoutingTableTest, EncodeDecodeRoundTrip) {
 }
 
 TEST(RoutingTableTest, DecodeRejectsMalformed) {
-  EXPECT_FALSE(RoutingTable::Decode("").has_value());
-  EXPECT_FALSE(RoutingTable::Decode("e2").has_value());         // No entries.
-  EXPECT_FALSE(RoutingTable::Decode("e2|1:0").has_value());     // lo != 0.
-  EXPECT_FALSE(RoutingTable::Decode("e2|0:0,0:1").has_value()); // Not rising.
-  EXPECT_FALSE(RoutingTable::Decode("ex|0:0").has_value());     // Bad epoch.
-  // Group tokens must parse in full and be non-negative — adopters index
-  // per-group arrays with them.
-  EXPECT_FALSE(RoutingTable::Decode("e2|0:junk").has_value());
-  EXPECT_FALSE(RoutingTable::Decode("e2|0:").has_value());
-  EXPECT_FALSE(RoutingTable::Decode("e2|0:-1").has_value());
-  EXPECT_FALSE(RoutingTable::Decode("e2|0:1x").has_value());
-  EXPECT_FALSE(RoutingTable::Decode("e2|0:99999999999999999999").has_value());
+  constexpr int kGroups = 8;
+  auto decodes = [](const char* s) {
+    return RoutingTable::Decode(s, kGroups).has_value();
+  };
+  EXPECT_FALSE(decodes(""));
+  EXPECT_FALSE(decodes("e2"));          // No entries.
+  EXPECT_FALSE(decodes("e2|1:0"));      // lo != 0.
+  EXPECT_FALSE(decodes("e2|0:0,0:1"));  // Not rising.
+  EXPECT_FALSE(decodes("ex|0:0"));      // Bad epoch.
+  // Group tokens must parse in full and name one of the groups: adopters
+  // index per-group arrays with them.
+  EXPECT_FALSE(decodes("e2|0:junk"));
+  EXPECT_FALSE(decodes("e2|0:"));
+  EXPECT_FALSE(decodes("e2|0:-1"));
+  EXPECT_FALSE(decodes("e2|0:1x"));
+  EXPECT_FALSE(decodes("e2|0:99999999999999999999"));
+  const std::string two_ranges = "e2|0:0,8000000000000000:7";
+  EXPECT_TRUE(RoutingTable::Decode(two_ranges, 8).has_value());
+  EXPECT_FALSE(RoutingTable::Decode(two_ranges, 7).has_value());  // No group 7.
+  EXPECT_FALSE(RoutingTable::Decode("e2|0:0", 0).has_value());
   // Only Encode's form decodes. A lenient parse read "e-1" and an
   // overflowing epoch as 2^64 - 1, after which MaybeAdopt ignores every
   // later flip record for good.
@@ -108,23 +116,15 @@ TEST(RoutingTableTest, DecodeRejectsMalformed) {
         "e2|0: 1", "e02|0:0", "e2|0:0,", "e2|00:0", "e2|0:01", "e+2|0:0",
         "e2|0:0,8000000000000000:1,", "e2|0:0,800000000000000A:1",
         "e2|0:0,10000000000000000:1"}) {
-    EXPECT_FALSE(RoutingTable::Decode(bad).has_value()) << bad;
+    EXPECT_FALSE(decodes(bad)) << bad;
   }
   for (const char* good :
        {"e2|0:0,8000000000000000:1", "e1|0:0", "e0|0:0",
-        "e18446744073709551615|0:2147483647,ffffffffffffffff:0"}) {
-    std::optional<RoutingTable> t = RoutingTable::Decode(good);
+        "e18446744073709551615|0:7,ffffffffffffffff:0"}) {
+    std::optional<RoutingTable> t = RoutingTable::Decode(good, kGroups);
     ASSERT_TRUE(t.has_value()) << good;
     EXPECT_EQ(t->Encode(), good);
   }
-}
-
-TEST(RoutingTableTest, WithinGroupsBoundsEveryEntry) {
-  std::optional<RoutingTable> t =
-      RoutingTable::Decode("e2|0:0,8000000000000000:7");
-  ASSERT_TRUE(t.has_value());
-  EXPECT_TRUE(t->WithinGroups(8));
-  EXPECT_FALSE(t->WithinGroups(7));  // Entry names a nonexistent group.
 }
 
 TEST(RoutingTableTest, MaybeAdoptIsEpochGated) {
@@ -291,8 +291,9 @@ TEST(ReshardTest, LiveMoveHappyPath) {
   EXPECT_TRUE(decisions.Get(MovePhaseKey(id, "drained")).has_value());
   EXPECT_TRUE(decisions.Get(MovePhaseKey(id, "flipped")).has_value());
   EXPECT_TRUE(decisions.Get(MovePhaseKey(id, "done")).has_value());
-  std::optional<RoutingTable> flipped =
-      RoutingTable::Decode(decisions.Get(RoutingTable::RtKey(2)).value_or(""));
+  std::optional<RoutingTable> flipped = RoutingTable::Decode(
+      decisions.Get(RoutingTable::RtKey(2)).value_or(""),
+      f.ssm->total_groups());
   ASSERT_TRUE(flipped.has_value());
   EXPECT_EQ(flipped->GroupFor(0), 2);
 

@@ -112,8 +112,8 @@ int main() {
   sim->RunFor(500 * sim::kMillisecond);  // Let every group elect a leader.
 
   // Seed balances; alice and bob hash to different shards.
-  client->Begin(1, {{"alice", "100"}});
-  client->Begin(2, {{"bob", "10"}});
+  client->Begin(1, {shard::TxOp::Put("alice", "100")});
+  client->Begin(2, {shard::TxOp::Put("bob", "10")});
   sim->RunUntil(
       [&] { return client->Resolved(1) && client->Resolved(2); },
       sim->now() + 30 * sim::kSecond);
@@ -122,7 +122,8 @@ int main() {
 
   // The cross-shard transfer, with a replica of alice's shard crashing
   // mid-flight: the replication layer hides the machine failure.
-  client->Begin(3, {{"alice", "60"}, {"bob", "50"}});
+  client->Begin(
+      3, {shard::TxOp::Put("alice", "60"), shard::TxOp::Put("bob", "50")});
   sim::NodeId victim = ssm.ShardMembers(ssm.ShardOf("alice"))[1];
   sim->ScheduleAfter(2 * sim::kMillisecond, [&] {
     std::printf("crashing replica %d of alice's shard mid-transaction...\n",
@@ -140,7 +141,8 @@ int main() {
   // the replicated decision group themselves, and the transaction
   // terminates — no blocking, no inconsistency.
   std::printf("killing the 2PC coordinator mid-transaction...\n");
-  client->Begin(4, {{"alice", "0"}, {"bob", "110"}});
+  client->Begin(
+      4, {shard::TxOp::Put("alice", "0"), shard::TxOp::Put("bob", "110")});
   sim->ScheduleAfter(4 * sim::kMillisecond,
                      [&] { sim->Crash(ssm.coordinator_id()); });
   sim->ScheduleAfter(3 * sim::kSecond,

@@ -25,29 +25,43 @@ std::vector<Transaction> Mempool::Select(size_t max) const {
 }
 
 void Mempool::SyncWithChain(const BlockTree& tree) {
-  std::set<crypto::Digest> on_chain;
-  for (const crypto::Digest& block_hash : tree.BestChain()) {
-    const Block* block = tree.GetBlock(block_hash);
-    for (const Transaction& tx : block->txs) {
-      crypto::Digest hash = tx.Hash();
-      on_chain.insert(hash);
-      known_.emplace(hash, tx);
+  // Walk the last synced tip and the new best tip back to their fork
+  // point: the new tip's side was adopted, the old tip's side abandoned.
+  std::vector<const Block*> adopted, abandoned;
+  crypto::Digest old_tip = synced_tip_;
+  crypto::Digest new_tip = tree.BestTip();
+  while (!(old_tip == new_tip)) {
+    const uint64_t old_height = tree.HeightOf(old_tip);
+    const uint64_t new_height = tree.HeightOf(new_tip);
+    if (new_height >= old_height) {
+      adopted.push_back(tree.GetBlock(new_tip));
+      new_tip = adopted.back()->header.prev_hash;
+    }
+    if (old_height >= new_height) {
+      abandoned.push_back(tree.GetBlock(old_tip));
+      old_tip = abandoned.back()->header.prev_hash;
     }
   }
-  // Newly confirmed leave the pool.
-  for (const crypto::Digest& hash : on_chain) {
-    confirmed_.insert(hash);
-    pending_.erase(hash);
+  synced_tip_ = tree.BestTip();
+  // Newly confirmed leave the pool. Adopted first, so a transaction on
+  // both branches stays confirmed.
+  for (const Block* block : adopted) {
+    for (const Transaction& tx : block->txs) {
+      crypto::Digest hash = tx.Hash();
+      known_.emplace(hash, tx);
+      ++confirmed_[hash];
+      pending_.erase(hash);
+    }
   }
   // Confirmed transactions that fell off the best chain (reorg) are
   // aborted and resubmitted: back to pending.
-  for (auto it = confirmed_.begin(); it != confirmed_.end();) {
-    if (on_chain.count(*it) == 0) {
-      pending_[*it] = known_[*it];
+  for (const Block* block : abandoned) {
+    for (const Transaction& tx : block->txs) {
+      auto it = confirmed_.find(tx.Hash());
+      if (--it->second > 0) continue;
+      pending_[it->first] = known_[it->first];
       ++resubmissions_;
-      it = confirmed_.erase(it);
-    } else {
-      ++it;
+      confirmed_.erase(it);
     }
   }
 }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "blockchain/block.h"
@@ -27,7 +26,8 @@ class Mempool {
 
   /// Synchronizes with the chain after any AddBlock: marks best-chain
   /// transactions confirmed and returns abandoned ones to pending. Call
-  /// with the tree after each tip change.
+  /// with the tree after each tip change, always the same tree: only the
+  /// blocks between the last synced tip and the new one are visited.
   void SyncWithChain(const BlockTree& tree);
 
   /// True if the transaction is in a best-chain block.
@@ -45,9 +45,12 @@ class Mempool {
 
  private:
   std::map<crypto::Digest, Transaction> pending_;
-  std::set<crypto::Digest> confirmed_;
+  /// Best-chain transactions -> the number of best-chain blocks holding
+  /// them.
+  std::map<crypto::Digest, int> confirmed_;
   std::map<crypto::Digest, Transaction> known_;  ///< Everything ever seen.
   int resubmissions_ = 0;
+  crypto::Digest synced_tip_{};  ///< Best tip at the last sync (genesis).
 };
 
 }  // namespace consensus40::blockchain

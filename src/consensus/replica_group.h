@@ -162,8 +162,8 @@ class LogReplicaGroup : public ReplicaGroup {
     return sim::kInvalidNode;
   }
 
-  /// Executed commands, not the raw log: batch entries arrive flattened,
-  /// and a checkpoint-truncated log still reports what it applied.
+  /// Executed commands, not the raw log: a batch's commands arrive one by
+  /// one, and a checkpoint-truncated log still reports what it applied.
   std::vector<smr::Command> CommittedPrefix(int replica) const override {
     return replicas_[static_cast<size_t>(replica)]->CommittedCommands();
   }
@@ -174,11 +174,6 @@ class LogReplicaGroup : public ReplicaGroup {
       const std::string who = "replica " + std::to_string(r->id());
       for (const std::string& v : r->violations()) {
         all.push_back(who + ": " + v);
-      }
-      if constexpr (requires { r->log().violations(); }) {
-        for (const std::string& v : r->log().violations()) {
-          all.push_back(who + " log: " + v);
-        }
       }
     }
     return all;

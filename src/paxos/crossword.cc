@@ -55,7 +55,7 @@ struct CrosswordReplica::PromiseMsg : sim::Message {
   /// retains, including chosen-but-unreconstructed ones (their shard
   /// fragments are exactly what a recovering leader must gather — see the
   /// safety note on PrepareMsg handling).
-  std::map<uint64_t, std::pair<Ballot, smr::Command>> accepted;
+  std::map<uint64_t, std::pair<Ballot, smr::Entry>> accepted;
   /// Slots this replica knows are decided. A new leader must never
   /// no-op-fill or re-propose into these, even when the fragments on hand
   /// don't reconstruct the value yet.
@@ -63,10 +63,10 @@ struct CrosswordReplica::PromiseMsg : sim::Message {
 };
 
 struct CrosswordReplica::AcceptMsg : sim::Message {
-  AcceptMsg(Ballot b, uint64_t i, uint32_t r, smr::Command c)
-      : ballot(b), index(i), round(r), cmd(std::move(c)) {}
+  AcceptMsg(Ballot b, uint64_t i, uint32_t r, smr::Entry e)
+      : ballot(b), index(i), round(r), entry(std::move(e)) {}
   const char* TypeName() const override { return "cw-accept"; }
-  int ByteSize() const override { return 40 + cmd.ByteSize(); }
+  int ByteSize() const override { return 40 + entry.ByteSize(); }
   Ballot ballot;
   uint64_t index;
   /// Re-proposal counter within one ballot: a stalled sharded slot is
@@ -74,7 +74,7 @@ struct CrosswordReplica::AcceptMsg : sim::Message {
   /// not count stale acks for the earlier framing toward the new round's
   /// (smaller) quorum.
   uint32_t round;
-  smr::Command cmd;  ///< Full command (c = k) or this acceptor's shard set.
+  smr::Entry entry;  ///< Full value (c = k) or this acceptor's shard set.
 };
 
 struct CrosswordReplica::AcceptedMsg : sim::Message {
@@ -114,14 +114,14 @@ struct CrosswordReplica::PullMsg : sim::Message {
 };
 
 /// Answer to a PullMsg, and the teach vehicle for proposals landing on a
-/// slot the acceptor knows is decided. `cmd` is either the full chosen
-/// command or a validated shard-set fragment of it.
+/// slot the acceptor knows is decided. `entry` is either the full chosen
+/// value or a validated shard-set fragment of it.
 struct CrosswordReplica::PullReplyMsg : sim::Message {
-  PullReplyMsg(uint64_t i, smr::Command c) : index(i), cmd(std::move(c)) {}
+  PullReplyMsg(uint64_t i, smr::Entry e) : index(i), entry(std::move(e)) {}
   const char* TypeName() const override { return "cw-pull-reply"; }
-  int ByteSize() const override { return 24 + cmd.ByteSize(); }
+  int ByteSize() const override { return 24 + entry.ByteSize(); }
   uint64_t index;
-  smr::Command cmd;
+  smr::Entry entry;
 };
 
 // ---------------------------------------------------------------------------
@@ -217,17 +217,17 @@ int CrosswordReplica::PositionOf(sim::NodeId node) const {
   return 0;
 }
 
-void CrosswordReplica::AcceptSlot(uint64_t index, const smr::Command& cmd) {
+void CrosswordReplica::AcceptSlot(uint64_t index, const smr::Entry& entry) {
   SlotState& slot = Slot(index);
   slot.accept_num = my_ballot_;
-  slot.value = cmd;  // The leader always self-accepts the FULL command.
+  slot.value = entry;  // The leader always self-accepts the FULL value.
   slot.has_value = true;
-  // No-ops ship full: recovery rounds should never depend on pulls.
-  const int c =
-      smr::IsNoop(cmd) ? k_ : ChooseShards(static_cast<int>(cmd.op.size()));
+  // No-ops ship full: recovery rounds should never depend on pulls. The
+  // payload the coder would code is the entry less its 16-byte header.
+  const bool noop = entry.kind() == smr::Entry::Kind::kNoop;
+  const int c = noop ? k_ : ChooseShards(entry.ByteSize() - 16);
   StartRound(index, c);
-  if (options_.mode == CrosswordOptions::Mode::kAdaptive &&
-      !smr::IsNoop(cmd)) {
+  if (options_.mode == CrosswordOptions::Mode::kAdaptive && !noop) {
     // Sample the egress queue AFTER this round's sends, not at propose
     // time: a closed-loop client's next request only arrives once the
     // reply — itself queued behind the round's payloads — has drained the
@@ -383,7 +383,7 @@ void CrosswordReplica::OnLeadershipAcquired() {
     SlotState& slot = Slot(index);
     slot.chosen = true;
     auto rit = recovered_.find(index);
-    std::optional<smr::Command> full;
+    std::optional<smr::Entry> full;
     if (rit != recovered_.end()) full = ResolveRecovered(rit->second);
     if (full.has_value()) {
       ++reconstructions_;
@@ -395,14 +395,12 @@ void CrosswordReplica::OnLeadershipAcquired() {
       // Seed from the highest ballot down; incompatible frames (possible
       // only across ballots with different values) are rejected by the
       // assembler.
-      std::vector<std::pair<Ballot, smr::Command>> sorted = rit->second;
+      std::vector<std::pair<Ballot, smr::Entry>> sorted = rit->second;
       std::stable_sort(sorted.begin(), sorted.end(),
                        [](const auto& a, const auto& b) {
                          return b.first < a.first;
                        });
-      for (const auto& [b, cmd] : sorted) {
-        if (smr::IsShard(cmd)) p.assembler.Add(cmd);
-      }
+      for (const auto& [b, entry] : sorted) p.assembler.Add(entry);
     }
     SchedulePull(index);
   }
@@ -416,10 +414,8 @@ void CrosswordReplica::OnLeadershipAcquired() {
     if (index < log_.start()) continue;
     if (index + 1 > max_idx) max_idx = index + 1;
     if (Slot(index).chosen) continue;
-    std::optional<smr::Command> resolved = ResolveRecovered(cands);
-    AcceptSlot(index, resolved.has_value()
-                          ? *resolved
-                          : smr::Command{smr::kNoopClient, 0, "NOOP"});
+    std::optional<smr::Entry> resolved = ResolveRecovered(cands);
+    AcceptSlot(index, resolved.value_or(smr::Entry::Noop()));
   }
 
   next_index_ = std::max(next_index_, max_idx);
@@ -433,29 +429,29 @@ void CrosswordReplica::OnLeadershipAcquired() {
     if (index < log_.start()) continue;
     if (recovered_.count(index) > 0) continue;  // Re-proposed above.
     if (Slot(index).chosen) continue;
-    AcceptSlot(index, smr::Command{smr::kNoopClient, 0, "NOOP"});
+    AcceptSlot(index, smr::Entry::Noop());
   }
 
   SendHeartbeat();  // Also self-reschedules while leader.
   ProposeNext();
 }
 
-std::optional<smr::Command> CrosswordReplica::ResolveRecovered(
-    const std::vector<std::pair<Ballot, smr::Command>>& candidates) const {
-  std::vector<std::pair<Ballot, smr::Command>> sorted = candidates;
+std::optional<smr::Entry> CrosswordReplica::ResolveRecovered(
+    const std::vector<std::pair<Ballot, smr::Entry>>& candidates) const {
+  std::vector<std::pair<Ballot, smr::Entry>> sorted = candidates;
   std::stable_sort(
       sorted.begin(), sorted.end(),
       [](const auto& a, const auto& b) { return b.first < a.first; });
   for (size_t i = 0; i < sorted.size(); ++i) {
-    const smr::Command& cmd = sorted[i].second;
-    if (!smr::IsShard(cmd)) return cmd;  // A full copy settles it.
+    const smr::Entry& entry = sorted[i].second;
+    if (entry.shard_set() == nullptr) return entry;  // A full copy settles it.
     smr::ShardAssembler assembler;
-    if (!assembler.Add(cmd)) continue;
+    if (!assembler.Add(entry)) continue;
     for (size_t j = 0; j < sorted.size(); ++j) {
       if (j != i) assembler.Add(sorted[j].second);  // Compatible merge in.
     }
     if (assembler.Complete()) {
-      if (std::optional<smr::Command> full = assembler.Reconstruct()) {
+      if (std::optional<smr::Entry> full = assembler.Reconstruct()) {
         return full;
       }
     }
@@ -511,13 +507,13 @@ void CrosswordReplica::MarkChosen(uint64_t index, Ballot ballot) {
     // unsafe variant skips the reconstruction machinery below.  A validated
     // full value on hand is still applied — that requires no peer traffic.
     if (slot.has_value && slot.accept_num == ballot &&
-        !smr::IsShard(slot.value)) {
+        slot.value.shard_set() == nullptr) {
       LearnChosen(index, slot.value);
     }
     return;
   }
   if (slot.has_value && slot.accept_num == ballot) {
-    if (!smr::IsShard(slot.value)) {
+    if (slot.value.shard_set() == nullptr) {
       LearnChosen(index, slot.value);
       return;
     }
@@ -535,10 +531,10 @@ void CrosswordReplica::MarkChosen(uint64_t index, Ballot ballot) {
   SchedulePull(index);
 }
 
-void CrosswordReplica::LearnChosen(uint64_t index, const smr::Command& cmd) {
+void CrosswordReplica::LearnChosen(uint64_t index, const smr::Entry& entry) {
   if (index < log_.start()) return;
-  if (const smr::Command* existing = log_.Get(index)) {
-    if (!(*existing == cmd)) {
+  if (const smr::Entry* existing = log_.Get(index)) {
+    if (!(*existing == entry)) {
       violations_.push_back("slot " + std::to_string(index) +
                             " chosen twice with different values");
     }
@@ -547,8 +543,8 @@ void CrosswordReplica::LearnChosen(uint64_t index, const smr::Command& cmd) {
   SlotState& slot = Slot(index);
   slot.chosen = true;
   slot.has_value = true;
-  slot.value = cmd;  // Hold the full value: we can serve pulls from it.
-  log_.Set(index, cmd);
+  slot.value = entry;  // Hold the full value: we can serve pulls from it.
+  log_.Set(index, entry);
   auto pit = pending_recon_.find(index);
   if (pit != pending_recon_.end()) {
     CancelTimer(pit->second.timer);
@@ -567,8 +563,8 @@ void CrosswordReplica::LearnChosen(uint64_t index, const smr::Command& cmd) {
 void CrosswordReplica::TryCompleteRecon(uint64_t index) {
   auto it = pending_recon_.find(index);
   if (it == pending_recon_.end() || !it->second.assembler.Complete()) return;
-  std::optional<smr::Command> full = it->second.assembler.Reconstruct();
-  if (!full.has_value()) return;  // End-to-end checksum failed; keep pulling.
+  std::optional<smr::Entry> full = it->second.assembler.Reconstruct();
+  if (!full.has_value()) return;  // Payload did not check out; keep pulling.
   CancelTimer(it->second.timer);
   pending_recon_.erase(it);
   ++reconstructions_;
@@ -607,19 +603,18 @@ void CrosswordReplica::SchedulePull(uint64_t index) {
 }
 
 void CrosswordReplica::DisplaceInFlight(uint64_t index,
-                                        const smr::Command* decided) {
+                                        const smr::Entry* decided) {
   if (!leader_active_) return;
   auto it = slots_.find(index);
   if (it == slots_.end()) return;
   const SlotState& slot = it->second;
   if (!slot.has_value || slot.chosen || slot.accept_num != my_ballot_) return;
-  const smr::Command displaced = slot.value;  // Leaders hold full values.
-  if (smr::IsNoop(displaced) || smr::IsShard(displaced)) return;
-  if (decided != nullptr && displaced == *decided) return;
+  if (decided != nullptr && slot.value == *decided) return;
   // Our in-flight proposal lost this slot to an earlier decision we are
-  // only now being taught: the client commands it carried must re-enter
-  // the queue for a fresh slot instead of dying with the proposal.
-  pipeline_.Requeue(displaced);
+  // only now being taught: the client commands it carried (leaders hold
+  // full values) must re-enter the queue for a fresh slot instead of
+  // dying with the proposal.
+  pipeline_.Requeue(slot.value);
 }
 
 uint64_t CrosswordReplica::ChosenThrough() const {
@@ -713,8 +708,8 @@ void CrosswordReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
         // (full value or our validated fragment) instead of acking —
         // acking would let a proposer that missed the decision count us
         // toward choosing a DIFFERENT value here.
-        if (const smr::Command* cmd = log_.Get(m->index)) {
-          Send(from, std::make_shared<PullReplyMsg>(m->index, *cmd));
+        if (const smr::Entry* entry = log_.Get(m->index)) {
+          Send(from, std::make_shared<PullReplyMsg>(m->index, *entry));
           if (m->ballot.pid != id()) ResetLeaderTimer();
           return;
         }
@@ -724,8 +719,8 @@ void CrosswordReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
           Send(from, std::make_shared<PullReplyMsg>(
                          m->index, pit->second.assembler.Merged()));
           // The incoming framing is the same value in bounds; fold it in.
-          if (smr::IsShard(m->cmd)) {
-            pit->second.assembler.Add(m->cmd);
+          if (m->entry.shard_set() != nullptr) {
+            pit->second.assembler.Add(m->entry);
             TryCompleteRecon(m->index);
           }
           if (m->ballot.pid != id()) ResetLeaderTimer();
@@ -736,11 +731,11 @@ void CrosswordReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
         // the slot is chosen never proposes into it), so this only helps
         // the round finish.
         slot.accept_num = m->ballot;
-        slot.value = m->cmd;
+        slot.value = m->entry;
         slot.has_value = true;
         slot.round = m->round;
-        if (pit != pending_recon_.end() && smr::IsShard(m->cmd)) {
-          pit->second.assembler.Add(m->cmd);
+        if (pit != pending_recon_.end() && m->entry.shard_set() != nullptr) {
+          pit->second.assembler.Add(m->entry);
           TryCompleteRecon(m->index);
         }
         Send(from, std::make_shared<AcceptedMsg>(m->ballot, m->index,
@@ -755,7 +750,7 @@ void CrosswordReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
         return;
       }
       slot.accept_num = m->ballot;
-      slot.value = m->cmd;
+      slot.value = m->entry;
       slot.has_value = true;
       slot.round = m->round;
       Send(from, std::make_shared<AcceptedMsg>(m->ballot, m->index, m->round));
@@ -807,22 +802,23 @@ void CrosswordReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
     const auto pull_key = std::make_pair(m->index, from);
     auto dit = pull_reply_draining_.find(pull_key);
     if (dit != pull_reply_draining_.end() && Now() < dit->second) return;
-    auto serve = [&](smr::Command cmd) {
-      Send(from, std::make_shared<PullReplyMsg>(m->index, std::move(cmd)));
+    auto serve = [&](smr::Entry entry) {
+      Send(from, std::make_shared<PullReplyMsg>(m->index, std::move(entry)));
       pull_reply_draining_[pull_key] = Now() + sim().EgressBacklog(id());
       ++pulls_served_;
     };
-    if (const smr::Command* cmd = log_.Get(m->index)) {
-      if (!m->want_full && !smr::IsNoop(*cmd) && n_ > 1) {
+    if (const smr::Entry* entry = log_.Get(m->index)) {
+      if (!m->want_full && entry->kind() != smr::Entry::Kind::kNoop &&
+          n_ > 1) {
         // Serve the fragment at OUR diagonal position, not the whole
         // value: pullers reassemble from k distinct positions, and a
         // full-copy answer per puller would re-pay the entire egress
         // bill the coded accept round just avoided. The full value goes
         // out only on want_full — the puller's last resort.
-        smr::ShardedCommand sc = smr::ShardCommand(*cmd, k_, n_);
+        smr::ShardedCommand sc = smr::ShardCommand(*entry, k_, n_);
         serve(sc.Subset(PositionOf(id()), 1));
       } else {
-        serve(*cmd);
+        serve(*entry);
       }
       return;
     }
@@ -835,7 +831,7 @@ void CrosswordReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
     auto sit = slots_.find(m->index);
     if (sit != slots_.end() && sit->second.chosen && sit->second.has_value &&
         sit->second.accept_num == sit->second.chosen_ballot &&
-        smr::IsShard(sit->second.value)) {
+        sit->second.value.shard_set() != nullptr) {
       serve(sit->second.value);
     }
     return;  // Nothing validated to serve; the puller's retry rotates on.
@@ -843,12 +839,12 @@ void CrosswordReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
 
   if (const auto* m = dynamic_cast<const PullReplyMsg*>(&msg)) {
     if (m->index < log_.start() || log_.Has(m->index)) return;
-    if (!smr::IsShard(m->cmd)) {
+    if (m->entry.shard_set() == nullptr) {
       // A full chosen value (pull answer or teach). If we were proposing
       // something else into this slot, rescue those commands first.
-      DisplaceInFlight(m->index, &m->cmd);
+      DisplaceInFlight(m->index, &m->entry);
       Slot(m->index).chosen = true;
-      LearnChosen(m->index, m->cmd);
+      LearnChosen(m->index, m->entry);
       if (leader_active_) ProposeNext();
       return;
     }
@@ -857,7 +853,7 @@ void CrosswordReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
     Slot(m->index).chosen = true;
     const bool fresh = pending_recon_.count(m->index) == 0;
     PendingRecon& p = pending_recon_[m->index];  // Ballot unknown on teach.
-    p.assembler.Add(m->cmd);
+    p.assembler.Add(m->entry);
     TryCompleteRecon(m->index);
     if (fresh && pending_recon_.count(m->index) > 0) {
       SchedulePull(m->index);  // Existing entries already run a pull timer.
@@ -873,7 +869,7 @@ void CrosswordReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
 
   if (const auto* m = dynamic_cast<const smr::CatchupReplyMsg*>(&msg)) {
     // Every entry is a chosen value; learning outright is safe.
-    for (const auto& [index, cmd] : m->entries) LearnChosen(index, cmd);
+    for (const auto& [index, entry] : m->entries) LearnChosen(index, entry);
     return;
   }
 
@@ -922,7 +918,7 @@ void CrosswordReplica::OnRestart() {
     SlotState& slot = Slot(index);
     const bool validated = slot.has_value && !slot.chosen_ballot.IsZero() &&
                            slot.accept_num == slot.chosen_ballot;
-    if (validated && !smr::IsShard(slot.value)) {
+    if (validated && slot.value.shard_set() == nullptr) {
       LearnChosen(index, slot.value);
       continue;
     }

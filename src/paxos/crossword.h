@@ -115,7 +115,7 @@ class CrosswordReplica : public smr::PipelineProcess {
 
   struct SlotState {
     Ballot accept_num;
-    smr::Command value;    ///< Full command (leader / c = k) or shard frame.
+    smr::Entry value;      ///< Full value (leader / c = k) or shard set.
     bool has_value = false;
     bool chosen = false;
     Ballot chosen_ballot;  ///< Ballot the commit announced.
@@ -143,9 +143,9 @@ class CrosswordReplica : public smr::PipelineProcess {
   int ChooseShards(int payload);
   int Q2For(int c) const;
   int PositionOf(sim::NodeId node) const;
-  /// Proposes `cmd` (a full command) at `index`: leader self-accepts the
+  /// Proposes `entry` (a full value) at `index`: leader self-accepts the
   /// full copy and ships per-acceptor shard windows (or full copies).
-  void AcceptSlot(uint64_t index, const smr::Command& cmd);
+  void AcceptSlot(uint64_t index, const smr::Entry& entry);
   /// Starts a fresh accept round for `index` at c shards per acceptor
   /// (the slot must already hold the full value).
   void StartRound(uint64_t index, int c);
@@ -159,19 +159,19 @@ class CrosswordReplica : public smr::PipelineProcess {
   /// Re-queues the client commands of our unchosen in-flight proposal at
   /// `index` after being taught the slot was already decided (as
   /// `decided`, when known).
-  void DisplaceInFlight(uint64_t index, const smr::Command* decided);
+  void DisplaceInFlight(uint64_t index, const smr::Entry* decided);
   /// Re-sends the current round to stragglers; escalates stalled sharded
   /// slots to full copies.
   void ResendInFlight();
   /// Resolves one recovered slot from promise-carried fragments; nullopt
   /// when no candidate reconstructs (provably unchosen in bounds).
-  std::optional<smr::Command> ResolveRecovered(
-      const std::vector<std::pair<Ballot, smr::Command>>& candidates) const;
+  std::optional<smr::Entry> ResolveRecovered(
+      const std::vector<std::pair<Ballot, smr::Entry>>& candidates) const;
   /// Records `index` as chosen at `ballot` and kicks off reconstruction
   /// or applies directly, depending on what this replica holds.
   void MarkChosen(uint64_t index, Ballot ballot);
   /// Installs the full chosen value into the log and applies.
-  void LearnChosen(uint64_t index, const smr::Command& cmd);
+  void LearnChosen(uint64_t index, const smr::Entry& entry);
   void SchedulePull(uint64_t index);
   void ResetLeaderTimer();
   void SendHeartbeat();
@@ -195,7 +195,7 @@ class CrosswordReplica : public smr::PipelineProcess {
   bool phase1_pending_ = false;
   std::set<sim::NodeId> promisers_;
   /// index -> every (ballot, value) any promise carried for it.
-  std::map<uint64_t, std::vector<std::pair<Ballot, smr::Command>>> recovered_;
+  std::map<uint64_t, std::vector<std::pair<Ballot, smr::Entry>>> recovered_;
   /// Slots some promiser knows are decided.
   std::set<uint64_t> recovered_chosen_;
   Ballot my_ballot_;

@@ -36,28 +36,28 @@ struct MultiPaxosReplica::PromiseMsg : sim::Message {
     for (const auto& [index, entry] : accepted) {
       size += 32 + entry.second.ByteSize();
     }
-    for (const auto& [index, cmd] : chosen) size += 16 + cmd.ByteSize();
+    for (const auto& [index, entry] : chosen) size += 16 + entry.ByteSize();
     return size;
   }
   Ballot ballot;
   /// index -> (AcceptNum, AcceptVal) for every unchosen accepted slot.
-  std::map<uint64_t, std::pair<Ballot, smr::Command>> accepted;
+  std::map<uint64_t, std::pair<Ballot, smr::Entry>> accepted;
   /// index -> value for every slot this replica knows is decided. A
   /// promiser that learned a decision no longer reports the slot as
   /// merely accepted, so without these a new leader that missed the
   /// decisions would see the slots as empty and propose fresh commands
   /// into them.
-  std::map<uint64_t, smr::Command> chosen;
+  std::map<uint64_t, smr::Entry> chosen;
 };
 
 struct MultiPaxosReplica::AcceptMsg : sim::Message {
-  AcceptMsg(Ballot b, uint64_t i, smr::Command c)
-      : ballot(b), index(i), cmd(std::move(c)) {}
+  AcceptMsg(Ballot b, uint64_t i, smr::Entry e)
+      : ballot(b), index(i), entry(std::move(e)) {}
   const char* TypeName() const override { return "accept"; }
-  int ByteSize() const override { return 32 + cmd.ByteSize(); }
+  int ByteSize() const override { return 32 + entry.ByteSize(); }
   Ballot ballot;
   uint64_t index;
-  smr::Command cmd;
+  smr::Entry entry;
 };
 
 struct MultiPaxosReplica::AcceptedMsg : sim::Message {
@@ -71,12 +71,12 @@ struct MultiPaxosReplica::AcceptedMsg : sim::Message {
 struct MultiPaxosReplica::CommitMsg : sim::Message {
   const char* TypeName() const override { return "commit"; }
   int ByteSize() const override {
-    return 40 + (has_entry ? cmd.ByteSize() + 8 : 0);
+    return 40 + (has_entry ? entry.ByteSize() + 8 : 0);
   }
   Ballot ballot;
   bool has_entry = false;  ///< False = pure heartbeat.
   uint64_t index = 0;
-  smr::Command cmd;
+  smr::Entry entry;
   /// Leader's commit frontier: a follower that trails it asks to catch up.
   uint64_t frontier = 0;
 };
@@ -150,8 +150,8 @@ void MultiPaxosReplica::OnLeadershipAcquired() {
   // proposal cursor: re-proposing into them, or no-op filling them, could
   // overwrite a decided value.
   uint64_t max_idx = next_index_;
-  for (const auto& [index, cmd] : recovered_chosen_) {
-    Chosen(index, cmd);
+  for (const auto& [index, entry] : recovered_chosen_) {
+    Chosen(index, entry);
     max_idx = std::max(max_idx, index + 1);
   }
 
@@ -180,7 +180,7 @@ void MultiPaxosReplica::OnLeadershipAcquired() {
   for (uint64_t index = log_.commit_frontier(); index < next_index_; ++index) {
     if (recovered_.count(index) > 0) continue;  // Re-proposed above.
     if (Slot(index).chosen) continue;
-    AcceptSlot(index, smr::Command{smr::kNoopClient, 0, "NOOP"});
+    AcceptSlot(index, smr::Entry::Noop());
   }
 
   SendHeartbeat();  // Also self-reschedules while leader.
@@ -238,9 +238,9 @@ void MultiPaxosReplica::ProposeNext() {
   }
 }
 
-void MultiPaxosReplica::AcceptSlot(uint64_t index, const smr::Command& cmd) {
+void MultiPaxosReplica::AcceptSlot(uint64_t index, const smr::Entry& entry) {
   Slot(index).proposed_at = Now();
-  Multicast(Everyone(), std::make_shared<AcceptMsg>(my_ballot_, index, cmd));
+  Multicast(Everyone(), std::make_shared<AcceptMsg>(my_ballot_, index, entry));
 }
 
 // The accept of AcceptSlot goes out once, and the pipeline drops a
@@ -270,11 +270,11 @@ void MultiPaxosReplica::ResendStalledAccepts() {
   }
 }
 
-void MultiPaxosReplica::Chosen(uint64_t index, const smr::Command& cmd) {
+void MultiPaxosReplica::Chosen(uint64_t index, const smr::Entry& entry) {
   if (index < log_.start()) return;  // Already folded into a checkpoint.
   SlotState& slot = Slot(index);
   if (slot.chosen) {
-    if (slot.has_value && !(slot.value == cmd)) {
+    if (slot.has_value && !(slot.value == entry)) {
       violations_.push_back("slot " + std::to_string(index) +
                             " chosen twice with different values");
     }
@@ -282,8 +282,8 @@ void MultiPaxosReplica::Chosen(uint64_t index, const smr::Command& cmd) {
   }
   slot.chosen = true;
   slot.has_value = true;
-  slot.value = cmd;
-  log_.Set(index, cmd);
+  slot.value = entry;
+  log_.Set(index, entry);
 
   // Advance the commit frontier over the contiguous chosen prefix.
   uint64_t frontier = log_.commit_frontier();
@@ -363,9 +363,10 @@ void MultiPaxosReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       SlotState& slot = Slot(m->index);
       if (!slot.chosen) {
         slot.accept_num = m->ballot;
-        slot.value = m->cmd;
+        slot.value = m->entry;
         slot.has_value = true;
-      } else if (smr::IsNoop(m->cmd) && !(slot.value == m->cmd)) {
+      } else if (m->entry.kind() == smr::Entry::Kind::kNoop &&
+                 !(slot.value == m->entry)) {
         // A hole-filling no-op aimed at a slot we know is decided with a
         // real command: acking would help the new leader "choose" the
         // no-op over the decided value. Teach it the decision instead —
@@ -374,7 +375,7 @@ void MultiPaxosReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
         teach->ballot = m->ballot;
         teach->has_entry = true;
         teach->index = m->index;
-        teach->cmd = slot.value;
+        teach->entry = slot.value;
         teach->frontier = log_.commit_frontier();
         Send(from, teach);
         if (m->ballot.pid != id()) ResetLeaderTimer();
@@ -392,16 +393,16 @@ void MultiPaxosReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
     slot.accepts.insert(from);
     if (!slot.chosen && static_cast<int>(slot.accepts.size()) >= q2_ &&
         slot.has_value) {
-      smr::Command cmd = slot.value;
+      smr::Entry entry = slot.value;
       // Propagate the decision to all, asynchronously.
       auto commit = std::make_shared<CommitMsg>();
       commit->ballot = my_ballot_;
       commit->has_entry = true;
       commit->index = m->index;
-      commit->cmd = cmd;
+      commit->entry = entry;
       commit->frontier = log_.commit_frontier();
       Multicast(Everyone(), commit);
-      Chosen(m->index, cmd);
+      Chosen(m->index, entry);
       if (!options_.skip_phase1_when_stable) {
         // Per-command phase-1 mode: prepare again for the next command.
         slot_in_flight_ = false;
@@ -418,7 +419,7 @@ void MultiPaxosReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
         if (leader_active_) Deposed();
         ResetLeaderTimer();
       }
-      if (m->has_entry) Chosen(m->index, m->cmd);
+      if (m->has_entry) Chosen(m->index, m->entry);
       if (m->frontier > log_.commit_frontier() && from != id()) {
         // We trail the leader's commit frontier (e.g. healed partition, or
         // commits we missed): pull the gap. Re-requested every heartbeat
@@ -437,7 +438,7 @@ void MultiPaxosReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
   if (const auto* m = dynamic_cast<const smr::CatchupReplyMsg*>(&msg)) {
     // Every entry is a chosen (committed) value, so learning it outright
     // is safe regardless of ballot.
-    for (const auto& [index, cmd] : m->entries) Chosen(index, cmd);
+    for (const auto& [index, entry] : m->entries) Chosen(index, entry);
     return;
   }
 

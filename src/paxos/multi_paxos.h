@@ -84,7 +84,7 @@ class MultiPaxosReplica : public smr::PipelineProcess {
   const smr::KvStore& kv() const { return pipeline_.kv(); }
   const std::vector<std::string>& violations() const { return violations_; }
   int phase1_rounds() const { return phase1_rounds_; }
-  /// Commands this replica executed, in order, batch entries flattened (a
+  /// Commands this replica executed, in order, batches' commands in place (a
   /// replica that bootstrapped from a snapshot only knows its suffix).
   const std::vector<smr::Command>& CommittedCommands() const {
     return pipeline_.executed();
@@ -111,7 +111,7 @@ class MultiPaxosReplica : public smr::PipelineProcess {
 
   struct SlotState {
     Ballot accept_num;
-    smr::Command value;
+    smr::Entry value;
     bool has_value = false;
     bool chosen = false;
     std::set<sim::NodeId> accepts;  ///< Leader-side accepted counters.
@@ -124,11 +124,11 @@ class MultiPaxosReplica : public smr::PipelineProcess {
   /// state and stop leader timers (clients re-transmit elsewhere).
   void Deposed();
   void ProposeNext();
-  void AcceptSlot(uint64_t index, const smr::Command& cmd);
+  void AcceptSlot(uint64_t index, const smr::Entry& entry);
   /// Re-sends the accepts of slots stalled below the proposal cursor to
   /// the members that have not acked them (see the definition).
   void ResendStalledAccepts();
-  void Chosen(uint64_t index, const smr::Command& cmd);
+  void Chosen(uint64_t index, const smr::Entry& entry);
   void ResetLeaderTimer();
   void SendHeartbeat();
   std::vector<sim::NodeId> Everyone() const;
@@ -146,9 +146,9 @@ class MultiPaxosReplica : public smr::PipelineProcess {
   bool phase1_pending_ = false;
   std::set<sim::NodeId> promisers_;
   /// Highest-ballot accepted value per index, merged from promises.
-  std::map<uint64_t, std::pair<Ballot, smr::Command>> recovered_;
+  std::map<uint64_t, std::pair<Ballot, smr::Entry>> recovered_;
   /// Slots some promiser knows are decided, with their values.
-  std::map<uint64_t, smr::Command> recovered_chosen_;
+  std::map<uint64_t, smr::Entry> recovered_chosen_;
   Ballot my_ballot_;
   uint64_t next_index_ = 0;
   bool slot_in_flight_ = false;  ///< Used when re-preparing per command.

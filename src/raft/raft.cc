@@ -29,7 +29,7 @@ struct RaftReplica::AppendEntriesMsg : sim::Message {
   const char* TypeName() const override { return "append-entries"; }
   int ByteSize() const override {
     int size = 48;
-    for (const LogEntry& e : entries) size += 8 + e.cmd.ByteSize();
+    for (const LogEntry& e : entries) size += 8 + e.value.ByteSize();
     return size;
   }
   int64_t term = 0;
@@ -98,33 +98,10 @@ bool RaftReplica::IsVoter(sim::NodeId node) const {
   return false;
 }
 
-smr::Command RaftReplica::MakeConfigCommand(
-    const std::vector<sim::NodeId>& config) {
-  std::string op = "CONFIG";
-  for (sim::NodeId member : config) op += " " + std::to_string(member);
-  return smr::Command{-2, 0, op};
-}
-
-std::optional<std::vector<sim::NodeId>> RaftReplica::ParseConfig(
-    const smr::Command& cmd) {
-  if (cmd.client != -2 || cmd.op.rfind("CONFIG", 0) != 0) return std::nullopt;
-  std::vector<sim::NodeId> config;
-  size_t pos = 6;
-  while (pos < cmd.op.size()) {
-    config.push_back(
-        static_cast<sim::NodeId>(std::strtol(cmd.op.c_str() + pos, nullptr, 10)));
-    pos = cmd.op.find(' ', pos + 1);
-    if (pos == std::string::npos) break;
-    ++pos;
-  }
-  return config;
-}
-
 void RaftReplica::RecomputeConfig() {
   config_ = snapshot_config_;
   for (const LogEntry& entry : log_) {
-    auto parsed = ParseConfig(entry.cmd);
-    if (parsed) config_ = *parsed;
+    if (const auto* members = entry.value.config()) config_ = *members;
   }
 }
 
@@ -137,11 +114,11 @@ Status RaftReplica::ChangeConfig(std::vector<sim::NodeId> new_config) {
   }
   // One change at a time: any uncommitted config entry blocks the next.
   for (uint64_t i = commit_index_; i < LogEnd(); ++i) {
-    if (ParseConfig(EntryAt(i + 1).cmd)) {
+    if (EntryAt(i + 1).value.config() != nullptr) {
       return Status::FailedPrecondition("a config change is in flight");
     }
   }
-  log_.push_back(LogEntry{current_term_, MakeConfigCommand(new_config)});
+  log_.push_back(LogEntry{current_term_, smr::Entry::Config(new_config)});
   config_ = std::move(new_config);  // Effective when appended.
   BroadcastAppendEntries();
   return Status::Ok();
@@ -231,7 +208,7 @@ void RaftReplica::BecomeLeader() {
   // A retried command already in the unapplied suffix must not be
   // appended again: track it as in flight.
   for (uint64_t i = last_applied_; i < LogEnd(); ++i) {
-    pipeline_.Track(EntryAt(i + 1).cmd, i + 1);
+    pipeline_.Track(EntryAt(i + 1).value, i + 1);
   }
   // AdvanceCommitIndex may only count replicas for entries of the
   // current term, so a leader whose log ends in an uncommitted
@@ -241,8 +218,7 @@ void RaftReplica::BecomeLeader() {
   // (Raft paper §8). Every uncommitted entry here is prior-term: the
   // candidate bumped its term before winning.
   if (LogEnd() > commit_index_) {
-    log_.push_back(
-        LogEntry{current_term_, smr::Command{smr::kNoopClient, 0, "NOOP"}});
+    log_.push_back(LogEntry{current_term_, smr::Entry::Noop()});
   }
   BroadcastAppendEntries();  // Immediate heartbeat asserts leadership.
 }
@@ -328,18 +304,15 @@ void RaftReplica::ApplyCommitted() {
   while (last_applied_ < commit_index_) {
     const LogEntry& entry = EntryAt(last_applied_ + 1);
     ++last_applied_;
-    auto config = ParseConfig(entry.cmd);
-    if (config) {
-      // A committed configuration that no longer contains us (leader
-      // removed itself) means we must step down.
-      if (role_ == Role::kLeader && !IsVoter(id())) {
-        BecomeFollower(current_term_);
-      }
-      continue;  // Config entries do not touch the state machine.
+    // A committed configuration that no longer contains us (leader
+    // removed itself) means we must step down.
+    if (entry.value.config() != nullptr && role_ == Role::kLeader &&
+        !IsVoter(id())) {
+      BecomeFollower(current_term_);
     }
-    // Batch entries fan out: each client command is deduped, recorded,
-    // and answered individually.
-    pipeline_.ApplyEntry(last_applied_, entry.cmd, &violations_);
+    // Each client command (a batch carries several) is deduped, recorded,
+    // and answered individually; other entries apply nothing.
+    pipeline_.ApplyEntry(entry.value);
   }
   MaybeTakeSnapshot();
 }
@@ -351,8 +324,9 @@ void RaftReplica::MaybeTakeSnapshot() {
   // and the configuration in effect at the boundary, drop the prefix.
   snapshot_term_ = TermOfEntry(last_applied_);
   for (uint64_t i = log_start_; i < last_applied_; ++i) {
-    auto config = ParseConfig(EntryAt(i + 1).cmd);
-    if (config) snapshot_config_ = *config;
+    if (const auto* members = EntryAt(i + 1).value.config()) {
+      snapshot_config_ = *members;
+    }
   }
   log_.erase(log_.begin(),
              log_.begin() + static_cast<long>(last_applied_ - log_start_));
@@ -544,7 +518,7 @@ void RaftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
         truncated = true;
       }
       log_.push_back(entry);
-      if (auto config = ParseConfig(entry.cmd)) config_ = std::move(*config);
+      if (const auto* members = entry.value.config()) config_ = *members;
     }
     if (truncated) RecomputeConfig();
     if (m->leader_commit > commit_index_) {

@@ -61,7 +61,7 @@ class RaftReplica : public smr::PipelineProcess {
 
   struct LogEntry {
     int64_t term = 0;
-    smr::Command cmd;
+    smr::Entry value;
   };
 
   // --- Client-facing messages ---
@@ -116,12 +116,6 @@ class RaftReplica : public smr::PipelineProcess {
   /// replica is not the leader or a config change is still uncommitted
   /// (changes must be applied one at a time).
   Status ChangeConfig(std::vector<sim::NodeId> new_config);
-
-  /// Encodes/decodes configuration log entries.
-  static smr::Command MakeConfigCommand(
-      const std::vector<sim::NodeId>& config);
-  static std::optional<std::vector<sim::NodeId>> ParseConfig(
-      const smr::Command& cmd);
 
   void OnStart() override;
   void OnMessage(sim::NodeId from, const sim::Message& msg) override;

@@ -169,12 +169,12 @@ void ShardMover::SendStepMsg() {
   } else if (step_ == Step::kInstallTm) {
     auto m = std::make_shared<MoveInstallMsg>();
     m->move_id = move_id_;
-    m->table = new_table_.Encode();
+    m->table = new_table_;
     Send(owner_->tm_id(spec_.to), m);
   } else if (step_ == Step::kUnfreeze) {
     auto m = std::make_shared<MoveUnfreezeMsg>();
     m->move_id = move_id_;
-    m->table = new_table_.Encode();
+    m->table = new_table_;
     Send(owner_->tm_id(from_), m);
     if (reject_at_flip_) {
       // Stand-down: the flip lost the SETNX race, so new_table_ is the
@@ -184,7 +184,7 @@ void ShardMover::SendStepMsg() {
       // authoritative table assigns elsewhere.
       auto fix = std::make_shared<MoveInstallMsg>();
       fix->move_id = move_id_;
-      fix->table = new_table_.Encode();
+      fix->table = new_table_;
       fix->force = true;
       Send(owner_->tm_id(spec_.to), fix);
     }

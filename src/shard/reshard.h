@@ -84,10 +84,10 @@ struct MoveDrainedMsg : sim::Message {
 struct MoveInstallMsg : sim::Message {
   const char* TypeName() const override { return "move-install"; }
   int ByteSize() const override {
-    return 25 + static_cast<int>(table.size());
+    return 25 + static_cast<int>(table.Encode().size());
   }
   std::string move_id;
-  std::string table;  ///< RoutingTable::Encode of the post-move table.
+  RoutingTable table;  ///< The post-move table.
   /// Set when a mover stands down at the flip: `table` is then the
   /// ESTABLISHED table for its epoch and replaces a same-epoch table the
   /// TM adopted from the losing pre-flip install (plain adoption is
@@ -106,10 +106,10 @@ struct MoveInstallAckMsg : sim::Message {
 struct MoveUnfreezeMsg : sim::Message {
   const char* TypeName() const override { return "move-unfreeze"; }
   int ByteSize() const override {
-    return 24 + static_cast<int>(table.size());
+    return 24 + static_cast<int>(table.Encode().size());
   }
   std::string move_id;
-  std::string table;
+  RoutingTable table;
 };
 
 struct MoveUnfreezeAckMsg : sim::Message {

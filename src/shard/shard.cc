@@ -108,16 +108,13 @@ void TxManager::ArmNudge(const std::string& move_id) {
 }
 
 void TxManager::OnMoveInstall(sim::NodeId from, const MoveInstallMsg& m) {
-  std::optional<RoutingTable> t =
-      RoutingTable::Decode(m.table, owner_->total_groups());
-  if (t.has_value()) {
-    if (!table_.MaybeAdopt(*t) && m.force && t->epoch() == table_.epoch()) {
-      // A mover standing down at the flip pushes the ESTABLISHED table,
-      // which replaces the same-epoch table its losing pre-flip install
-      // taught us (epoch-gated adoption alone would keep the loser and
-      // this TM would accept writes for a range it does not own).
-      table_ = *t;
-    }
+  if (!table_.MaybeAdopt(m.table) && m.force &&
+      m.table.epoch() == table_.epoch()) {
+    // A mover standing down at the flip pushes the ESTABLISHED table,
+    // which replaces the same-epoch table its losing pre-flip install
+    // taught us (epoch-gated adoption alone would keep the loser and
+    // this TM would accept writes for a range it does not own).
+    table_ = m.table;
   }
   auto ack = std::make_shared<MoveInstallAckMsg>();
   ack->move_id = m.move_id;
@@ -125,10 +122,7 @@ void TxManager::OnMoveInstall(sim::NodeId from, const MoveInstallMsg& m) {
 }
 
 void TxManager::OnMoveUnfreeze(sim::NodeId from, const MoveUnfreezeMsg& m) {
-  if (std::optional<RoutingTable> t =
-          RoutingTable::Decode(m.table, owner_->total_groups())) {
-    table_.MaybeAdopt(*t);
-  }
+  table_.MaybeAdopt(m.table);
   auto it = frozen_.find(m.move_id);
   if (it != frozen_.end()) {
     if (it->second.nudge_timer != 0) CancelTimer(it->second.nudge_timer);
@@ -172,7 +166,7 @@ void TxManager::OnMessage(sim::NodeId from, const sim::Message& msg) {
         ++redirects_;
         auto redirect = std::make_shared<TmRedirectMsg>();
         redirect->tx_id = m->tx_id;
-        redirect->table = table_.Encode();
+        redirect->table = table_;
         Send(from, redirect);
         return;
       }
@@ -601,10 +595,7 @@ void TxCoordinator::OnMessage(sim::NodeId from, const sim::Message& msg) {
     // A TM refused a key we routed to it: adopt its (newer) table, then
     // abort the transaction — never split it across routing epochs. The
     // client's retry re-splits against the adopted table.
-    if (std::optional<RoutingTable> t =
-            RoutingTable::Decode(m->table, owner_->total_groups())) {
-      table_.MaybeAdopt(*t);
-    }
+    table_.MaybeAdopt(m->table);
     auto it = txs_.find(m->tx_id);
     if (it == txs_.end()) return;
     Tx& tx = it->second;

@@ -67,8 +67,6 @@ struct TxOp {
     kDelete = 2,  ///< Blind delete.
     kCas = 3,     ///< Write `value` iff the current value == `expected`.
   };
-  // Field order keeps `TxOp{key, value}` aggregate-initializable as a
-  // blind PUT, the historical (write-only) shape of this struct.
   std::string key;
   std::string value;     ///< New value (kPut / kCas).
   std::string expected;  ///< Compare value (kCas only).
@@ -226,9 +224,11 @@ struct TmAckMsg : sim::Message {
 /// routes bounce.
 struct TmRedirectMsg : sim::Message {
   const char* TypeName() const override { return "tm-redirect"; }
-  int ByteSize() const override { return 16 + static_cast<int>(table.size()); }
+  int ByteSize() const override {
+    return 16 + static_cast<int>(table.Encode().size());
+  }
   uint64_t tx_id = 0;
-  std::string table;  ///< RoutingTable::Encode of the TM's table.
+  RoutingTable table;  ///< The TM's table.
 };
 
 struct ShardOptions {

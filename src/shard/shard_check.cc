@@ -448,9 +448,7 @@ class ShardScenarioAdapter : public ProtocolAdapter {
         const std::string put = "PUT " + op.key + " " + op.value;
         bool logged_old = false;
         for (const smr::Command& cmd : logs[initial_owner]) {
-          for (const smr::Command& c : smr::FlattenCommand(cmd)) {
-            logged_old |= c.op == put;
-          }
+          logged_old |= cmd.op == put;
         }
         if ((!old_v.has_value() || *old_v != op.value) && logged_old) {
           o->self_reported.push_back(

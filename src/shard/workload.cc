@@ -79,7 +79,7 @@ void WorkloadDriver::IssueTx(bool cross) {
   tx.start = Now();
   const std::string value = "v" + std::to_string(tx_id);
   std::string k1 = RandomKey(options_.write_space);
-  tx.ops.push_back(TxOp{k1, value});
+  tx.ops.push_back(TxOp::Put(k1, value));
   if (cross) {
     // A second key on a different group (per the driver's current routing
     // view); bounded probing keeps the loop deterministic even for
@@ -88,7 +88,7 @@ void WorkloadDriver::IssueTx(bool cross) {
     for (int attempt = 0; attempt < 64; ++attempt) {
       std::string k2 = RandomKey(options_.write_space);
       if (k2 != k1 && table_.GroupForKey(k2) != group1) {
-        tx.ops.push_back(TxOp{k2, value});
+        tx.ops.push_back(TxOp::Put(k2, value));
         break;
       }
     }

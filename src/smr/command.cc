@@ -1,9 +1,28 @@
 #include "smr/command.h"
 
+#include <algorithm>
 #include <charconv>
-#include <cstdlib>
 
 namespace consensus40::smr {
+
+namespace {
+
+/// Decimal digits of `v`.
+int Width(uint64_t v) {
+  int width = 1;
+  for (; v >= 10; v /= 10) ++width;
+  return width;
+}
+
+/// Decimal characters of `v`, sign included.
+int SignedWidth(int64_t v) {
+  return v < 0 ? 1 + Width(0 - static_cast<uint64_t>(v))
+               : Width(static_cast<uint64_t>(v));
+}
+
+constexpr int kHeaderBytes = 16;
+
+}  // namespace
 
 crypto::Digest Command::Hash() const {
   crypto::Sha256 h;
@@ -23,60 +42,99 @@ std::string Command::ToString() const {
   return out;
 }
 
-Command EncodeBatch(const std::vector<Command>& cmds) {
-  // "<client> <seq> <acked> <oplen> <opbytes>" per sub-command;
-  // whitespace-delimited headers, byte-exact payloads. `acked` rides
-  // along so replicas applying the decoded batch advance their session
-  // floors identically (see DedupingExecutor).
-  std::string encoded;
+Entry::Entry() : Entry(std::monostate{}, kHeaderBytes + 4) {}
+
+Entry::Entry(Command cmd)
+    : value_(std::move(cmd)),
+      byte_size_(std::get<Command>(value_).ByteSize()) {}
+
+Entry Entry::Batch(std::vector<Command> cmds) {
+  int size = kHeaderBytes;
   for (const Command& cmd : cmds) {
-    encoded += std::to_string(cmd.client);
-    encoded += ' ';
-    encoded += std::to_string(cmd.client_seq);
-    encoded += ' ';
-    encoded += std::to_string(cmd.acked);
-    encoded += ' ';
-    encoded += std::to_string(cmd.op.size());
-    encoded += ' ';
-    encoded += cmd.op;
+    size += SignedWidth(cmd.client) + Width(cmd.client_seq) +
+            Width(cmd.acked) + Width(cmd.op.size()) + 4 +
+            static_cast<int>(cmd.op.size());
   }
-  return Command{kBatchClient, 0, std::move(encoded)};
+  return Entry(std::make_shared<const std::vector<Command>>(std::move(cmds)),
+               size);
 }
 
-std::optional<std::vector<Command>> DecodeBatch(const Command& batch) {
-  if (!IsBatch(batch)) return std::nullopt;
-  std::vector<Command> cmds;
-  const std::string& s = batch.op;
-  size_t pos = 0;
-  while (pos < s.size()) {
-    char* end = nullptr;
-    long client = std::strtol(s.c_str() + pos, &end, 10);
-    if (end == nullptr || *end != ' ') return std::nullopt;
-    pos = static_cast<size_t>(end - s.c_str()) + 1;
-    unsigned long long seq = std::strtoull(s.c_str() + pos, &end, 10);
-    if (end == nullptr || *end != ' ') return std::nullopt;
-    pos = static_cast<size_t>(end - s.c_str()) + 1;
-    unsigned long long acked = std::strtoull(s.c_str() + pos, &end, 10);
-    if (end == nullptr || *end != ' ') return std::nullopt;
-    pos = static_cast<size_t>(end - s.c_str()) + 1;
-    unsigned long long len = std::strtoull(s.c_str() + pos, &end, 10);
-    if (end == nullptr || *end != ' ') return std::nullopt;
-    pos = static_cast<size_t>(end - s.c_str()) + 1;
-    if (pos + len > s.size()) return std::nullopt;
-    Command cmd{static_cast<int32_t>(client), static_cast<uint64_t>(seq),
-                s.substr(pos, len)};
-    cmd.acked = static_cast<uint64_t>(acked);
-    cmds.push_back(std::move(cmd));
-    pos += len;
-  }
-  return cmds;
+Entry Entry::Config(std::vector<int32_t> members) {
+  int size = kHeaderBytes + 6;
+  for (int32_t member : members) size += 1 + SignedWidth(member);
+  return Entry(std::move(members), size);
 }
 
-std::vector<Command> FlattenCommand(const Command& cmd) {
-  if (IsBatch(cmd)) {
-    return DecodeBatch(cmd).value_or(std::vector<Command>{});
+Entry Entry::Shards(ShardSet set) {
+  const ShardSet::Header& h = set.header;
+  int size = kHeaderBytes + (h.batch ? 2 : SignedWidth(h.client)) +
+             Width(h.client_seq) + Width(h.acked) +
+             Width(static_cast<uint64_t>(h.k)) +
+             Width(static_cast<uint64_t>(h.n)) + Width(h.payload_len) +
+             Width(h.payload_check) + Width(set.shards.size()) + 8;
+  for (const Shard& shard : set.shards) {
+    size += Width(static_cast<uint64_t>(shard.index)) +
+            Width(shard.bytes.size()) + Width(shard.check) + 3 +
+            static_cast<int>(shard.bytes.size());
   }
-  return {cmd};
+  return Entry(std::make_shared<const ShardSet>(std::move(set)), size);
+}
+
+std::span<const Command> Entry::commands() const {
+  if (const Command* cmd = std::get_if<Command>(&value_)) return {cmd, 1};
+  if (const auto* batch =
+          std::get_if<std::shared_ptr<const std::vector<Command>>>(&value_)) {
+    return **batch;
+  }
+  return {};
+}
+
+const std::vector<int32_t>* Entry::config() const {
+  return std::get_if<std::vector<int32_t>>(&value_);
+}
+
+const ShardSet* Entry::shard_set() const {
+  const auto* set = std::get_if<std::shared_ptr<const ShardSet>>(&value_);
+  return set == nullptr ? nullptr : set->get();
+}
+
+bool Entry::operator==(const Entry& other) const {
+  if (kind() != other.kind()) return false;
+  switch (kind()) {
+    case Kind::kCommand:
+      return commands()[0] == other.commands()[0];
+    case Kind::kBatch:
+      return std::ranges::equal(commands(), other.commands(),
+                                [](const Command& a, const Command& b) {
+                                  return a == b && a.acked == b.acked;
+                                });
+    case Kind::kNoop:
+      return true;
+    case Kind::kConfig:
+      return *config() == *other.config();
+    case Kind::kShardSet:
+      return *shard_set() == *other.shard_set();
+  }
+  return false;
+}
+
+std::string Entry::ToString() const {
+  switch (kind()) {
+    case Kind::kCommand:
+      return commands()[0].ToString();
+    case Kind::kBatch: {
+      std::string out = "batch[";
+      for (const Command& cmd : commands()) out += " " + cmd.ToString();
+      return out + " ]";
+    }
+    case Kind::kNoop:
+      return "noop";
+    case Kind::kConfig:
+      return "config";
+    case Kind::kShardSet:
+      return "shard set";
+  }
+  return "";
 }
 
 bool ParseU64(std::string_view s, uint64_t* out, int base) {

@@ -2,9 +2,11 @@
 #define CONSENSUS40_SMR_COMMAND_H_
 
 #include <cstdint>
-#include <optional>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "crypto/sha256.h"
@@ -59,54 +61,95 @@ struct Command {
   int ByteSize() const { return 16 + static_cast<int>(op.size()); }
 };
 
-/// Reserved client id marking a protocol-internal no-op entry: Raft's
-/// leader term-start entry, and the no-ops a newly elected Multi-Paxos
-/// leader proposes to fill log holes below its proposal cursor. No-ops
-/// never touch the state machine or the dedup sessions (the apply loop
-/// skips them) and never produce a client reply.
-constexpr int32_t kNoopClient = -3;
+/// One Reed–Solomon shard of a coded payload (see smr/erasure.h).
+struct Shard {
+  int index = 0;  ///< Evaluation point, in [0, n).
+  std::string bytes;
+  uint64_t check = 0;  ///< Fnv1a of the bytes as coded: detects bit-rot.
+  bool operator==(const Shard&) const = default;
+};
 
-/// True if `cmd` is a protocol-internal no-op.
-inline bool IsNoop(const Command& cmd) { return cmd.client == kNoopClient; }
+/// A Crossword acceptor's share of one entry: what was coded, the code's
+/// geometry, and the shards it carries. Any k shards with distinct indices
+/// rebuild the entry (ShardAssembler).
+struct ShardSet {
+  struct Header {
+    int32_t client = 0;  ///< Identity of a coded command (zero for a batch).
+    uint64_t client_seq = 0;
+    uint64_t acked = 0;
+    bool batch = false;  ///< The payload is a batch, not one command's op.
+    int k = 0;
+    int n = 0;
+    uint64_t payload_len = 0;
+    uint64_t payload_check = 0;  ///< Fnv1a of the whole payload.
+    bool operator==(const Header&) const = default;
+  };
+  Header header;
+  std::vector<Shard> shards;
+  bool operator==(const ShardSet&) const = default;
+};
 
-/// Reserved client id marking a command as a leader-cut batch: its `op`
-/// is the length-prefixed encoding of several client commands (see
-/// EncodeBatch). Sits below the other reserved ids (-2 = Raft CONFIG,
-/// -3 = protocol no-op).
-constexpr int32_t kBatchClient = -4;
+/// The value of one log slot in Raft, Multi-Paxos and Crossword: exactly
+/// one of a client command, a leader-cut batch of commands, a no-op, a
+/// Raft member list, or a Crossword shard set. Immutable once built;
+/// copies share a batch's commands and a shard set's shards, so an entry
+/// copied into a log or a message never deep-copies them.
+class Entry {
+ public:
+  enum class Kind : uint8_t { kCommand, kBatch, kNoop, kConfig, kShardSet };
 
-/// True if `cmd` is a batch entry produced by EncodeBatch.
-inline bool IsBatch(const Command& cmd) { return cmd.client == kBatchClient; }
+  /// A no-op: protocol-internal filler (Raft's term-start entry, a new
+  /// Multi-Paxos or Crossword leader closing a log hole). It occupies its
+  /// slot but applies nothing and answers nobody.
+  Entry();
+  static Entry Noop() { return Entry(); }
+  /// One client command. Implicit: a command is an entry.
+  Entry(Command cmd);  // NOLINT(google-explicit-constructor)
+  /// Several client commands cut into one slot, applied in order.
+  static Entry Batch(std::vector<Command> cmds);
+  /// A Raft configuration: the voting members from this entry on.
+  static Entry Config(std::vector<int32_t> members);
+  /// One acceptor's shards of a coded command or batch (smr/erasure.h).
+  static Entry Shards(ShardSet set);
 
-/// Reserved client id marking a command as an erasure-coded shard set: its
-/// `op` is the frame encoding of one or more Reed–Solomon shards of some
-/// underlying command (see smr/erasure.h). Acceptors in Crossword store
-/// these in place of the full command; any k distinct shards reconstruct
-/// the original. Sits below -4 = leader-cut batch.
-constexpr int32_t kShardClient = -5;
+  Kind kind() const { return static_cast<Kind>(value_.index()); }
+  /// The client commands the entry carries, in apply order: the command,
+  /// a batch's commands, or none.
+  std::span<const Command> commands() const;
+  /// The members of a configuration; nullptr for any other kind.
+  const std::vector<int32_t>* config() const;
+  /// The shard set; nullptr for any other kind.
+  const ShardSet* shard_set() const;
 
-/// True if `cmd` is an erasure-coded shard set.
-inline bool IsShard(const Command& cmd) { return cmd.client == kShardClient; }
+  /// Wire size, in the accounting every message uses: 16 bytes plus the
+  /// length of the entry's text form — a command's op; per batched
+  /// command "<client> <seq> <acked> <len> <op>"; "NOOP"; "CONFIG" and
+  /// " <id>" per member; or the shard frame "<client> <seq> <acked> <k>
+  /// <n> <len> <check> <count> " with "<index> <len> <check> <bytes>" per
+  /// shard, a batch framed as client -4. Computed once, at construction.
+  int ByteSize() const { return byte_size_; }
 
-/// Folds several client commands into one log-entry-sized Command — the
-/// leader-side batching primitive shared by Raft and Multi-Paxos. The
-/// encoding is length-prefixed (ops may contain spaces), so DecodeBatch
-/// inverts it exactly. A batch of batches is not supported (and never
-/// produced: leaders only batch raw client commands).
-Command EncodeBatch(const std::vector<Command>& cmds);
+  /// Same kind and content. A command compares as Command::operator==; a
+  /// batch's commands compare their acks too, which the log carries.
+  bool operator==(const Entry& other) const;
 
-/// Inverse of EncodeBatch. nullopt for a non-batch or malformed command
-/// — distinct from the (legal, never leader-cut) empty batch, so a
-/// framing bug surfaces at the apply site instead of silently dropping a
-/// whole batch.
-std::optional<std::vector<Command>> DecodeBatch(const Command& batch);
+  /// Compact rendering for traces and violation reports.
+  std::string ToString() const;
 
-/// The client commands `cmd` stands for: the decoded sub-commands of a
-/// batch, or `cmd` itself. The flattening used everywhere a per-command
-/// view of a log is needed (committed prefixes, apply loops, replay).
-/// Lenient: a malformed batch flattens to nothing; apply paths that must
-/// not drop commands silently call DecodeBatch and check for nullopt.
-std::vector<Command> FlattenCommand(const Command& cmd);
+ private:
+  // Alternatives in Kind order.
+  using Value =
+      std::variant<Command, std::shared_ptr<const std::vector<Command>>,
+                   std::monostate, std::vector<int32_t>,
+                   std::shared_ptr<const ShardSet>>;
+
+  template <class Alternative>
+  Entry(Alternative value, int byte_size)
+      : value_(std::move(value)), byte_size_(byte_size) {}
+
+  Value value_;
+  int byte_size_;
+};
 
 /// Parses the whole of `s` as an unsigned number in `base`: digits only
 /// (no sign, whitespace, or 0x prefix), and nothing past 2^64 - 1. The

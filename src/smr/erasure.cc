@@ -1,7 +1,7 @@
 #include "smr/erasure.h"
 
 #include <cassert>
-#include <cstdlib>
+#include <charconv>
 
 namespace consensus40::smr {
 
@@ -84,109 +84,51 @@ std::vector<uint8_t> InvertVandermonde(const std::vector<int>& xs, int k) {
   return inv;
 }
 
-/// Reads one base-10 integer followed by a single space. Returns false on
-/// malformed input (same idiom as DecodeBatch).
-bool ReadNum(const std::string& s, size_t* pos, unsigned long long* out) {
-  if (*pos >= s.size()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str() + *pos, &end, 10);
-  if (end == nullptr || *end != ' ') return false;
-  *pos = static_cast<size_t>(end - s.c_str()) + 1;
-  return true;
-}
-
-bool ReadSigned(const std::string& s, size_t* pos, long long* out) {
-  if (*pos >= s.size()) return false;
-  char* end = nullptr;
-  *out = std::strtoll(s.c_str() + *pos, &end, 10);
-  if (end == nullptr || *end != ' ') return false;
-  *pos = static_cast<size_t>(end - s.c_str()) + 1;
-  return true;
-}
-
-/// Parsed form of a shard-set Command's op (see EncodeFrame below).
-struct Frame {
-  int32_t client;
-  uint64_t client_seq;
-  uint64_t acked;
-  int k;
-  int n;
-  uint64_t payload_len;
-  uint64_t payload_check;
-  std::vector<std::pair<int, std::string>> shards;  ///< Checksum-valid only.
-  uint64_t corrupt = 0;
-};
-
-/// "<client> <seq> <acked> <k> <n> <plen> <pcheck> <m> " then per shard
-/// "<index> <len> <check> <bytes>" — whitespace headers, byte-exact shard
-/// payloads, matching the EncodeBatch framing idiom.
-std::string EncodeFrame(int32_t client, uint64_t client_seq, uint64_t acked,
-                        int k, int n, uint64_t payload_len,
-                        uint64_t payload_check,
-                        const std::vector<std::pair<int, const std::string*>>&
-                            shards) {
+/// A batch's payload: "<client> <seq> <acked> <len> <op>" per command —
+/// whitespace-delimited headers, byte-exact ops (ops may contain spaces).
+/// `acked` rides along so every replica applying the rebuilt batch
+/// advances its session floors identically (see DedupingExecutor).
+std::string EncodeBatch(std::span<const Command> cmds) {
   std::string out;
-  out += std::to_string(client);
-  out += ' ';
-  out += std::to_string(client_seq);
-  out += ' ';
-  out += std::to_string(acked);
-  out += ' ';
-  out += std::to_string(k);
-  out += ' ';
-  out += std::to_string(n);
-  out += ' ';
-  out += std::to_string(payload_len);
-  out += ' ';
-  out += std::to_string(payload_check);
-  out += ' ';
-  out += std::to_string(shards.size());
-  out += ' ';
-  for (const auto& [index, data] : shards) {
-    out += std::to_string(index);
+  for (const Command& cmd : cmds) {
+    out += std::to_string(cmd.client);
     out += ' ';
-    out += std::to_string(data->size());
+    out += std::to_string(cmd.client_seq);
     out += ' ';
-    out += std::to_string(Fnv1a(*data));
+    out += std::to_string(cmd.acked);
     out += ' ';
-    out += *data;
+    out += std::to_string(cmd.op.size());
+    out += ' ';
+    out += cmd.op;
   }
   return out;
 }
 
-std::optional<Frame> DecodeFrame(const Command& cmd) {
-  if (!IsShard(cmd)) return std::nullopt;
-  const std::string& s = cmd.op;
+/// Inverse of EncodeBatch; nullopt for bytes it did not write.
+std::optional<std::vector<Command>> DecodeBatch(const std::string& s) {
+  std::vector<Command> cmds;
   size_t pos = 0;
-  long long client;
-  unsigned long long seq, acked, k, n, plen, pcheck, m;
-  if (!ReadSigned(s, &pos, &client) || !ReadNum(s, &pos, &seq) ||
-      !ReadNum(s, &pos, &acked) || !ReadNum(s, &pos, &k) ||
-      !ReadNum(s, &pos, &n) || !ReadNum(s, &pos, &plen) ||
-      !ReadNum(s, &pos, &pcheck) || !ReadNum(s, &pos, &m)) {
-    return std::nullopt;
-  }
-  if (k < 1 || n < static_cast<unsigned long long>(k) || n > 255) {
-    return std::nullopt;
-  }
-  Frame f{static_cast<int32_t>(client), seq, acked, static_cast<int>(k),
-          static_cast<int>(n),          plen, pcheck, {}, 0};
-  for (unsigned long long i = 0; i < m; ++i) {
-    unsigned long long index, len, check;
-    if (!ReadNum(s, &pos, &index) || !ReadNum(s, &pos, &len) ||
-        !ReadNum(s, &pos, &check)) {
+  // One header number and the space after it.
+  auto read = [&s, &pos](auto* out) {
+    const size_t space = s.find(' ', pos);
+    if (space == std::string::npos) return false;
+    const char* begin = s.data() + pos;
+    auto [end, ec] = std::from_chars(begin, s.data() + space, *out);
+    pos = space + 1;
+    return ec == std::errc() && end == s.data() + space;
+  };
+  while (pos < s.size()) {
+    Command cmd;
+    uint64_t len = 0;
+    if (!read(&cmd.client) || !read(&cmd.client_seq) || !read(&cmd.acked) ||
+        !read(&len) || len > s.size() - pos) {
       return std::nullopt;
     }
-    if (index >= n || pos + len > s.size()) return std::nullopt;
-    std::string data = s.substr(pos, len);
+    cmd.op = s.substr(pos, len);
     pos += len;
-    if (Fnv1a(data) != check) {
-      ++f.corrupt;  // Detected bit-rot: drop the shard, keep the frame.
-      continue;
-    }
-    f.shards.emplace_back(static_cast<int>(index), std::move(data));
+    cmds.push_back(std::move(cmd));
   }
-  return f;
+  return cmds;
 }
 
 }  // namespace
@@ -270,76 +212,90 @@ std::optional<std::string> ErasureDecode(
   return payload;
 }
 
-Command ShardedCommand::Subset(int first, int count) const {
-  std::vector<std::pair<int, const std::string*>> picked;
-  for (int i = 0; i < count && i < n; ++i) {
-    const int index = (first + i) % n;
-    picked.emplace_back(index, &shards[static_cast<size_t>(index)]);
+Entry ShardedCommand::Subset(int first, int count) const {
+  ShardSet set{header, {}};
+  for (int i = 0; i < count && i < header.n; ++i) {
+    set.shards.push_back(shards[static_cast<size_t>((first + i) % header.n)]);
   }
-  Command cmd{kShardClient, client_seq,
-              EncodeFrame(client, client_seq, acked, k, n, payload_len,
-                          payload_check, picked)};
-  cmd.acked = acked;
-  return cmd;
+  return Entry::Shards(std::move(set));
 }
 
-ShardedCommand ShardCommand(const Command& cmd, int k, int n) {
+ShardedCommand ShardCommand(const Entry& entry, int k, int n) {
+  assert(entry.kind() == Entry::Kind::kCommand ||
+         entry.kind() == Entry::Kind::kBatch);
   ShardedCommand sc;
-  sc.client = cmd.client;
-  sc.client_seq = cmd.client_seq;
-  sc.acked = cmd.acked;
-  sc.k = k;
-  sc.n = n;
-  sc.payload_len = cmd.op.size();
-  sc.payload_check = Fnv1a(cmd.op);
-  sc.shards = ErasureEncode(cmd.op, k, n);
+  ShardSet::Header& h = sc.header;
+  std::string batch;
+  if (entry.kind() == Entry::Kind::kBatch) {
+    h.batch = true;
+    batch = EncodeBatch(entry.commands());
+  } else {
+    const Command& cmd = entry.commands()[0];
+    h.client = cmd.client;
+    h.client_seq = cmd.client_seq;
+    h.acked = cmd.acked;
+  }
+  const std::string& payload = h.batch ? batch : entry.commands()[0].op;
+  h.k = k;
+  h.n = n;
+  h.payload_len = payload.size();
+  h.payload_check = Fnv1a(payload);
+  std::vector<std::string> coded = ErasureEncode(payload, k, n);
+  for (int i = 0; i < n; ++i) {
+    std::string& bytes = coded[static_cast<size_t>(i)];
+    const uint64_t check = Fnv1a(bytes);
+    sc.shards.push_back({i, std::move(bytes), check});
+  }
   return sc;
 }
 
-bool ShardAssembler::Add(const Command& shard_set) {
-  std::optional<Frame> f = DecodeFrame(shard_set);
-  if (!f.has_value()) return false;
-  if (k_ == 0) {
-    client_ = f->client;
-    client_seq_ = f->client_seq;
-    acked_ = f->acked;
-    k_ = f->k;
-    n_ = f->n;
-    payload_len_ = f->payload_len;
-    payload_check_ = f->payload_check;
-  } else if (client_ != f->client || client_seq_ != f->client_seq ||
-             k_ != f->k || n_ != f->n || payload_len_ != f->payload_len ||
-             payload_check_ != f->payload_check) {
-    return false;  // A frame for a different command or geometry.
+bool ShardAssembler::Add(const Entry& entry) {
+  const ShardSet* set = entry.shard_set();
+  if (set == nullptr) return false;
+  const ShardSet::Header& h = set->header;
+  if (header_.k == 0) {
+    header_ = h;
+  } else if (header_.client != h.client ||
+             header_.client_seq != h.client_seq ||
+             header_.batch != h.batch || header_.k != h.k ||
+             header_.n != h.n || header_.payload_len != h.payload_len ||
+             header_.payload_check != h.payload_check) {
+    return false;  // A shard set of a different entry or geometry.
   }
-  corrupt_ += f->corrupt;
-  if (f->acked > acked_) acked_ = f->acked;
-  for (auto& [index, data] : f->shards) {
-    shards_.emplace(index, std::move(data));  // First copy of an index wins.
+  if (h.acked > header_.acked) header_.acked = h.acked;
+  for (const Shard& shard : set->shards) {
+    if (Fnv1a(shard.bytes) != shard.check) {
+      ++corrupt_;  // Detected bit-rot: drop the shard, keep the set.
+      continue;
+    }
+    shards_.emplace(shard.index, shard.bytes);  // First copy of an index wins.
   }
   return true;
 }
 
-std::optional<Command> ShardAssembler::Reconstruct() const {
+std::optional<Entry> ShardAssembler::Reconstruct() const {
   if (!Complete()) return std::nullopt;
   std::optional<std::string> payload =
-      ErasureDecode(shards_, k_, n_, payload_len_);
-  if (!payload.has_value() || Fnv1a(*payload) != payload_check_) {
+      ErasureDecode(shards_, header_.k, header_.n, header_.payload_len);
+  if (!payload.has_value() || Fnv1a(*payload) != header_.payload_check) {
     return std::nullopt;
   }
-  Command cmd{client_, client_seq_, std::move(*payload)};
-  cmd.acked = acked_;
-  return cmd;
+  if (header_.batch) {
+    std::optional<std::vector<Command>> cmds = DecodeBatch(*payload);
+    if (!cmds.has_value()) return std::nullopt;
+    return Entry::Batch(std::move(*cmds));
+  }
+  Command cmd{header_.client, header_.client_seq, std::move(*payload)};
+  cmd.acked = header_.acked;
+  return Entry(std::move(cmd));
 }
 
-Command ShardAssembler::Merged() const {
-  std::vector<std::pair<int, const std::string*>> picked;
-  for (const auto& [index, data] : shards_) picked.emplace_back(index, &data);
-  Command cmd{kShardClient, client_seq_,
-              EncodeFrame(client_, client_seq_, acked_, k_, n_, payload_len_,
-                          payload_check_, picked)};
-  cmd.acked = acked_;
-  return cmd;
+Entry ShardAssembler::Merged() const {
+  ShardSet set{header_, {}};
+  for (const auto& [index, bytes] : shards_) {
+    set.shards.push_back({index, bytes, Fnv1a(bytes)});
+  }
+  return Entry::Shards(std::move(set));
 }
 
 }  // namespace consensus40::smr

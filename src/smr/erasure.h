@@ -11,7 +11,7 @@
 
 namespace consensus40::smr {
 
-/// Reed–Solomon (k, n) erasure coding over command payloads, the codec
+/// Reed–Solomon (k, n) erasure coding over log-entry payloads, the codec
 /// under the Crossword protocol (see paxos/crossword.h).
 ///
 /// The payload is split byte-wise into k data stripes (zero-padded to a
@@ -21,7 +21,7 @@ namespace consensus40::smr {
 /// invertible, so ANY k of the n shards reconstruct the payload exactly
 /// — the property Crossword's quorum math leans on. Each shard carries
 /// an FNV-1a checksum (corrupt shards are detected and discarded) and
-/// the frame carries a whole-payload checksum as an end-to-end guard.
+/// the shard set carries a whole-payload checksum as an end-to-end guard.
 ///
 /// Limits: 1 <= k <= n <= 255. k == 1 degenerates to full replication
 /// (every shard is the payload itself).
@@ -41,64 +41,57 @@ std::optional<std::string> ErasureDecode(
     const std::map<int, std::string>& shards, int k, int n,
     uint64_t payload_len);
 
-/// A command erasure-coded for distribution: the original identity plus
-/// all n shards, leader-side. Subset() cuts the per-acceptor shard-set
-/// Command (client = kShardClient) carrying shards [first, first+count)
-/// mod n — Crossword's rotated assignment windows.
+/// An entry erasure-coded for distribution, leader-side: what was coded
+/// and all n shards. Subset() cuts the per-acceptor shard set carrying
+/// shards [first, first+count) mod n — Crossword's rotated assignment
+/// windows.
 struct ShardedCommand {
-  int32_t client = 0;       ///< Original command identity.
-  uint64_t client_seq = 0;
-  uint64_t acked = 0;
-  int k = 0;
-  int n = 0;
-  uint64_t payload_len = 0;
-  uint64_t payload_check = 0;  ///< Fnv1a of the original op bytes.
-  std::vector<std::string> shards;
+  ShardSet::Header header;
+  std::vector<Shard> shards;  ///< All n, in index order.
 
-  Command Subset(int first, int count) const;
+  Entry Subset(int first, int count) const;
 };
 
-/// Encodes `cmd`'s op into n shards. Requires 1 <= k <= n <= 255.
-ShardedCommand ShardCommand(const Command& cmd, int k, int n);
+/// Codes a command's op, or a batch framed as "<client> <seq> <acked>
+/// <len> <op>" per command, into n shards — the one place an entry
+/// becomes payload bytes. Requires a command or batch entry and
+/// 1 <= k <= n <= 255.
+ShardedCommand ShardCommand(const Entry& entry, int k, int n);
 
-/// Accumulates shard-set Commands for ONE underlying command until k
-/// distinct valid shards are on hand, then reconstructs. Followers keep
-/// one per unapplied slot; a recovering leader feeds it the shard sets
-/// carried by promises. Corrupt shards (checksum mismatch) and frames
-/// for a different command/geometry are rejected at Add.
+/// Accumulates shard sets of ONE coded entry until k distinct valid
+/// shards are on hand, then reconstructs. Followers keep one per
+/// unapplied slot; a recovering leader feeds it the shard sets carried by
+/// promises. Corrupt shards (checksum mismatch) and shard sets of a
+/// different entry or geometry are rejected at Add.
 class ShardAssembler {
  public:
-  /// Folds one shard-set command in. Returns false (and changes nothing)
-  /// if `shard_set` is not a shard command, fails to parse, or disagrees
-  /// with previously added frames on identity or geometry. Individual
-  /// corrupt shards inside an otherwise valid frame are skipped and
-  /// counted in corrupt().
-  bool Add(const Command& shard_set);
+  /// Folds one shard set in. Returns false (and changes nothing) if
+  /// `entry` is not a shard set or disagrees with the shard sets already
+  /// added on identity or geometry. Individual corrupt shards are skipped
+  /// and counted in corrupt().
+  bool Add(const Entry& entry);
 
-  bool Complete() const { return k_ > 0 && static_cast<int>(shards_.size()) >= k_; }
+  bool Complete() const {
+    return header_.k > 0 && static_cast<int>(shards_.size()) >= header_.k;
+  }
   int distinct() const { return static_cast<int>(shards_.size()); }
-  int needed() const { return k_; }
+  int needed() const { return header_.k; }
   uint64_t corrupt() const { return corrupt_; }
 
-  /// The reconstructed original command, once Complete(). nullopt before
+  /// The reconstructed original entry, once Complete(). nullopt before
   /// that, or if the reconstructed payload fails the end-to-end checksum
-  /// (possible only if >= k shards were corrupted consistently with
-  /// their per-shard checksums — vanishing, but checked anyway).
-  std::optional<Command> Reconstruct() const;
+  /// or does not decode (possible only if >= k shards were corrupted
+  /// consistently with their per-shard checksums — vanishing, but
+  /// checked anyway).
+  std::optional<Entry> Reconstruct() const;
 
-  /// One shard-set Command carrying every valid shard gathered so far —
-  /// what a catch-up reply forwards when the replica itself holds only
+  /// One shard set carrying every valid shard gathered so far — what a
+  /// catch-up reply forwards when the replica itself holds only
   /// fragments.
-  Command Merged() const;
+  Entry Merged() const;
 
  private:
-  int32_t client_ = 0;
-  uint64_t client_seq_ = 0;
-  uint64_t acked_ = 0;
-  int k_ = 0;
-  int n_ = 0;
-  uint64_t payload_len_ = 0;
-  uint64_t payload_check_ = 0;
+  ShardSet::Header header_;  ///< k == 0 until the first Add.
   uint64_t corrupt_ = 0;
   std::map<int, std::string> shards_;
 };

@@ -22,7 +22,7 @@ int StateTransfer::ByteSize() const {
 
 int CatchupReplyMsg::ByteSize() const {
   int size = 16;
-  for (const auto& [index, cmd] : entries) size += 16 + cmd.ByteSize();
+  for (const auto& [index, entry] : entries) size += 16 + entry.ByteSize();
   return size;
 }
 
@@ -64,7 +64,7 @@ void LeaderPipeline::DisarmLinger() {
   linger_timer_ = 0;
 }
 
-Command LeaderPipeline::CutNext(uint64_t index, bool single) {
+Entry LeaderPipeline::CutNext(uint64_t index, bool single) {
   const size_t take =
       single ? 1
              : std::min(queue_.size(),
@@ -73,26 +73,27 @@ Command LeaderPipeline::CutNext(uint64_t index, bool single) {
     Command cmd = std::move(queue_.front());
     queue_.pop_front();
     inflight_[{cmd.client, cmd.client_seq}] = index;
-    return cmd;
+    return Entry(std::move(cmd));
   }
-  std::vector<Command> cmds(queue_.begin(),
-                            queue_.begin() + static_cast<long>(take));
+  std::vector<Command> cmds(
+      std::make_move_iterator(queue_.begin()),
+      std::make_move_iterator(queue_.begin() + static_cast<long>(take)));
   queue_.erase(queue_.begin(), queue_.begin() + static_cast<long>(take));
   for (const Command& cmd : cmds) {
     inflight_[{cmd.client, cmd.client_seq}] = index;
   }
   ++batches_cut_;
-  return EncodeBatch(cmds);
+  return Entry::Batch(std::move(cmds));
 }
 
-void LeaderPipeline::Track(const Command& entry, uint64_t index) {
-  for (const Command& cmd : FlattenCommand(entry)) {
-    if (cmd.client >= 0) inflight_[{cmd.client, cmd.client_seq}] = index;
+void LeaderPipeline::Track(const Entry& entry, uint64_t index) {
+  for (const Command& cmd : entry.commands()) {
+    inflight_[{cmd.client, cmd.client_seq}] = index;
   }
 }
 
-void LeaderPipeline::Requeue(const Command& entry) {
-  for (const Command& cmd : FlattenCommand(entry)) {
+void LeaderPipeline::Requeue(const Entry& entry) {
+  for (const Command& cmd : entry.commands()) {
     const Key key{cmd.client, cmd.client_seq};
     ForgetCut(key);
     if (dedup_.Lookup(cmd.client, cmd.client_seq) != nullptr) continue;
@@ -129,14 +130,10 @@ void LeaderPipeline::Applied(const Command& cmd, const std::string& result) {
   }
 }
 
-void LeaderPipeline::ApplyEntry(uint64_t index, const Command& entry,
-                                std::vector<std::string>* violations) {
-  ApplyLogEntry(
-      index, entry, &kv_, &dedup_,
-      [this](uint64_t, const Command& cmd, const std::string& result) {
-        Applied(cmd, result);
-      },
-      violations);
+void LeaderPipeline::ApplyEntry(const Entry& entry) {
+  for (const Command& cmd : entry.commands()) {
+    Applied(cmd, dedup_.Apply(&kv_, cmd));
+  }
 }
 
 void LeaderPipeline::Install(const StateTransfer& state) {
@@ -161,9 +158,9 @@ void LeaderPipeline::ServeCatchup(sim::NodeId to, uint64_t from_index,
   for (uint64_t i = from_index; i < log.commit_frontier() &&
                                 reply->entries.size() < kMaxCatchupEntries;
        ++i) {
-    const Command* cmd = log.Get(i);
-    if (cmd == nullptr) break;  // Gap within our own retained prefix.
-    reply->entries.emplace_back(i, *cmd);
+    const Entry* entry = log.Get(i);
+    if (entry == nullptr) break;  // Gap within our own retained prefix.
+    reply->entries.emplace_back(i, *entry);
   }
   if (!reply->entries.empty()) hooks_.send(to, reply);
 }

@@ -7,8 +7,8 @@
 ///
 ///   - client intake: the dedup-cache fast path, reply-address
 ///     registration, and in-flight (client, seq) suppression;
-///   - cut-or-linger batching: a lone command ships raw, several fold
-///     into one EncodeBatch entry;
+///   - cut-or-linger batching: a lone command ships as a command entry,
+///     several fold into one batch entry;
 ///   - apply and per-command reply fan-out;
 ///   - checkpoint state transfer (KV state plus dedup sessions);
 ///   - for the slot logs (Multi-Paxos, Crossword): checkpoint truncation,
@@ -62,7 +62,7 @@ struct CatchupReplyMsg : sim::Message {
   const char* TypeName() const override { return type; }
   int ByteSize() const override;
   const char* type;
-  std::vector<std::pair<uint64_t, Command>> entries;  ///< Chosen slots.
+  std::vector<std::pair<uint64_t, Entry>> entries;  ///< Chosen slots.
 };
 /// Full-state transfer for a replica whose gap was checkpoint-truncated
 /// away on the sender.
@@ -131,16 +131,16 @@ class LeaderPipeline {
 
   /// Pops the next log entry off the queue and marks its commands in
   /// flight at `index`. A lone command (or any command when `single`)
-  /// ships raw, keeping the untuned log shape; otherwise up to
-  /// batch_size commands fold into one batch entry.
-  Command CutNext(uint64_t index, bool single = false);
+  /// ships as a command entry, keeping the untuned log shape; otherwise
+  /// up to batch_size commands fold into one batch entry.
+  Entry CutNext(uint64_t index, bool single = false);
 
   /// Marks the client commands of an already-logged entry in flight.
-  void Track(const Command& entry, uint64_t index);
+  void Track(const Entry& entry, uint64_t index);
 
   /// Sends the commands of an entry that lost its slot to an earlier
   /// decision back to the queue, unless already executed or queued.
-  void Requeue(const Command& entry);
+  void Requeue(const Entry& entry);
 
   /// Leadership lost: nothing queued will be proposed by this replica
   /// (clients re-transmit to the new leader), so the queue and the
@@ -154,15 +154,13 @@ class LeaderPipeline {
 
   // --- Apply and reply fan-out ---
 
-  /// Applies one committed log entry through the dedup sessions: no-ops
-  /// are skipped, batches are decoded (a malformed one is reported in
-  /// `violations`), and every client command is recorded, dropped from
-  /// the in-flight set, and answered if its client is waiting.
-  void ApplyEntry(uint64_t index, const Command& entry,
-                  std::vector<std::string>* violations);
+  /// Applies one committed log entry through the dedup sessions: every
+  /// client command it carries is recorded, dropped from the in-flight
+  /// set, and answered if its client is waiting.
+  void ApplyEntry(const Entry& entry);
 
   const KvStore& kv() const { return kv_; }
-  /// Commands this replica executed, in order, batch entries flattened.
+  /// Commands this replica executed, in order, batches' commands in place.
   const std::vector<Command>& executed() const { return executed_; }
 
   StateTransfer Capture() const { return {kv_.Snapshot(), dedup_.sessions()}; }

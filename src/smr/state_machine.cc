@@ -305,12 +305,12 @@ std::optional<std::string> KvStore::Get(std::string_view key) const {
   return IsRangeKey(key) ? get(ranges_) : get(points_);
 }
 
-void ReplicatedLog::Set(uint64_t index, Command cmd) {
+void ReplicatedLog::Set(uint64_t index, Entry entry) {
   if (index < start_) return;  // Already folded into a checkpoint.
-  slots_[index] = std::move(cmd);
+  slots_[index] = std::move(entry);
 }
 
-const Command* ReplicatedLog::Get(uint64_t index) const {
+const Entry* ReplicatedLog::Get(uint64_t index) const {
   auto it = slots_.find(index);
   return it == slots_.end() ? nullptr : &it->second;
 }
@@ -399,40 +399,16 @@ std::vector<std::string> ReplicatedLog::ApplyCommitted(
   return outputs;
 }
 
-void ApplyLogEntry(uint64_t index, const Command& entry, KvStore* kv,
-                   DedupingExecutor* dedup, const ReplicatedLog::ApplyFn& fn,
-                   std::vector<std::string>* violations) {
-  // A no-op is protocol-internal filler (a leader's term-start entry, or a
-  // new leader closing a log hole): it occupies the slot but carries no
-  // operation and gets no reply.
-  if (IsNoop(entry)) return;
-  std::vector<Command> subs;
-  if (IsBatch(entry)) {
-    std::optional<std::vector<Command>> decoded = DecodeBatch(entry);
-    if (!decoded.has_value()) {
-      violations->push_back("malformed batch entry at slot " +
-                            std::to_string(index) + " dropped on apply");
-      return;
-    }
-    subs = std::move(*decoded);
-  } else {
-    subs = {entry};
-  }
-  for (const Command& sub : subs) {
-    std::string result =
-        dedup != nullptr ? dedup->Apply(kv, sub) : kv->Apply(sub);
-    if (fn) fn(index, sub, result);
-  }
-}
-
 void ReplicatedLog::ApplyCommitted(KvStore* kv, DedupingExecutor* dedup,
                                    const ApplyFn& fn) {
   while (applied_frontier_ < commit_frontier_) {
-    const Command* cmd = Get(applied_frontier_);
-    if (cmd == nullptr) break;  // Gap: cannot apply past it yet.
-    // The cursor advances past a malformed batch too: wedging there would
-    // livelock.
-    ApplyLogEntry(applied_frontier_, *cmd, kv, dedup, fn, &violations_);
+    const Entry* entry = Get(applied_frontier_);
+    if (entry == nullptr) break;  // Gap: cannot apply past it yet.
+    for (const Command& cmd : entry->commands()) {
+      std::string result =
+          dedup != nullptr ? dedup->Apply(kv, cmd) : kv->Apply(cmd);
+      if (fn) fn(applied_frontier_, cmd, result);
+    }
     ++applied_frontier_;
   }
 }
@@ -440,9 +416,10 @@ void ReplicatedLog::ApplyCommitted(KvStore* kv, DedupingExecutor* dedup,
 std::vector<Command> ReplicatedLog::CommittedPrefix() const {
   std::vector<Command> out;
   for (uint64_t i = start_; i < commit_frontier_; ++i) {
-    const Command* cmd = Get(i);
-    if (cmd == nullptr) break;
-    for (const Command& sub : FlattenCommand(*cmd)) out.push_back(sub);
+    const Entry* entry = Get(i);
+    if (entry == nullptr) break;
+    const std::span<const Command> cmds = entry->commands();
+    out.insert(out.end(), cmds.begin(), cmds.end());
   }
   return out;
 }
@@ -454,8 +431,8 @@ std::string CheckPrefixConsistency(
       uint64_t overlap =
           std::min(logs[a]->commit_frontier(), logs[b]->commit_frontier());
       for (uint64_t i = 0; i < overlap; ++i) {
-        const Command* ca = logs[a]->Get(i);
-        const Command* cb = logs[b]->Get(i);
+        const Entry* ca = logs[a]->Get(i);
+        const Entry* cb = logs[b]->Get(i);
         if (ca == nullptr || cb == nullptr) continue;  // Sparse slot.
         if (!(*ca == *cb)) {
           return "logs " + std::to_string(a) + " and " + std::to_string(b) +

@@ -173,21 +173,19 @@ class DedupingExecutor {
   Sessions sessions_;
 };
 
-/// A replicated log: the sequence of commands a replica has accepted, with
+/// A replicated log: the sequence of entries a replica has accepted, with
 /// an explicit commit frontier. Slots may be filled out of order (Paxos);
 /// Apply only consumes the committed prefix. A checkpointed prefix may be
 /// truncated away (TruncatePrefix), after which the state machine itself
 /// stands in for the dropped slots.
 class ReplicatedLog {
  public:
-  /// Stores `cmd` at `index` (0-based). Overwriting an existing slot with a
-  /// different command is recorded as a safety violation (protocols must
-  /// never do it once committed). Indices below start() — already folded
-  /// into a checkpoint — are ignored.
-  void Set(uint64_t index, Command cmd);
+  /// Stores `entry` at `index` (0-based). Indices below start() — already
+  /// folded into a checkpoint — are ignored.
+  void Set(uint64_t index, Entry entry);
 
-  /// The command at `index`, if any (nullptr below start()).
-  const Command* Get(uint64_t index) const;
+  /// The entry at `index`, if any (nullptr below start()).
+  const Entry* Get(uint64_t index) const;
 
   bool Has(uint64_t index) const { return Get(index) != nullptr; }
 
@@ -201,18 +199,18 @@ class ReplicatedLog {
   /// Largest occupied index + 1, or start() when empty.
   uint64_t Size() const;
 
-  /// Applies newly committed, contiguous commands to `kv` starting at the
-  /// apply cursor; returns outputs in order. With a non-null `dedup`,
-  /// duplicate client commands are skipped (their cached result is
-  /// returned in place of re-execution). Batch entries are flattened, so
-  /// outputs align with slots only in batch-free logs; batch-cutting
-  /// protocols use the callback overload below.
+  /// Applies the client commands of newly committed, contiguous entries to
+  /// `kv` starting at the apply cursor; returns outputs in order. With a
+  /// non-null `dedup`, duplicate client commands are skipped (their cached
+  /// result is returned in place of re-execution). Outputs align with
+  /// slots only in logs of single commands; batch-cutting protocols use
+  /// the callback overload below.
   std::vector<std::string> ApplyCommitted(KvStore* kv,
                                           DedupingExecutor* dedup = nullptr);
 
   /// Callback form: invokes `fn(slot_index, cmd, result)` once per applied
-  /// CLIENT command, decoding batch entries into their sub-commands (each
-  /// sub-command reports its batch's slot index).
+  /// client command (each command of a batch reports its batch's slot
+  /// index).
   using ApplyFn = std::function<void(uint64_t index, const Command& cmd,
                                      const std::string& result)>;
   void ApplyCommitted(KvStore* kv, DedupingExecutor* dedup,
@@ -220,12 +218,6 @@ class ReplicatedLog {
 
   /// Index the apply cursor has reached.
   uint64_t applied_frontier() const { return applied_frontier_; }
-
-  /// Safety problems the apply path detected — today: a committed batch
-  /// entry whose framing failed to decode (applying zero commands for the
-  /// slot would otherwise silently drop the whole batch). Protocol
-  /// Violations() reports fold these in.
-  const std::vector<std::string>& violations() const { return violations_; }
 
   /// First index still held (everything below was checkpoint-truncated).
   uint64_t start() const { return start_; }
@@ -240,26 +232,16 @@ class ReplicatedLog {
   /// apply frontiers to at least `end`.
   void ResetToSnapshot(uint64_t end);
 
-  /// All committed client commands in order, batch entries flattened
+  /// All committed client commands in order, batches' commands in place
   /// (dense retained prefix only: starts at start(), stops at a gap).
   std::vector<Command> CommittedPrefix() const;
 
  private:
-  std::map<uint64_t, Command> slots_;
+  std::map<uint64_t, Entry> slots_;
   uint64_t start_ = 0;            ///< Slots [0, start_) truncated away.
   uint64_t commit_frontier_ = 0;  ///< Committed slots are [0, commit_frontier_).
   uint64_t applied_frontier_ = 0;
-  std::vector<std::string> violations_;
 };
-
-/// Applies one committed log entry to `kv`, through `dedup` when non-null:
-/// a no-op is skipped, a batch is decoded into its sub-commands, and `fn`
-/// sees every applied client command. A batch whose framing fails to
-/// decode applies nothing and is reported in `violations` — applying zero
-/// commands for the entry would otherwise silently drop the whole batch.
-void ApplyLogEntry(uint64_t index, const Command& entry, KvStore* kv,
-                   DedupingExecutor* dedup, const ReplicatedLog::ApplyFn& fn,
-                   std::vector<std::string>* violations);
 
 /// Checks that every log agrees with every other on the overlap of their
 /// committed prefixes (the SMR safety property). Returns an empty string on

@@ -213,8 +213,9 @@ TEST(CrosswordTest, SnapshotInstallRebasesLaggard) {
   h.ExpectConsistentAndClean(30);
 }
 
-// The reserved shard-frame client id must never leak into committed
-// prefixes: followers reconstruct the ORIGINAL command before applying.
+// Shard sets must never leak into committed state: followers reconstruct
+// the ORIGINAL command before applying, so every replica executes the
+// client's own PUTs byte for byte.
 TEST(CrosswordTest, ShardFramesNeverLeakIntoCommittedState) {
   Harness h("crossword_rs", 5, 91);
   ASSERT_TRUE(h.RunOps(6, 700));
@@ -222,7 +223,9 @@ TEST(CrosswordTest, ShardFramesNeverLeakIntoCommittedState) {
   for (size_t i = 0; i < h.group->members().size(); ++i) {
     for (const smr::Command& cmd :
          h.group->CommittedPrefix(static_cast<int>(i))) {
-      EXPECT_NE(cmd.client, smr::kShardClient) << cmd.ToString();
+      EXPECT_EQ(cmd.client, h.client->id()) << cmd.ToString();
+      EXPECT_EQ(cmd.op.rfind("PUT k", 0), 0u) << cmd.ToString();
+      EXPECT_EQ(cmd.op.size(), 7u + 700u) << cmd.ToString();
     }
   }
   h.ExpectConsistentAndClean(6);

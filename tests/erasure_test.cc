@@ -82,23 +82,52 @@ TEST(Erasure, ShardedCommandSubsetsReassemble) {
   EXPECT_TRUE(asm1.Add(sc.Subset(3, 1)));
   EXPECT_TRUE(asm1.Add(sc.Subset(4, 1)));
   ASSERT_TRUE(asm1.Complete());
-  std::optional<Command> back = asm1.Reconstruct();
+  std::optional<Entry> back = asm1.Reconstruct();
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->client, 42);
-  EXPECT_EQ(back->client_seq, 7u);
-  EXPECT_EQ(back->op, cmd.op);
-  EXPECT_EQ(back->acked, 5u);
+  ASSERT_EQ(back->kind(), Entry::Kind::kCommand);
+  const Command& rebuilt = back->commands()[0];
+  EXPECT_EQ(rebuilt.client, 42);
+  EXPECT_EQ(rebuilt.client_seq, 7u);
+  EXPECT_EQ(rebuilt.op, cmd.op);
+  EXPECT_EQ(rebuilt.acked, 5u);
+}
+
+TEST(Erasure, BatchEntriesReassemble) {
+  const Entry batch = Entry::Batch(
+      {Command{3, 1, "PUT k hello world"}, Command{4, 9, ""},
+       Command{3, 2, std::string(300, 'q')}});
+  ShardedCommand sc = ShardCommand(batch, 2, 3);
+  ShardAssembler assembler;
+  ASSERT_TRUE(assembler.Add(sc.Subset(2, 1)));
+  ASSERT_TRUE(assembler.Add(sc.Subset(0, 1)));
+  std::optional<Entry> back = assembler.Reconstruct();
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, batch);
+}
+
+TEST(Erasure, UndecodableBatchPayloadFailsReconstruction) {
+  // Shards whose checksums all hold but whose payload is no batch: the
+  // assembler reports a failed reconstruction, as for a bad checksum.
+  ShardSet set = *ShardCommand(Command{1, 1, "not a batch"}, 2, 3)
+                      .Subset(0, 3)
+                      .shard_set();
+  set.header.batch = true;
+  ShardAssembler assembler;
+  ASSERT_TRUE(assembler.Add(Entry::Shards(set)));
+  ASSERT_TRUE(assembler.Complete());
+  EXPECT_FALSE(assembler.Reconstruct().has_value());
 }
 
 TEST(Erasure, CorruptShardDetectedAndSurvived) {
   Command cmd{1, 1, std::string(200, 'x')};
   ShardedCommand sc = ShardCommand(cmd, 3, 5);
-  // Corrupt shard 0's bytes inside the framed command: flip the LAST byte
-  // of the frame (inside shard 0's payload region for a single-shard set).
-  Command corrupted = sc.Subset(0, 1);
-  corrupted.op.back() = static_cast<char>(corrupted.op.back() ^ 0x40);
+  // Corrupt shard 0's bytes in flight: flip its last byte, keeping the
+  // checksum the encoder computed.
+  ShardSet corrupted = *sc.Subset(0, 1).shard_set();
+  std::string& bytes = corrupted.shards[0].bytes;
+  bytes.back() = static_cast<char>(bytes.back() ^ 0x40);
   ShardAssembler assembler;
-  EXPECT_TRUE(assembler.Add(corrupted));  // Frame ok, shard dropped.
+  EXPECT_TRUE(assembler.Add(Entry::Shards(corrupted)));  // Shard dropped.
   EXPECT_EQ(assembler.distinct(), 0);
   EXPECT_EQ(assembler.corrupt(), 1u);
   // Three clean shards still reconstruct around the corrupt one.
@@ -106,9 +135,9 @@ TEST(Erasure, CorruptShardDetectedAndSurvived) {
   EXPECT_TRUE(assembler.Add(sc.Subset(2, 1)));
   EXPECT_TRUE(assembler.Add(sc.Subset(3, 1)));
   ASSERT_TRUE(assembler.Complete());
-  std::optional<Command> back = assembler.Reconstruct();
+  std::optional<Entry> back = assembler.Reconstruct();
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->op, cmd.op);
+  EXPECT_EQ(*back, Entry(cmd));
 }
 
 TEST(Erasure, MergedFramesForwardFragments) {
@@ -124,7 +153,7 @@ TEST(Erasure, MergedFramesForwardFragments) {
   ASSERT_TRUE(b.Add(sc.Subset(4, 1)));
   ASSERT_TRUE(b.Complete());
   ASSERT_TRUE(b.Reconstruct().has_value());
-  EXPECT_EQ(b.Reconstruct()->op, cmd.op);
+  EXPECT_EQ(*b.Reconstruct(), Entry(cmd));
 }
 
 TEST(Erasure, MismatchedFrameRejected) {
@@ -135,8 +164,8 @@ TEST(Erasure, MismatchedFrameRejected) {
   ShardAssembler a;
   ASSERT_TRUE(a.Add(s1.Subset(0, 1)));
   EXPECT_FALSE(a.Add(s2.Subset(1, 1)));  // Different command identity.
-  EXPECT_FALSE(a.Add(Command{kShardClient, 1, "garbage"}));
-  EXPECT_FALSE(a.Add(Command{1, 1, "PUT a 1"}));  // Not a shard command.
+  EXPECT_FALSE(a.Add(ShardCommand(cmd1, 1, 3).Subset(1, 1)));  // Geometry.
+  EXPECT_FALSE(a.Add(Command{1, 1, "PUT a 1"}));  // Not a shard set.
   EXPECT_EQ(a.distinct(), 1);
 }
 
@@ -161,9 +190,10 @@ TEST(Erasure, PropertyRandomPayloadSizes) {
       ASSERT_TRUE(assembler.Add(sc.Subset((start + j) % n, 1)));
     }
     ASSERT_TRUE(assembler.Complete()) << "len=" << len << " k=" << k;
-    std::optional<Command> back = assembler.Reconstruct();
+    std::optional<Entry> back = assembler.Reconstruct();
     ASSERT_TRUE(back.has_value()) << "len=" << len << " k=" << k << " n=" << n;
-    EXPECT_EQ(back->op, payload) << "len=" << len << " k=" << k << " n=" << n;
+    EXPECT_EQ(back->commands()[0].op, payload)
+        << "len=" << len << " k=" << k << " n=" << n;
   }
 }
 

@@ -49,15 +49,6 @@ struct World {
   std::vector<RaftReplica*> replicas;
 };
 
-TEST(RaftMembershipTest, ConfigCommandRoundTrips) {
-  smr::Command cmd = RaftReplica::MakeConfigCommand({0, 2, 5});
-  auto parsed = RaftReplica::ParseConfig(cmd);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, (std::vector<sim::NodeId>{0, 2, 5}));
-  // Ordinary commands don't parse as configs.
-  EXPECT_FALSE(RaftReplica::ParseConfig(smr::Command{1, 1, "PUT x 1"}));
-}
-
 TEST(RaftMembershipTest, GrowThreeToFive) {
   World w;
   std::vector<sim::NodeId> initial = {0, 1, 2};
@@ -269,7 +260,7 @@ TEST(RaftMembershipTest, TruncationDropsAStrandedConfigChange) {
       w.sim.now() + 30 * kSecond));
   EXPECT_EQ(follower->config(), new_leader->config());
   for (const RaftReplica::LogEntry& entry : follower->raft_log()) {
-    EXPECT_FALSE(RaftReplica::ParseConfig(entry.cmd).has_value());
+    EXPECT_EQ(entry.value.config(), nullptr);
   }
   EXPECT_TRUE(follower->violations().empty());
 }

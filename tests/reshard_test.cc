@@ -248,7 +248,7 @@ struct ReshardFixture {
   /// Begins tx_id writing `value` to `key` and waits for the outcome.
   bool CommitSync(uint64_t tx_id, const std::string& key,
                   const std::string& value) {
-    client->Begin(tx_id, {TxOp{key, value}});
+    client->Begin(tx_id, {TxOp::Put(key, value)});
     if (!sim->RunUntil(
             [this, tx_id] { return client->outcomes.count(tx_id) > 0; },
             sim->now() + 5 * kSecond)) {
@@ -556,7 +556,7 @@ TEST(ReshardTest, MoveUnderTransactionTrafficLosesNothing) {
   // Wave 1: transactions in flight when the move starts.
   for (uint64_t tx = 1; tx <= kTxs / 2; ++tx) {
     int i = static_cast<int>(tx) - 1;
-    TxOp op{f.ssm->KeyForShard(0, i), "v" + std::to_string(tx)};
+    TxOp op = TxOp::Put(f.ssm->KeyForShard(0, i), "v" + std::to_string(tx));
     writes[tx] = op;
     f.client->Begin(tx, {op});
   }
@@ -566,7 +566,7 @@ TEST(ReshardTest, MoveUnderTransactionTrafficLosesNothing) {
   // commit at the new owner after redirects — never split, never lost).
   for (uint64_t tx = kTxs / 2 + 1; tx <= kTxs; ++tx) {
     int i = static_cast<int>(tx) - 1;
-    TxOp op{f.ssm->KeyForShard(0, i), "v" + std::to_string(tx)};
+    TxOp op = TxOp::Put(f.ssm->KeyForShard(0, i), "v" + std::to_string(tx));
     writes[tx] = op;
     f.client->Begin(tx, {op});
     f.sim->RunFor(50 * kMillisecond);

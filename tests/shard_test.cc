@@ -98,7 +98,7 @@ struct ShardFixture {
 TEST(ShardTest, SingleShardTransactionCommitsOnePhase) {
   ShardFixture f(7);
   std::string key = f.ssm->KeyForShard(0, 0);
-  f.client->Begin(1, {TxOp{key, "v1"}});
+  f.client->Begin(1, {TxOp::Put(key, "v1")});
   ASSERT_TRUE(f.sim->RunUntil([&] { return f.client->outcomes.count(1) > 0; },
                               f.sim->now() + 5 * kSecond));
   EXPECT_TRUE(f.client->outcomes.at(1));
@@ -117,7 +117,7 @@ TEST(ShardTest, CrossShardTransactionCommitsAtomically) {
   ShardFixture f(11);
   std::string k0 = f.ssm->KeyForShard(0, 0);
   std::string k1 = f.ssm->KeyForShard(1, 0);
-  f.client->Begin(1, {TxOp{k0, "v1"}, TxOp{k1, "v1"}});
+  f.client->Begin(1, {TxOp::Put(k0, "v1"), TxOp::Put(k1, "v1")});
   ASSERT_TRUE(f.sim->RunUntil([&] { return f.client->outcomes.count(1) > 0; },
                               f.sim->now() + 5 * kSecond));
   EXPECT_TRUE(f.client->outcomes.at(1));
@@ -143,9 +143,9 @@ TEST(ShardTest, ConflictingTransactionAborts) {
   std::string k1b = f.ssm->KeyForShard(1, 1);
   // Tx 1 prepares first and holds the lock on `shared` while its
   // decision round runs; tx 2 arrives mid-flight and must vote NO.
-  f.client->Begin(1, {TxOp{shared, "v1"}, TxOp{k1a, "v1"}});
+  f.client->Begin(1, {TxOp::Put(shared, "v1"), TxOp::Put(k1a, "v1")});
   f.sim->ScheduleAfter(10 * kMillisecond, [&] {
-    f.client->Begin(2, {TxOp{shared, "v2"}, TxOp{k1b, "v2"}});
+    f.client->Begin(2, {TxOp::Put(shared, "v2"), TxOp::Put(k1b, "v2")});
   });
   ASSERT_TRUE(f.sim->RunUntil([&] { return f.client->outcomes.size() == 2; },
                               f.sim->now() + 10 * kSecond));
@@ -171,7 +171,7 @@ TEST(ShardTest, CoordinatorCrashMidTransactionStaysAtomic) {
   // Crash the coordinator right after it fans out prepares — the window
   // where classic 2PC blocks forever — and restart it much later.
   sim::Time begin_at = f.sim->now();
-  f.client->Begin(1, {TxOp{k0, "v1"}, TxOp{k1, "v1"}});
+  f.client->Begin(1, {TxOp::Put(k0, "v1"), TxOp::Put(k1, "v1")});
   sim::NodeId coordinator = f.ssm->coordinator_id();
   f.sim->ScheduleAt(begin_at + 15 * kMillisecond,
                     [&] { f.sim->Crash(coordinator); });
@@ -329,7 +329,7 @@ TEST(ShardTest, SnapshotRacingLiveMoveIsNeverTorn) {
   ShardFixture f(41, so);
   std::string a0 = f.ssm->KeyForShard(0, 0);  // In the range that moves.
   std::string b0 = f.ssm->KeyForShard(1, 0);
-  f.client->Begin(1, {TxOp{a0, "v1"}, TxOp{b0, "v1"}});
+  f.client->Begin(1, {TxOp::Put(a0, "v1"), TxOp::Put(b0, "v1")});
   ASSERT_TRUE(f.sim->RunUntil([&] { return f.client->outcomes.count(1) > 0; },
                               f.sim->now() + 5 * kSecond));
   ASSERT_TRUE(f.client->outcomes.at(1));

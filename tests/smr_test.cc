@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/simulation.h"
 #include "smr/command.h"
+#include "smr/erasure.h"
 #include "smr/pipeline.h"
 #include "smr/state_machine.h"
 
@@ -121,47 +125,155 @@ TEST(KvStoreTest, SameCommandsSameOrderSameState) {
   EXPECT_EQ(a.StateDigest(), b.StateDigest());
 }
 
-TEST(BatchCommandTest, EncodeDecodeRoundTrip) {
-  // Ops with spaces must survive: the framing is length-prefixed, not
-  // delimiter-based.
-  std::vector<Command> cmds = {Cmd(1, 1, "PUT k hello world"),
-                               Cmd(2, 7, "INC ctr", 6), Cmd(1, 2, "GET k", 1)};
-  Command batch = EncodeBatch(cmds);
-  EXPECT_TRUE(IsBatch(batch));
-  EXPECT_EQ(batch.client, kBatchClient);
-  std::optional<std::vector<Command>> decoded = DecodeBatch(batch);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, cmds);
-  // The piggybacked ack frontier survives the framing too (it drives
-  // deterministic session pruning on apply, so it must ride in the log).
-  ASSERT_EQ(decoded->size(), 3u);
-  EXPECT_EQ((*decoded)[0].acked, 0u);
-  EXPECT_EQ((*decoded)[1].acked, 6u);
-  EXPECT_EQ((*decoded)[2].acked, 1u);
+TEST(EntryTest, KindsAndTheirCommands) {
+  const Command single = Cmd(3, 4, "INC y", 2);
+  Entry one = single;
+  EXPECT_EQ(one.kind(), Entry::Kind::kCommand);
+  ASSERT_EQ(one.commands().size(), 1u);
+  EXPECT_EQ(one.commands()[0], single);
+  EXPECT_EQ(one.commands()[0].acked, 2u);
+
+  // A batch carries its commands in order, acks included (they drive
+  // deterministic session pruning on apply, so they ride in the log).
+  const std::vector<Command> cmds = {Cmd(1, 1, "PUT k hello world"),
+                                     Cmd(2, 7, "INC ctr", 6),
+                                     Cmd(1, 2, "GET k", 1)};
+  Entry batch = Entry::Batch(cmds);
+  EXPECT_EQ(batch.kind(), Entry::Kind::kBatch);
+  ASSERT_EQ(batch.commands().size(), 3u);
+  for (size_t i = 0; i < cmds.size(); ++i) {
+    EXPECT_EQ(batch.commands()[i], cmds[i]);
+    EXPECT_EQ(batch.commands()[i].acked, cmds[i].acked);
+  }
+
+  // Protocol-internal entries carry no client commands.
+  EXPECT_EQ(Entry::Noop().kind(), Entry::Kind::kNoop);
+  EXPECT_TRUE(Entry::Noop().commands().empty());
+  Entry config = Entry::Config({0, 2, 5});
+  EXPECT_EQ(config.kind(), Entry::Kind::kConfig);
+  EXPECT_TRUE(config.commands().empty());
+  ASSERT_NE(config.config(), nullptr);
+  EXPECT_EQ(*config.config(), (std::vector<int32_t>{0, 2, 5}));
+  EXPECT_EQ(one.config(), nullptr);
+  EXPECT_EQ(batch.shard_set(), nullptr);
 }
 
-TEST(BatchCommandTest, FlattenExpandsBatchesAndPassesSinglesThrough) {
-  Command single = Cmd(3, 4, "INC y");
-  std::vector<Command> flat = FlattenCommand(single);
-  ASSERT_EQ(flat.size(), 1u);
-  EXPECT_EQ(flat[0], single);
-
-  std::vector<Command> cmds = {Cmd(1, 1, "INC a"), Cmd(2, 1, "INC b")};
-  EXPECT_EQ(FlattenCommand(EncodeBatch(cmds)), cmds);
+TEST(EntryTest, CopiesShareBatchCommands) {
+  Entry batch = Entry::Batch({Cmd(1, 1, "INC a"), Cmd(2, 1, "INC b")});
+  Entry copy = batch;
+  EXPECT_EQ(copy.commands().data(), batch.commands().data());
+  EXPECT_EQ(copy, batch);
 }
 
-TEST(BatchCommandTest, MalformedBatchIsDistinctFromEmpty) {
-  // Non-batch and unparseable inputs are errors (nullopt), NOT empty
-  // batches — so a framing bug cannot masquerade as "nothing to apply".
-  EXPECT_FALSE(DecodeBatch(Cmd(1, 1, "not a batch")).has_value());
-  Command garbage;
-  garbage.client = kBatchClient;
-  garbage.op = "3 7 0 999 short";  // Length prefix overruns the payload.
-  EXPECT_FALSE(DecodeBatch(garbage).has_value());
-  // The (never leader-cut) empty batch stays valid.
-  std::optional<std::vector<Command>> empty = DecodeBatch(EncodeBatch({}));
-  ASSERT_TRUE(empty.has_value());
-  EXPECT_TRUE(empty->empty());
+TEST(EntryTest, EqualityIsByKindAndContent) {
+  EXPECT_EQ(Entry(Cmd(1, 1, "INC x", 0)), Entry(Cmd(1, 1, "INC x", 5)));
+  EXPECT_NE(Entry(Cmd(1, 1, "INC x")), Entry::Batch({Cmd(1, 1, "INC x")}));
+  EXPECT_NE(Entry::Batch({Cmd(1, 1, "INC x", 0)}),
+            Entry::Batch({Cmd(1, 1, "INC x", 1)}));
+  EXPECT_EQ(Entry::Noop(), Entry::Noop());
+  EXPECT_NE(Entry::Noop(), Entry::Config({}));
+  EXPECT_NE(Entry::Config({0, 1}), Entry::Config({0, 2}));
+}
+
+// Entry::ByteSize() is 16 plus the length of the text form each kind is
+// accounted as. These encoders write those forms and are the reference.
+std::string BatchText(const std::vector<Command>& cmds) {
+  std::string out;
+  for (const Command& cmd : cmds) {
+    out += std::to_string(cmd.client) + " " + std::to_string(cmd.client_seq) +
+           " " + std::to_string(cmd.acked) + " " +
+           std::to_string(cmd.op.size()) + " " + cmd.op;
+  }
+  return out;
+}
+
+std::string ConfigText(const std::vector<int32_t>& members) {
+  std::string out = "CONFIG";
+  for (int32_t member : members) out += " " + std::to_string(member);
+  return out;
+}
+
+std::string ShardSetText(const ShardSet& set) {
+  const ShardSet::Header& h = set.header;
+  std::string out = (h.batch ? "-4" : std::to_string(h.client)) + " " +
+                    std::to_string(h.client_seq) + " " +
+                    std::to_string(h.acked) + " " + std::to_string(h.k) +
+                    " " + std::to_string(h.n) + " " +
+                    std::to_string(h.payload_len) + " " +
+                    std::to_string(h.payload_check) + " " +
+                    std::to_string(set.shards.size()) + " ";
+  for (const Shard& shard : set.shards) {
+    out += std::to_string(shard.index) + " " +
+           std::to_string(shard.bytes.size()) + " " +
+           std::to_string(shard.check) + " " + shard.bytes;
+  }
+  return out;
+}
+
+int TextSize(const std::string& text) {
+  return 16 + static_cast<int>(text.size());
+}
+
+TEST(EntryTest, ByteSizeMatchesTextForm) {
+  EXPECT_EQ(Entry::Noop().ByteSize(), TextSize("NOOP"));
+  const std::vector<int32_t> clients = {INT32_MIN, -4, -1, 0, 7, 10,
+                                        123456, INT32_MAX};
+  const std::vector<uint64_t> numbers = {0, 1, 9, 10, 99, 100, 65536,
+                                         UINT64_MAX};
+  const std::vector<size_t> op_lengths = {0, 1, 9, 10, 99, 100, 255, 300};
+  for (size_t len : op_lengths) {
+    std::vector<Command> cmds;
+    for (size_t i = 0; i < clients.size(); ++i) {
+      cmds.push_back(Cmd(clients[i], numbers[i],
+                         std::string(len, static_cast<char>('a' + i)),
+                         numbers[(i + 3) % numbers.size()]));
+      const Entry one = cmds.back();
+      EXPECT_EQ(one.ByteSize(), TextSize(cmds.back().op));
+      const Entry batch = Entry::Batch(cmds);
+      EXPECT_EQ(batch.ByteSize(), TextSize(BatchText(cmds)))
+          << len << " bytes, " << cmds.size() << " commands";
+    }
+  }
+  EXPECT_EQ(Entry::Batch({}).ByteSize(), TextSize(""));
+  for (const std::vector<int32_t>& members :
+       std::vector<std::vector<int32_t>>{
+           {}, {0}, {0, 1, 2}, {0, 2, 5, 10, 123}, {-1, INT32_MAX}}) {
+    EXPECT_EQ(Entry::Config(members).ByteSize(),
+              TextSize(ConfigText(members)));
+  }
+}
+
+TEST(EntryTest, ShardSetByteSizeMatchesFrame) {
+  auto check = [](const Entry& entry) {
+    ASSERT_NE(entry.shard_set(), nullptr);
+    EXPECT_EQ(entry.ByteSize(), TextSize(ShardSetText(*entry.shard_set())))
+        << entry.ToString();
+  };
+  const std::vector<Entry> payloads = {
+      Entry(Cmd(42, 7, "PUT key some-longish-value-payload", 5)),
+      Entry(Cmd(0, 1, "")),
+      Entry(Cmd(INT32_MAX, UINT64_MAX, std::string(300, 'v'), UINT64_MAX)),
+      Entry::Batch({Cmd(1, 1, "INC a"), Cmd(-3, 12, "PUT b 2", 11)}),
+      Entry::Batch({Cmd(9, 100, std::string(257, 'z'), 99)})};
+  for (auto [k, n] : std::vector<std::pair<int, int>>{
+           {1, 1}, {1, 3}, {2, 3}, {3, 5}, {4, 7}, {5, 9}, {7, 12}}) {
+    for (const Entry& payload : payloads) {
+      ShardedCommand sc = ShardCommand(payload, k, n);
+      for (int first = 0; first < n; ++first) {
+        for (int count = 1; count <= n; ++count) {
+          check(sc.Subset(first, count));
+        }
+      }
+      ShardAssembler assembler;
+      ASSERT_TRUE(assembler.Add(sc.Subset(n - 1, 1)));
+      check(assembler.Merged());
+      ASSERT_TRUE(assembler.Add(sc.Subset(0, n)));
+      check(assembler.Merged());
+      std::optional<Entry> back = assembler.Reconstruct();
+      ASSERT_TRUE(back.has_value());
+      EXPECT_EQ(*back, payload);
+    }
+  }
 }
 
 TEST(DedupingExecutorTest, OutOfOrderWindowArrivalsExecuteExactlyOnce) {
@@ -387,12 +499,12 @@ TEST(ReplicatedLogTest, CommittedPrefixStopsAtGap) {
   EXPECT_EQ(prefix[0].op, "a");
 }
 
-TEST(ReplicatedLogTest, BatchEntriesFlattenInPrefixAndCallbackApply) {
+TEST(ReplicatedLogTest, BatchCommandsInPrefixAndCallbackApply) {
   ReplicatedLog log;
   KvStore kv;
   DedupingExecutor dedup;
   log.Set(0, Cmd(1, 1, "INC x"));
-  log.Set(1, EncodeBatch({Cmd(1, 2, "INC x"), Cmd(2, 1, "INC x")}));
+  log.Set(1, Entry::Batch({Cmd(1, 2, "INC x"), Cmd(2, 1, "INC x")}));
   log.CommitThrough(1);
 
   // The callback fires once per CLIENT command (3, not 2), reporting the
@@ -413,27 +525,6 @@ TEST(ReplicatedLogTest, BatchEntriesFlattenInPrefixAndCallbackApply) {
   ASSERT_EQ(prefix.size(), 3u);
   EXPECT_EQ(prefix[1], Cmd(1, 2, "INC x"));
   EXPECT_EQ(prefix[2], Cmd(2, 1, "INC x"));
-}
-
-TEST(ReplicatedLogTest, MalformedBatchEntrySurfacesAsViolation) {
-  // A committed batch entry that fails to decode must not silently apply
-  // zero commands: the apply loop records a safety violation (and still
-  // advances, so the replica does not wedge).
-  ReplicatedLog log;
-  KvStore kv;
-  DedupingExecutor dedup;
-  Command garbage;
-  garbage.client = kBatchClient;
-  garbage.op = "1 1 0 999 short";  // Length prefix overruns the payload.
-  log.Set(0, garbage);
-  log.Set(1, Cmd(1, 1, "INC x"));
-  log.CommitThrough(1);
-  std::vector<std::string> out = log.ApplyCommitted(&kv, &dedup);
-  ASSERT_EQ(out.size(), 1u);  // Only the well-formed command applied.
-  EXPECT_EQ(log.applied_frontier(), 2u);
-  ASSERT_EQ(log.violations().size(), 1u);
-  EXPECT_NE(log.violations()[0].find("malformed batch"), std::string::npos);
-  EXPECT_NE(log.violations()[0].find("slot 0"), std::string::npos);
 }
 
 TEST(ReplicatedLogTest, TruncatePrefixDropsSlotsAndIgnoresStaleWrites) {
@@ -551,7 +642,7 @@ class PipelineHarness {
     return armed;
   }
 
-  std::vector<Command> log;
+  std::vector<Entry> log;
   std::vector<std::pair<sim::NodeId, std::shared_ptr<const TestReply>>> sent;
   std::vector<std::function<void()>> timers;
   std::set<uint64_t> cancelled, fired;
@@ -565,14 +656,14 @@ TEST(LeaderPipelineTest, CutsAtBatchSize) {
   EXPECT_TRUE(h.log.empty()) << "cut before the batch filled";
   h.pipeline.Admit(9, Cmd(1, 3, "INC x"), true);
   ASSERT_EQ(h.log.size(), 1u);
-  EXPECT_TRUE(IsBatch(h.log[0]));
-  EXPECT_EQ(FlattenCommand(h.log[0]).size(), 3u);
+  EXPECT_EQ(h.log[0].kind(), Entry::Kind::kBatch);
+  EXPECT_EQ(h.log[0].commands().size(), 3u);
   EXPECT_EQ(h.pipeline.batches_cut(), 1);
   EXPECT_EQ(h.pipeline.queued_ops(), 0u);
   EXPECT_EQ(h.pipeline.inflight_ops(), 3u);
   EXPECT_EQ(h.ArmedTimers(), 0u) << "the cut must disarm the linger";
 
-  // Unbatched, a lone command ships raw and is no batch.
+  // Unbatched, a lone command ships as a command entry.
   PipelineHarness raw(/*batch_size=*/1, 0);
   raw.pipeline.Admit(9, Cmd(1, 1, "INC x"), true);
   ASSERT_EQ(raw.log.size(), 1u);
@@ -590,7 +681,7 @@ TEST(LeaderPipelineTest, LingerArmedOnceOnFirstEnqueue) {
   EXPECT_TRUE(h.log.empty());
   h.FireTimers();
   ASSERT_EQ(h.log.size(), 1u);
-  EXPECT_EQ(FlattenCommand(h.log[0]).size(), 3u);
+  EXPECT_EQ(h.log[0].commands().size(), 3u);
   // The next first enqueue arms a fresh linger.
   h.pipeline.Admit(9, Cmd(1, 3, "INC x"), true);
   EXPECT_EQ(h.timers.size(), 2u);
@@ -612,8 +703,7 @@ TEST(LeaderPipelineTest, RetryReRegistersReplyAddressWithoutSecondEntry) {
   EXPECT_EQ(h.log.size(), 1u);
   EXPECT_EQ(h.pipeline.inflight_ops(), 1u);
   EXPECT_TRUE(h.sent.empty());
-  std::vector<std::string> violations;
-  h.pipeline.ApplyEntry(0, h.log[0], &violations);
+  h.pipeline.ApplyEntry(h.log[0]);
   ASSERT_EQ(h.sent.size(), 1u);
   EXPECT_EQ(h.sent[0].first, 6);
   EXPECT_EQ(h.sent[0].second->result, "1");
@@ -625,7 +715,6 @@ TEST(LeaderPipelineTest, RetryReRegistersReplyAddressWithoutSecondEntry) {
   ASSERT_EQ(h.sent.size(), 2u);
   EXPECT_EQ(h.sent[1].first, 5);
   EXPECT_EQ(h.sent[1].second->result, "1");
-  EXPECT_TRUE(violations.empty());
 }
 
 TEST(LeaderPipelineTest, DeposeDropsTheQueue) {

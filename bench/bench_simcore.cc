@@ -3,10 +3,12 @@
 // EXPERIMENTS.md is produced by this engine, so its events/sec caps the n and
 // the virtual horizon every protocol bench can explore.
 //
-// Three workloads stress the three hot paths:
+// Four workloads stress the hot paths:
 //   ping-pong storm   — unicast send + delivery + rng delay draw
 //   multicast storm   — one sender fanning out to 100 receivers per round
 //   timer churn       — SetTimer / CancelTimer / fire cycling
+//   timeout re-arm    — a long timeout cancelled and set again on every
+//                       1 ms tick, the replicas' election-timer pattern
 //
 // Events are counted at the application level (OnMessage calls + timer
 // fires), so the number is identical across engine rewrites: only the wall
@@ -155,6 +157,30 @@ class TimerChurner : public sim::Process {
   }
 };
 
+/// The re-arm pattern of the protocol replicas: a 1 ms tick (standing in
+/// for an AppendEntries arrival) cancels a 150-300 ms timeout and sets a
+/// fresh one, as Raft's ResetElectionTimer does, so the timeout never
+/// fires. Each tick is one event; the cancelled timeouts are not.
+class TimeoutRearmer : public sim::Process {
+ public:
+  void OnStart() override { Tick_(); }
+  void OnMessage(sim::NodeId, const sim::Message&) override {}
+
+ private:
+  void Tick_() {
+    CancelTimer(timeout_);
+    timeout_ = SetTimer(kTimeout + static_cast<sim::Duration>(
+                                       rng().NextBounded(kTimeout)),
+                        [] {});
+    SetTimer(1 * sim::kMillisecond, [this] {
+      ++g_app_events;
+      Tick_();
+    });
+  }
+  static constexpr sim::Duration kTimeout = 150 * sim::kMillisecond;
+  uint64_t timeout_ = 0;
+};
+
 struct WorkloadResult {
   std::string name;
   uint64_t events = 0;
@@ -243,6 +269,14 @@ WorkloadResult TimerChurn() {
                      });
 }
 
+WorkloadResult TimeoutRearm() {
+  // 64 processes, each re-arming its timeout on every 1 ms tick.
+  return RunWorkload("timeout_rearm", sim::NetworkOptions(), 20 * sim::kSecond,
+                     [](sim::Simulation& sim) {
+                       for (int i = 0; i < 64; ++i) sim.Spawn<TimeoutRearmer>();
+                     });
+}
+
 void WriteJson(const std::vector<WorkloadResult>& results) {
   FILE* f = std::fopen("BENCH_simcore.json", "w");
   if (f == nullptr) {
@@ -273,7 +307,7 @@ int main() {
   std::printf("==== simcore: discrete-event engine micro-benchmark ====\n\n");
 
   std::vector<WorkloadResult> results = {PingPongStorm(), MulticastStorm(),
-                                         TimerChurn()};
+                                         TimerChurn(), TimeoutRearm()};
 
   TextTable t({"workload", "events", "events/sec", "bytes/event",
                "allocs/event"});

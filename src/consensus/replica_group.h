@@ -35,8 +35,10 @@
 #include <vector>
 
 #include "sim/simulation.h"
+#include "smr/apply_ledger.h"
 #include "smr/command.h"
 #include "smr/pipeline.h"
+#include "smr/state_machine.h"
 
 namespace consensus40::consensus {
 
@@ -114,16 +116,24 @@ class ReplicaGroup {
   /// The member currently believed to lead, or kInvalidNode.
   virtual sim::NodeId LeaderHint() const = 0;
 
-  /// Committed command prefix of replica `i` (introspection for
-  /// checkers; excludes protocol-internal entries such as no-ops).
+  /// Client commands of the applied entries replica `i` still holds in
+  /// its log, in order (introspection for checkers; excludes
+  /// protocol-internal entries such as no-ops). Checkpoints truncate it;
+  /// with checkpointing off it is the replica's whole history. Agreement
+  /// over the truncated part is the apply ledger's (see Violations()).
   virtual std::vector<smr::Command> CommittedPrefix(int replica) const = 0;
+
+  /// The state machine of the member that has applied the most entries
+  /// (the first such member on a tie): the group's freshest state.
+  virtual const smr::KvStore& FreshestKv() const = 0;
 
   /// Periodic invariant hook (the checker's probe cadence). Protocol
   /// implementations track their own invariants here — e.g. Raft's
   /// Election Safety — and report breaches through Violations().
   virtual void Probe() {}
 
-  /// Everything the group's replicas (or Probe) self-reported.
+  /// Everything the group's replicas, its apply ledger (if any) or Probe
+  /// reported.
   virtual std::vector<std::string> Violations() const { return {}; }
 
  protected:
@@ -133,7 +143,8 @@ class ReplicaGroup {
 
 /// The ReplicaGroup plumbing shared by the log-based SMR facades (Raft,
 /// Multi-Paxos, Crossword): one replica type per group, whose RequestMsg
-/// and ReplyMsg derive from the smr pipeline's client messages.
+/// and ReplyMsg derive from the smr pipeline's client messages, and one
+/// apply ledger (smr/apply_ledger.h) that every replica reports to.
 template <class Replica>
 class LogReplicaGroup : public ReplicaGroup {
  public:
@@ -162,14 +173,23 @@ class LogReplicaGroup : public ReplicaGroup {
     return sim::kInvalidNode;
   }
 
-  /// Executed commands, not the raw log: a batch's commands arrive one by
-  /// one, and a checkpoint-truncated log still reports what it applied.
+  /// Applied commands, not the raw log: a batch's commands arrive one by
+  /// one, and no-ops are left out.
   std::vector<smr::Command> CommittedPrefix(int replica) const override {
     return replicas_[static_cast<size_t>(replica)]->CommittedCommands();
   }
 
+  const smr::KvStore& FreshestKv() const override {
+    return replicas_[static_cast<size_t>(ledger_.Freshest())]->kv();
+  }
+
+  /// The group's apply ledger (for tests).
+  const smr::ApplyLedger& ledger() const { return ledger_; }
+
   std::vector<std::string> Violations() const override {
     std::vector<std::string> all = probe_violations_;
+    all.insert(all.end(), ledger_.violations().begin(),
+               ledger_.violations().end());
     for (const Replica* r : replicas_) {
       const std::string who = "replica " + std::to_string(r->id());
       for (const std::string& v : r->violations()) {
@@ -186,15 +206,19 @@ class LogReplicaGroup : public ReplicaGroup {
     for (int i = 0; i < replicas; ++i) members_.push_back(base + i);
   }
 
-  /// Spawns one replica per member, in member order.
+  /// Spawns one replica per member, in member order, each reporting to
+  /// the group's apply ledger.
   template <class Options>
   void SpawnReplicas(sim::Simulation* sim, const Options& options) {
+    ledger_ = smr::ApplyLedger(members_);
     for (size_t i = 0; i < members_.size(); ++i) {
       replicas_.push_back(sim->Spawn<Replica>(options));
+      replicas_.back()->ReportAppliesTo(&ledger_, static_cast<int>(i));
     }
   }
 
   std::vector<Replica*> replicas_;
+  smr::ApplyLedger ledger_;
   /// Breaches Probe() found, reported ahead of the replicas' own.
   std::vector<std::string> probe_violations_;
 };

@@ -222,6 +222,7 @@ void CrosswordReplica::AcceptSlot(uint64_t index, const smr::Entry& entry) {
   slot.accept_num = my_ballot_;
   slot.value = entry;  // The leader always self-accepts the FULL value.
   slot.has_value = true;
+  slot.coded.reset();
   // No-ops ship full: recovery rounds should never depend on pulls. The
   // payload the coder would code is the entry less its 16-byte header.
   const bool noop = entry.kind() == smr::Entry::Kind::kNoop;
@@ -252,7 +253,7 @@ void CrosswordReplica::StartRound(uint64_t index, int c) {
   MaybeChoose(index);  // q2 may already be met (single-node cluster).
 }
 
-void CrosswordReplica::SendRound(uint64_t index, const SlotState& slot,
+void CrosswordReplica::SendRound(uint64_t index, SlotState& slot,
                                  bool resend_only) {
   if (slot.c >= k_) {
     if (resend_only) {
@@ -277,7 +278,10 @@ void CrosswordReplica::SendRound(uint64_t index, const SlotState& slot,
   // window starting at shard p. Any s distinct windows jointly cover
   // min(n, s + c - 1) distinct shards, which q2(c) turns into the
   // any-majority-reconstructs invariant.
-  smr::ShardedCommand sc = smr::ShardCommand(slot.value, k_, n_);
+  if (!slot.coded.has_value()) {
+    slot.coded = smr::ShardCommand(slot.value, k_, n_);
+  }
+  const smr::ShardedCommand& sc = *slot.coded;
   const int p0 = PositionOf(id());
   for (size_t p = 0; p < options_.members.size(); ++p) {
     sim::NodeId m = options_.members[p];
@@ -348,6 +352,7 @@ void CrosswordReplica::ResendInFlight() {
       // Re-propose the SAME value as full copies under the same ballot:
       // q2 drops to a bare majority and liveness matches classic Paxos.
       ++escalations_;
+      it->second.coded.reset();  // Full copies from here on.
       StartRound(index, k_);
     } else {
       SendRound(index, it->second, /*resend_only=*/true);
@@ -544,6 +549,7 @@ void CrosswordReplica::LearnChosen(uint64_t index, const smr::Entry& entry) {
   slot.chosen = true;
   slot.has_value = true;
   slot.value = entry;  // Hold the full value: we can serve pulls from it.
+  slot.coded.reset();  // No more resends.
   log_.Set(index, entry);
   auto pit = pending_recon_.find(index);
   if (pit != pending_recon_.end()) {
@@ -815,8 +821,12 @@ void CrosswordReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
         // full-copy answer per puller would re-pay the entire egress
         // bill the coded accept round just avoided. The full value goes
         // out only on want_full — the puller's last resort.
-        smr::ShardedCommand sc = smr::ShardCommand(*entry, k_, n_);
-        serve(sc.Subset(PositionOf(id()), 1));
+        std::optional<smr::Entry>& fragment = Slot(m->index).own_fragment;
+        if (!fragment.has_value()) {
+          fragment =
+              smr::ShardCommand(*entry, k_, n_).Subset(PositionOf(id()), 1);
+        }
+        serve(*fragment);
       } else {
         serve(*entry);
       }

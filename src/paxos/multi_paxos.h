@@ -84,10 +84,15 @@ class MultiPaxosReplica : public smr::PipelineProcess {
   const smr::KvStore& kv() const { return pipeline_.kv(); }
   const std::vector<std::string>& violations() const { return violations_; }
   int phase1_rounds() const { return phase1_rounds_; }
-  /// Commands this replica executed, in order, batches' commands in place (a
-  /// replica that bootstrapped from a snapshot only knows its suffix).
-  const std::vector<smr::Command>& CommittedCommands() const {
-    return pipeline_.executed();
+  /// The client commands of the applied slots still in the log, in order,
+  /// batches' commands in place: the whole history until a checkpoint
+  /// truncates the log or a snapshot is installed.
+  std::vector<smr::Command> CommittedCommands() const {
+    return log_.AppliedCommands();
+  }
+  /// Reports every applied slot to `ledger` as its member `member`.
+  void ReportAppliesTo(smr::ApplyLedger* ledger, int member) {
+    pipeline_.ReportAppliesTo(ledger, member);
   }
   /// Commands queued awaiting a batch cut, and cut but not yet applied
   /// (both dropped on deposition; the latter also drains on apply).

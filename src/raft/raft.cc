@@ -312,9 +312,18 @@ void RaftReplica::ApplyCommitted() {
     }
     // Each client command (a batch carries several) is deduped, recorded,
     // and answered individually; other entries apply nothing.
-    pipeline_.ApplyEntry(entry.value);
+    pipeline_.ApplyEntry(last_applied_ - 1, entry.value);
   }
   MaybeTakeSnapshot();
+}
+
+std::vector<smr::Command> RaftReplica::CommittedCommands() const {
+  std::vector<smr::Command> out;
+  for (uint64_t i = log_start_ + 1; i <= last_applied_; ++i) {
+    const std::span<const smr::Command> cmds = EntryAt(i).value.commands();
+    out.insert(out.end(), cmds.begin(), cmds.end());
+  }
+  return out;
 }
 
 void RaftReplica::MaybeTakeSnapshot() {
@@ -550,7 +559,7 @@ void RaftReplica::OnMessage(sim::NodeId from, const sim::Message& msg) {
       Send(from, reply);
       return;
     }
-    pipeline_.Install(m->state);
+    pipeline_.Install(m->state, m->last_index);
     if (m->last_index >= LogEnd()) {
       log_.clear();
     } else {

@@ -100,10 +100,13 @@ class RaftReplica : public smr::PipelineProcess {
   /// Read-index reads answered by this replica while leader.
   int reads_served() const { return reads_served_; }
 
-  /// Commands this replica applied, in order (for shared checkers; a
-  /// replica that bootstrapped from a snapshot only knows its suffix).
-  const std::vector<smr::Command>& CommittedCommands() const {
-    return pipeline_.executed();
+  /// The client commands of the applied entries still in the log, in
+  /// order (for shared checkers): the whole history until a snapshot is
+  /// taken or installed.
+  std::vector<smr::Command> CommittedCommands() const;
+  /// Reports every applied entry to `ledger` as its member `member`.
+  void ReportAppliesTo(smr::ApplyLedger* ledger, int member) {
+    pipeline_.ReportAppliesTo(ledger, member);
   }
 
   // --- Membership reconfiguration (single-server-change rule) ---

@@ -90,22 +90,16 @@ class ShardTxClient : public sim::Process {
   std::map<uint64_t, uint64_t> retry_timers_;
 };
 
-/// The longest committed prefix across the group's replicas.
-std::vector<smr::Command> BestPrefix(const consensus::ReplicaGroup* group) {
-  std::vector<smr::Command> best;
+/// Whether some replica of `group` applied a command whose op is `op`.
+bool AppliedAnywhere(const consensus::ReplicaGroup* group,
+                     const std::string& op) {
   for (size_t i = 0; i < group->members().size(); ++i) {
-    std::vector<smr::Command> prefix =
-        group->CommittedPrefix(static_cast<int>(i));
-    if (prefix.size() > best.size()) best = std::move(prefix);
+    for (const smr::Command& cmd :
+         group->CommittedPrefix(static_cast<int>(i))) {
+      if (cmd.op == op) return true;
+    }
   }
-  return best;
-}
-
-smr::KvStore Replay(const std::vector<smr::Command>& prefix) {
-  smr::KvStore kv;
-  smr::DedupingExecutor dedup;
-  for (const smr::Command& cmd : prefix) dedup.Apply(&kv, cmd);
-  return kv;
+  return false;
 }
 
 /// Reports every pair of the group's replicas whose committed prefixes
@@ -355,11 +349,10 @@ class ShardScenarioAdapter : public ProtocolAdapter {
       o.verdicts[tx][client_->id()] = committed ? 'C' : 'A';
     }
 
-    // The replicated decision records, replayed from the decision group's
-    // longest committed prefix — its authoritative end state even when
-    // some replicas trail (crashed late, restarted at the horizon).
-    const smr::KvStore decisions =
-        Replay(BestPrefix(ssm_->decision_group()));
+    // The replicated decision records, read at the decision group's
+    // freshest replica — its authoritative end state even when some
+    // replicas trail (crashed late, restarted at the horizon).
+    const smr::KvStore& decisions = ssm_->decision_group()->FreshestKv();
     const std::map<uint64_t, bool> decided =
         RecordDecisions(decisions, *ssm_, plan_, &o);
 
@@ -421,11 +414,9 @@ class ShardScenarioAdapter : public ProtocolAdapter {
       }
     }
 
-    std::vector<smr::KvStore> kvs;
-    std::vector<std::vector<smr::Command>> logs;
+    std::vector<const smr::KvStore*> kvs;
     for (int g = 0; g < ssm_->total_groups(); ++g) {
-      logs.push_back(BestPrefix(ssm_->shard_group(g)));
-      kvs.push_back(Replay(logs.back()));
+      kvs.push_back(&ssm_->shard_group(g)->FreshestKv());
     }
     for (const ShardTxClient::Planned& p : plan_) {
       const uint64_t tx = p.tx_id;
@@ -434,23 +425,20 @@ class ShardScenarioAdapter : public ProtocolAdapter {
         const size_t initial_owner =
             static_cast<size_t>(ssm_->InitialTable().GroupForKey(op.key));
         sim::NodeId at = ssm_->ShardMembers(static_cast<int>(owner))[0];
-        auto v = kvs[owner].Get(op.key);
+        auto v = kvs[owner]->Get(op.key);
         bool present = v.has_value() && *v == op.value;
         if (present) {
           o->verdicts[tx][at] = 'C';
-        } else if (kvs[owner].Get(shard::PrepareKey(tx)).has_value() ||
-                   kvs[initial_owner].Get(shard::PrepareKey(tx)).has_value()) {
+        } else if (kvs[owner]->Get(shard::PrepareKey(tx)).has_value() ||
+                   kvs[initial_owner]->Get(shard::PrepareKey(tx)).has_value()) {
           o->verdicts[tx][at] = 'P';
         }
         auto d = decided.find(tx);
         if (present || d == decided.end() || !d->second) continue;
-        auto old_v = kvs[initial_owner].Get(op.key);
-        const std::string put = "PUT " + op.key + " " + op.value;
-        bool logged_old = false;
-        for (const smr::Command& cmd : logs[initial_owner]) {
-          logged_old |= cmd.op == put;
-        }
-        if ((!old_v.has_value() || *old_v != op.value) && logged_old) {
+        auto old_v = kvs[initial_owner]->Get(op.key);
+        if ((!old_v.has_value() || *old_v != op.value) &&
+            AppliedAnywhere(ssm_->shard_group(static_cast<int>(initial_owner)),
+                            "PUT " + op.key + " " + op.value)) {
           o->self_reported.push_back(
               "reshard: lost write: tx " + std::to_string(tx) +
               " decided commit and logged its write at the pre-move owner "

@@ -173,7 +173,7 @@ void WorkloadDriver::OnMessage(sim::NodeId from, const sim::Message& msg) {
   sim::Duration latency = Now() - tx.start;
   s.latency_sum += latency;
   if (latency > s.latency_max) s.latency_max = latency;
-  outcomes_[m->tx_id] = m->committed;
+  if (on_outcome_) on_outcome_(m->tx_id, m->committed);
   pending_txs_.erase(it);
   IssueNext();
 }

@@ -10,6 +10,7 @@
 #define CONSENSUS40_SHARD_WORKLOAD_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -109,8 +110,10 @@ class WorkloadDriver : public sim::Process {
 
   bool done() const { return stats_.completed() >= options_.ops; }
   const WorkloadStats& stats() const { return stats_; }
-  /// Outcome the driver observed per transaction id (for checkers).
-  const std::map<uint64_t, bool>& outcomes() const { return outcomes_; }
+  /// Called with (tx id, committed) for every transaction outcome the
+  /// driver records (for checkers; the driver keeps no outcome log).
+  using OutcomeFn = std::function<void(uint64_t tx_id, bool committed)>;
+  void SetOutcomeFn(OutcomeFn fn) { on_outcome_ = std::move(fn); }
   /// The driver's current routing view (for tests).
   const RoutingTable& table() const { return table_; }
 
@@ -157,7 +160,7 @@ class WorkloadDriver : public sim::Process {
   std::map<uint64_t, uint64_t> rt_fetches_;
   /// Highest epoch a fetch is in flight for (suppresses duplicates).
   uint64_t rt_epoch_inflight_ = 0;
-  std::map<uint64_t, bool> outcomes_;
+  OutcomeFn on_outcome_;
 };
 
 /// Spawns one reader GroupClient per shard plus the driver, and wires

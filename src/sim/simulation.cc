@@ -50,22 +50,51 @@ void Simulation::Start() {
 }
 
 bool Simulation::Step() {
-  if (bucket_heap_.empty()) return false;
-  const BucketRef top = bucket_heap_.top();
+  if (!PruneDeadBuckets()) return false;
+  const BucketRef top = bucket_heap_.front();
   TimeBucket& bucket = buckets_[top.bucket];
   const uint32_t index = bucket.head;
   bucket.head = events_[index].next;
   assert(top.time >= now_);
   now_ = top.time;
-  if (bucket.head == kNilIndex) {
-    bucket_heap_.pop();
-    TimeCacheEntry& cached = time_cache_[TimeCacheIndex(top.time)];
-    if (cached.time == top.time && cached.bucket == top.bucket) {
-      cached.time = kNoCachedTime;
-    }
-    buckets_.Free(top.bucket);
-  }
+  if (bucket.head == kNilIndex) PopBucket(top);
   Dispatch(index);
+  return true;
+}
+
+void Simulation::PopBucket(const BucketRef& top) {
+  std::pop_heap(bucket_heap_.begin(), bucket_heap_.end(), BucketAfter());
+  bucket_heap_.pop_back();
+  TimeCacheEntry& cached = time_cache_[TimeCacheIndex(top.time)];
+  if (cached.time == top.time && cached.bucket == top.bucket) {
+    cached.time = kNoCachedTime;
+  }
+  buckets_.Free(top.bucket);
+}
+
+bool Simulation::PruneDeadBuckets() {
+  if (dead_buckets_ == 0) return !bucket_heap_.empty();
+  if (2 * dead_buckets_ > bucket_heap_.size()) {
+    // Compaction: (time, seq) is a total order, so rebuilding the heap
+    // from the live buckets changes no pop order.
+    std::erase_if(bucket_heap_, [this](const BucketRef& ref) {
+      if (buckets_[ref.bucket].head != kNilIndex) return false;
+      TimeCacheEntry& cached = time_cache_[TimeCacheIndex(ref.time)];
+      if (cached.time == ref.time && cached.bucket == ref.bucket) {
+        cached.time = kNoCachedTime;
+      }
+      buckets_.Free(ref.bucket);
+      return true;
+    });
+    std::make_heap(bucket_heap_.begin(), bucket_heap_.end(), BucketAfter());
+    dead_buckets_ = 0;
+    return !bucket_heap_.empty();
+  }
+  // Dead buckets are at most half the heap here, so a live one remains.
+  while (buckets_[bucket_heap_.front().bucket].head == kNilIndex) {
+    PopBucket(BucketRef(bucket_heap_.front()));
+    --dead_buckets_;
+  }
   return true;
 }
 
@@ -113,7 +142,6 @@ void Simulation::Dispatch(uint32_t index) {
     return;
   }
 
-  const bool cancelled = slot.cancelled;
   const NodeId owner = slot.to;
   const uint64_t epoch = slot.epoch;
   const uint32_t cb = slot.payload;
@@ -123,7 +151,6 @@ void Simulation::Dispatch(uint32_t index) {
   callbacks_.Free(cb);
 
   if (kind == EventKind::kTimer) {
-    if (cancelled) return;
     Process* p = processes_[owner].get();
     if (p->crashed_ || p->epoch_ != epoch) return;
   }
@@ -140,11 +167,21 @@ void Simulation::ReleasePayload(uint32_t payload) {
 
 void Simulation::ScheduleSlot(Time t, uint32_t index) {
   assert(t >= now_);
-  events_[index].next = kNilIndex;
+  EventSlot& slot = events_[index];
+  slot.next = kNilIndex;
   TimeCacheEntry& cached = time_cache_[TimeCacheIndex(t)];
   if (cached.time == t) {
     TimeBucket& bucket = buckets_[cached.bucket];
-    events_[bucket.tail].next = index;
+    slot.bucket = cached.bucket;
+    slot.prev = bucket.tail;
+    if (bucket.head == kNilIndex) {
+      // Emptied by cancels but still in the heap at its place in the
+      // order: the event joins it, and the bucket is live again.
+      bucket.head = index;
+      --dead_buckets_;
+    } else {
+      events_[bucket.tail].next = index;
+    }
     bucket.tail = index;
     return;
   }
@@ -153,7 +190,10 @@ void Simulation::ScheduleSlot(Time t, uint32_t index) {
   bucket.time = t;
   bucket.head = bucket.tail = index;
   bucket.seq = next_bucket_seq_++;
-  bucket_heap_.push(BucketRef{t, bucket.seq, b});
+  slot.bucket = b;
+  slot.prev = kNilIndex;
+  bucket_heap_.push_back(BucketRef{t, bucket.seq, b});
+  std::push_heap(bucket_heap_.begin(), bucket_heap_.end(), BucketAfter());
   cached.time = t;
   cached.bucket = b;
 }
@@ -163,23 +203,19 @@ void Simulation::RunFor(Duration d) {
   // Same semantics as repeated Step(), but the inner loop drains a whole
   // bucket without re-consulting the heap: one top()/pop() per *timestamp*
   // rather than per event.
-  while (!bucket_heap_.empty()) {
-    const BucketRef top = bucket_heap_.top();
+  while (PruneDeadBuckets()) {
+    const BucketRef top = bucket_heap_.front();
     if (top.time > end) break;
     now_ = top.time;
     for (;;) {
-      // Re-index the bucket each iteration: handlers may append to its tail
-      // and may grow the slab under us.
+      // Re-index the bucket each iteration: handlers may append to its tail,
+      // cancel what is left of it, and grow the slab under us.
       TimeBucket& bucket = buckets_[top.bucket];
       const uint32_t index = bucket.head;
+      if (index == kNilIndex) break;  // Cancelled empty; pruned above.
       bucket.head = events_[index].next;
       if (bucket.head == kNilIndex) {
-        bucket_heap_.pop();
-        TimeCacheEntry& cached = time_cache_[TimeCacheIndex(top.time)];
-        if (cached.time == top.time && cached.bucket == top.bucket) {
-          cached.time = kNoCachedTime;
-        }
-        buckets_.Free(top.bucket);
+        PopBucket(top);
         Dispatch(index);
         break;
       }
@@ -191,7 +227,7 @@ void Simulation::RunFor(Duration d) {
 
 bool Simulation::RunUntil(const std::function<bool()>& pred, Time deadline) {
   if (pred()) return true;
-  while (!bucket_heap_.empty() && bucket_heap_.top().time <= deadline) {
+  while (PruneDeadBuckets() && bucket_heap_.front().time <= deadline) {
     Step();
     if (pred()) return true;
   }
@@ -435,7 +471,6 @@ uint64_t Simulation::SetProcessTimer(NodeId owner, Duration delay,
   const uint32_t index = events_.Allocate();
   EventSlot& slot = events_[index];
   slot.kind = EventKind::kTimer;
-  slot.cancelled = false;
   slot.to = owner;
   slot.payload = cb;
   slot.epoch = epochs_[owner];
@@ -447,9 +482,29 @@ void Simulation::CancelProcessTimer(uint64_t timer_id) {
   // The handle goes stale the moment the timer fires (its slot is freed and
   // the generation bumps), so cancel-after-fire is a no-op with no residue.
   EventSlot* slot = events_.Resolve(timer_id);
-  if (slot != nullptr && slot->kind == EventKind::kTimer) {
-    slot->cancelled = true;
+  if (slot == nullptr || slot->kind != EventKind::kTimer) return;
+  const uint32_t index = static_cast<uint32_t>(timer_id);
+  // Unlink from the bucket. `prev` is stale exactly when the event is the
+  // head (pops do not maintain it), so the head case never reads it.
+  TimeBucket& bucket = buckets_[slot->bucket];
+  const bool head = bucket.head == index;
+  if (head) {
+    bucket.head = slot->next;
+  } else {
+    events_[slot->prev].next = slot->next;
   }
+  if (slot->next != kNilIndex) {
+    events_[slot->next].prev = head ? kNilIndex : slot->prev;
+  } else {
+    bucket.tail = head ? kNilIndex : slot->prev;
+  }
+  if (bucket.head == kNilIndex) ++dead_buckets_;
+  // Free both slots before the closure dies: its captures' destructors
+  // may re-enter the scheduler.
+  std::function<void()> fn = std::move(callbacks_[slot->payload]);
+  callbacks_[slot->payload] = nullptr;
+  callbacks_.Free(slot->payload);
+  events_.Free(index);
 }
 
 }  // namespace consensus40::sim

@@ -6,7 +6,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <queue>
 #include <set>
 #include <string>
 #include <utility>
@@ -172,8 +171,10 @@ class Process {
   /// cancelled. Returns a cancellation handle.
   uint64_t SetTimer(Duration delay, std::function<void()> fn);
 
-  /// Cancels a pending timer. Cancelling an already-fired (or already
-  /// cancelled) timer is a no-op and leaves no bookkeeping residue.
+  /// Cancels a pending timer: its event leaves the queue and `fn` is
+  /// destroyed before this returns, so a cancelled timer costs no event
+  /// later. Cancelling an already-fired (or already cancelled) timer is a
+  /// no-op and leaves no bookkeeping residue.
   void CancelTimer(uint64_t timer_id);
 
  private:
@@ -196,9 +197,12 @@ class Process {
 /// variant of message-delivery / process-timer / sim-callback, recycled
 /// through a free list) and are ordered by a calendar of per-timestamp FIFO
 /// buckets, so the steady state allocates nothing per event and same-time
-/// events cost O(1) each instead of a binary-heap reshuffle. Per-type
-/// statistics go through interned TypeIds (common/interner.h) — a vector
-/// index per send, not a string-keyed map lookup.
+/// events cost O(1) each instead of a binary-heap reshuffle. A cancelled
+/// timer is unlinked from its bucket at once; a bucket that empties that
+/// way stays in the heap until it reaches the top or a compaction drops
+/// it, and no surviving event moves. Per-type statistics go through
+/// interned TypeIds (common/interner.h) — a vector index per send, not a
+/// string-keyed map lookup.
 class Simulation {
  public:
   ~Simulation();
@@ -241,7 +245,8 @@ class Simulation {
   /// call repeatedly (e.g. after spawning more processes).
   void Start();
 
-  /// Executes the next pending event. Returns false if the queue is empty.
+  /// Executes the next pending event. Returns false, leaving now() alone,
+  /// if no event is pending (cancelled timers are not events).
   bool Step();
 
   /// Runs until the virtual clock reaches now()+d (events at the boundary
@@ -461,8 +466,9 @@ class Simulation {
   /// One pending event, as a tagged variant living in a slab slot. Message
   /// deliveries reference a shared MessagePayload; timers and callbacks point
   /// into the callback slab. Keeping the closure out of line keeps the slot
-  /// a single cache line, and slots are recycled through the slab free
-  /// list, so the steady state allocates nothing per event.
+  /// (plus its slab generation bookkeeping) a single 64-byte cache line,
+  /// and slots are recycled through the slab free list, so the steady state
+  /// allocates nothing per event.
   struct EventSlot {
     NodeId from = kInvalidNode;      ///< Message sender.
     NodeId to = kInvalidNode;        ///< Message destination / timer owner.
@@ -470,15 +476,14 @@ class Simulation {
                                      ///< messages, callback slot for timers
                                      ///< and callbacks; kNil for unicast.
     uint32_t next = kNilIndex;       ///< FIFO chain within a time bucket.
+    uint32_t prev = kNilIndex;       ///< Back link, read only by a cancel;
+                                     ///< stale while the event is the head.
+    uint32_t bucket = kNilIndex;     ///< The time bucket holding the event.
     uint32_t trace = kNilIndex;      ///< TraceInfo slot; messages only, and
                                      ///< only while a trace hook is set.
     EventKind kind = EventKind::kCallback;
-    bool cancelled = false;          ///< Timers only; set by CancelTimer.
     uint64_t epoch = 0;              ///< Destination/owner epoch at schedule.
     MessagePtr msg;                  ///< Unicast payload (payload == kNil).
-    uint64_t pad_ = 0;               ///< Rounds the slab entry (slot + its
-                                     ///< generation bookkeeping) to exactly
-                                     ///< one 64-byte cache line.
   };
 
   /// Envelope metadata a delivery only needs when a trace hook is watching:
@@ -498,7 +503,9 @@ class Simulation {
   /// FIFO bucket of events scheduled for the same timestamp. The queue is a
   /// min-heap over *buckets* (ordered by time, then creation order), so a
   /// burst of same-time events — a multicast fan-out, a synchronous round —
-  /// costs one heap operation total instead of one per event.
+  /// costs one heap operation total instead of one per event. A bucket
+  /// whose events were all cancelled is dead (head == kNil) until it is
+  /// dropped or a schedule at its time revives it.
   struct TimeBucket {
     Time time = 0;
     uint32_t head = kNilIndex;
@@ -543,6 +550,12 @@ class Simulation {
   void QueueMessageEvent(NodeId from, NodeId to, uint32_t payload,
                          uint64_t envelope_id, Duration delay);
   void ScheduleSlot(Time t, uint32_t index);
+  /// Pops the top bucket off the heap and frees it.
+  void PopBucket(const BucketRef& top);
+  /// Between events: drops dead buckets from the top of the heap, or all
+  /// of them once they outnumber the live ones. Returns whether any event
+  /// is pending.
+  bool PruneDeadBuckets();
   void ReleasePayload(uint32_t payload);
   void Dispatch(uint32_t index);
 
@@ -568,8 +581,8 @@ class Simulation {
   Slab<MessagePayload> payloads_;
   Slab<std::function<void()>> callbacks_;  ///< Timer / callback bodies.
   Slab<TimeBucket> buckets_;
-  std::priority_queue<BucketRef, std::vector<BucketRef>, BucketAfter>
-      bucket_heap_;
+  std::vector<BucketRef> bucket_heap_;  ///< A BucketAfter heap (std::*_heap).
+  size_t dead_buckets_ = 0;  ///< Buckets in the heap emptied by cancels.
   std::array<TimeCacheEntry, kTimeCacheSize> time_cache_;
 
   StringInterner type_names_;

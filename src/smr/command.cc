@@ -118,6 +118,32 @@ bool Entry::operator==(const Entry& other) const {
   return false;
 }
 
+uint64_t Entry::Digest() const {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](uint64_t v) {
+    h = (h ^ v) * 0xff51afd7ed558ccdull;
+    h ^= h >> 32;
+  };
+  mix(static_cast<uint64_t>(kind()));
+  for (const Command& cmd : commands()) {
+    mix(static_cast<uint32_t>(cmd.client));
+    mix(cmd.client_seq);
+    mix(Fnv1a(cmd.op));
+    if (kind() == Kind::kBatch) mix(cmd.acked);  // As operator== compares.
+  }
+  if (const std::vector<int32_t>* members = config()) {
+    for (int32_t member : *members) mix(static_cast<uint32_t>(member));
+  }
+  if (const ShardSet* set = shard_set()) {
+    mix(set->header.payload_check);
+    for (const Shard& shard : set->shards) {
+      mix(static_cast<uint64_t>(shard.index));
+      mix(shard.check);
+    }
+  }
+  return h;
+}
+
 std::string Entry::ToString() const {
   switch (kind()) {
     case Kind::kCommand:

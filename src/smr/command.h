@@ -133,6 +133,10 @@ class Entry {
   /// batch's commands compare their acks too, which the log carries.
   bool operator==(const Entry& other) const;
 
+  /// 64-bit digest of kind and content, equal for entries that compare
+  /// equal: what a replica reports to an ApplyLedger (smr/apply_ledger.h).
+  uint64_t Digest() const;
+
   /// Compact rendering for traces and violation reports.
   std::string ToString() const;
 

@@ -120,7 +120,6 @@ void LeaderPipeline::ForgetCut(const Key& key) {
 }
 
 void LeaderPipeline::Applied(const Command& cmd, const std::string& result) {
-  executed_.push_back(cmd);
   const Key key{cmd.client, cmd.client_seq};
   ForgetCut(key);  // The dedup session covers it from here on.
   auto it = awaiting_client_.find(key);
@@ -130,16 +129,20 @@ void LeaderPipeline::Applied(const Command& cmd, const std::string& result) {
   }
 }
 
-void LeaderPipeline::ApplyEntry(const Entry& entry) {
+void LeaderPipeline::ApplyEntry(uint64_t position, const Entry& entry) {
+  if (ledger_ != nullptr) {
+    ledger_->Applied(ledger_member_, position, entry.Digest());
+  }
   for (const Command& cmd : entry.commands()) {
     Applied(cmd, dedup_.Apply(&kv_, cmd));
   }
 }
 
-void LeaderPipeline::Install(const StateTransfer& state) {
+void LeaderPipeline::Install(const StateTransfer& state, uint64_t frontier) {
   kv_.Restore(state.data);
   dedup_.Restore(state.sessions);
   ++snapshots_installed_;
+  if (ledger_ != nullptr) ledger_->Skipped(ledger_member_, frontier);
 }
 
 void LeaderPipeline::RequestCatchup(sim::NodeId to, uint64_t from_index) {

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "sim/simulation.h"
+#include "smr/apply_ledger.h"
 #include "smr/client.h"
 #include "smr/command.h"
 #include "smr/state_machine.h"
@@ -154,17 +155,24 @@ class LeaderPipeline {
 
   // --- Apply and reply fan-out ---
 
-  /// Applies one committed log entry through the dedup sessions: every
-  /// client command it carries is recorded, dropped from the in-flight
-  /// set, and answered if its client is waiting.
-  void ApplyEntry(const Entry& entry);
+  /// Applies the committed log entry at `position` (0-based: the entries
+  /// applied before it) through the dedup sessions: every client command
+  /// it carries is dropped from the in-flight set and answered if its
+  /// client is waiting. The entry's digest goes to the ledger, if any.
+  void ApplyEntry(uint64_t position, const Entry& entry);
+
+  /// Reports every applied entry and snapshot install to `ledger` as its
+  /// member `member` (the group facade's agreement check).
+  void ReportAppliesTo(ApplyLedger* ledger, int member) {
+    ledger_ = ledger;
+    ledger_member_ = member;
+  }
 
   const KvStore& kv() const { return kv_; }
-  /// Commands this replica executed, in order, batches' commands in place.
-  const std::vector<Command>& executed() const { return executed_; }
 
   StateTransfer Capture() const { return {kv_.Snapshot(), dedup_.sessions()}; }
-  void Install(const StateTransfer& state);
+  /// Restores a snapshot covering log positions [0, frontier).
+  void Install(const StateTransfer& state, uint64_t frontier);
 
   // --- Slot logs (Multi-Paxos, Crossword) ---
 
@@ -218,7 +226,7 @@ class LeaderPipeline {
   void Reply(sim::NodeId to, uint64_t seq, const std::string& result);
   /// Drops the in-flight entry of a cut command; a queued one stays.
   void ForgetCut(const Key& key);
-  /// Records an applied client command and answers its waiting client.
+  /// Retires an applied client command and answers its waiting client.
   void Applied(const Command& cmd, const std::string& result);
 
   Options options_;
@@ -227,7 +235,8 @@ class LeaderPipeline {
 
   KvStore kv_;
   DedupingExecutor dedup_;
-  std::vector<Command> executed_;
+  ApplyLedger* ledger_ = nullptr;
+  int ledger_member_ = 0;
 
   /// inflight_ value of a command still in queue_, awaiting a cut.
   static constexpr uint64_t kQueued = UINT64_MAX;
@@ -250,11 +259,17 @@ class LeaderPipeline {
 template <class Slot>
 void LeaderPipeline::ApplySlots(ReplicatedLog* log,
                                 std::map<uint64_t, Slot>* slots) {
+  const uint64_t first = log->applied_frontier();
   log->ApplyCommitted(
       &kv_, &dedup_,
       [this](uint64_t, const Command& cmd, const std::string& result) {
         Applied(cmd, result);
       });
+  if (ledger_ != nullptr) {
+    for (uint64_t i = first; i < log->applied_frontier(); ++i) {
+      ledger_->Applied(ledger_member_, i, log->Get(i)->Digest());
+    }
+  }
   if (options_.checkpoint_interval == 0) return;
   const uint64_t applied = log->applied_frontier();
   if (applied - log->start() < options_.checkpoint_interval) return;
@@ -269,7 +284,7 @@ bool LeaderPipeline::InstallSnapshot(const SnapshotMsg& snap,
                                      std::map<uint64_t, Slot>* slots,
                                      uint64_t* cursor) {
   if (snap.end <= log->applied_frontier()) return false;  // Already as fresh.
-  Install(snap.state);
+  Install(snap.state, snap.end);
   log->ResetToSnapshot(snap.end);
   slots->erase(slots->begin(), slots->lower_bound(snap.end));
   if (cursor != nullptr) {

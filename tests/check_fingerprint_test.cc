@@ -14,6 +14,9 @@
 //     runs (decision records, per-group prefix checks, system
 //     violations), so its observation gained the decision-record
 //     verdicts. Its sweep verdict and pinned repro did not move.
+//   - crossword_unsafe: the group's apply ledger now self-reports the
+//     log positions where two replicas applied different entries (seeds
+//     1, 14 and 18). Its logs and message counts did not move.
 
 #include <gtest/gtest.h>
 
@@ -115,7 +118,7 @@ const std::map<std::string, uint64_t>& Pinned() {
       {"cheapbft_byz", 0xc9179a4105ae0860ull},
       {"crossword", 0xe8cb515b9c8c64fbull},
       {"crossword_rs", 0x988b9f3e2b27f3beull},
-      {"crossword_unsafe", 0x721f5b0388b1af0cull},
+      {"crossword_unsafe", 0xf6f272b9fd0732bcull},
       {"fast_paxos", 0x3e017ac16d7240e8ull},
       {"floodset", 0xfb462ac8f27c0ba6ull},
       {"floodset-f-rounds", 0x6324640f0ca7d706ull},

@@ -201,15 +201,6 @@ class TestClient : public sim::Process {
   std::map<uint64_t, uint64_t> timers_;
 };
 
-smr::KvStore ReplayGroup(const consensus::ReplicaGroup* group) {
-  smr::KvStore kv;
-  smr::DedupingExecutor dedup;
-  for (const smr::Command& cmd : group->CommittedPrefix(0)) {
-    dedup.Apply(&kv, cmd);
-  }
-  return kv;
-}
-
 struct ReshardFixture {
   explicit ReshardFixture(uint64_t seed,
                           ShardOptions options = DefaultOptions()) {
@@ -277,15 +268,15 @@ TEST(ReshardTest, LiveMoveHappyPath) {
 
   // Data followed the range: the destination group holds the pre-move
   // write, the source group fences the key behind the flip epoch.
-  smr::KvStore dest = ReplayGroup(f.ssm->shard_group(2));
+  smr::KvStore dest = f.ssm->shard_group(2)->FreshestKv();
   EXPECT_EQ(dest.Get(key).value_or("NIL"), "before-move");
-  smr::KvStore source = ReplayGroup(f.ssm->shard_group(0));
+  smr::KvStore source = f.ssm->shard_group(0)->FreshestKv();
   ASSERT_TRUE(source.MovedEpoch(key).has_value());
   EXPECT_EQ(*source.MovedEpoch(key), 2u);
 
   // The decision group carries the full write-once move record trail.
   std::string id = MoveId(1, 0, kHalf);
-  smr::KvStore decisions = ReplayGroup(f.ssm->decision_group());
+  smr::KvStore decisions = f.ssm->decision_group()->FreshestKv();
   EXPECT_EQ(decisions.Get(MoveClaimKey(id)).value_or(""), "0,2");
   EXPECT_TRUE(decisions.Get(MovePhaseKey(id, "frozen")).has_value());
   EXPECT_TRUE(decisions.Get(MovePhaseKey(id, "drained")).has_value());
@@ -302,7 +293,7 @@ TEST(ReshardTest, LiveMoveHappyPath) {
   uint64_t tx = 2;
   while (!f.CommitSync(tx, key, "after-move")) ++tx;
   f.sim->RunFor(1 * kSecond);
-  EXPECT_EQ(ReplayGroup(f.ssm->shard_group(2)).Get(key).value_or("NIL"),
+  EXPECT_EQ(f.ssm->shard_group(2)->FreshestKv().Get(key).value_or("NIL"),
             "after-move");
   EXPECT_TRUE(f.ssm->Violations().empty());
 }
@@ -366,7 +357,7 @@ TEST(ReshardTest, RoundTripMoveBackToOriginalOwnerServesAgain) {
 
   // The returning owner's stale fence is outranked: the range is served,
   // not bounced, and the data followed it both ways.
-  smr::KvStore source = ReplayGroup(f.ssm->shard_group(0));
+  smr::KvStore source = f.ssm->shard_group(0)->FreshestKv();
   EXPECT_FALSE(source.MovedEpoch(key).has_value());
   EXPECT_EQ(source.Get(key).value_or("NIL"), "v1");
 
@@ -377,7 +368,7 @@ TEST(ReshardTest, RoundTripMoveBackToOriginalOwnerServesAgain) {
     ++tx;
   }
   f.sim->RunFor(1 * kSecond);
-  EXPECT_EQ(ReplayGroup(f.ssm->shard_group(0)).Get(key).value_or("NIL"),
+  EXPECT_EQ(f.ssm->shard_group(0)->FreshestKv().Get(key).value_or("NIL"),
             "v2");
   EXPECT_TRUE(f.ssm->Violations().empty());
 }
@@ -497,12 +488,12 @@ TEST(ReshardTest, MoverCrashAtEveryPhaseBoundaryStillCompletesExactlyOnce) {
 
     // Exactly once: one flip (epoch 2, no higher), data present at the
     // destination, fence at the source.
-    smr::KvStore decisions = ReplayGroup(f.ssm->decision_group());
+    smr::KvStore decisions = f.ssm->decision_group()->FreshestKv();
     EXPECT_TRUE(decisions.Get(RoutingTable::RtKey(2)).has_value());
     EXPECT_FALSE(decisions.Get(RoutingTable::RtKey(3)).has_value());
-    EXPECT_EQ(ReplayGroup(f.ssm->shard_group(2)).Get(key).value_or("NIL"),
+    EXPECT_EQ(f.ssm->shard_group(2)->FreshestKv().Get(key).value_or("NIL"),
               "payload");
-    EXPECT_TRUE(ReplayGroup(f.ssm->shard_group(0)).MovedEpoch(key).has_value());
+    EXPECT_TRUE(f.ssm->shard_group(0)->FreshestKv().MovedEpoch(key).has_value());
     EXPECT_TRUE(f.ssm->Violations().empty());
   }
 }
@@ -532,7 +523,7 @@ TEST(ReshardTest, PostFlipResumeDoesNotClobberNewOwnerWrites) {
     ++tx;
   }
   f.sim->RunFor(500 * kMillisecond);
-  EXPECT_EQ(ReplayGroup(f.ssm->shard_group(2)).Get(key).value_or("NIL"),
+  EXPECT_EQ(f.ssm->shard_group(2)->FreshestKv().Get(key).value_or("NIL"),
             "new");
 
   // The restarted mover resumes, sees the flipped marker, and goes
@@ -540,7 +531,7 @@ TEST(ReshardTest, PostFlipResumeDoesNotClobberNewOwnerWrites) {
   f.sim->Restart(f.ssm->mover_id());
   ASSERT_TRUE(f.RunUntilMovesDone(1));
   f.sim->RunFor(1 * kSecond);
-  EXPECT_EQ(ReplayGroup(f.ssm->shard_group(2)).Get(key).value_or("NIL"),
+  EXPECT_EQ(f.ssm->shard_group(2)->FreshestKv().Get(key).value_or("NIL"),
             "new");
   EXPECT_TRUE(f.ssm->Violations().empty());
 }
@@ -579,8 +570,8 @@ TEST(ReshardTest, MoveUnderTransactionTrafficLosesNothing) {
       f.sim->now() + 15 * kSecond));
   f.sim->RunFor(2 * kSecond);  // Drain all replication.
 
-  smr::KvStore source = ReplayGroup(f.ssm->shard_group(0));
-  smr::KvStore dest = ReplayGroup(f.ssm->shard_group(2));
+  smr::KvStore source = f.ssm->shard_group(0)->FreshestKv();
+  smr::KvStore dest = f.ssm->shard_group(2)->FreshestKv();
   int committed = 0, aborted = 0;
   for (const auto& [tx, op] : writes) {
     ASSERT_TRUE(f.client->outcomes.count(tx) > 0);
@@ -661,7 +652,7 @@ TEST(ReshardTest, WindowedIncsStayExactlyOnceAcrossTheMove) {
   // Exactly-once: the migrated counter equals the successful INC count —
   // no pre-fence increment was double-applied by a windowed retry, none
   // was lost by the copy.
-  smr::KvStore dest = ReplayGroup(f.ssm->shard_group(2));
+  smr::KvStore dest = f.ssm->shard_group(2)->FreshestKv();
   EXPECT_EQ(dest.Get(key).value_or("0"), std::to_string(numeric));
   EXPECT_TRUE(f.ssm->Violations().empty());
 }

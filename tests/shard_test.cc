@@ -66,17 +66,6 @@ class TestClient : public sim::Process {
   std::map<uint64_t, uint64_t> timers_;
 };
 
-/// Replays a group's committed prefix (from replica 0) into a KvStore
-/// and returns the resulting state — the group's authoritative KV view.
-smr::KvStore ReplayGroup(const consensus::ReplicaGroup* group) {
-  smr::KvStore kv;
-  smr::DedupingExecutor dedup;
-  for (const smr::Command& cmd : group->CommittedPrefix(0)) {
-    dedup.Apply(&kv, cmd);
-  }
-  return kv;
-}
-
 struct ShardFixture {
   explicit ShardFixture(uint64_t seed, ShardOptions options = ShardOptions()) {
     ssm = std::make_unique<ShardedStateMachine>(options);
@@ -104,11 +93,11 @@ TEST(ShardTest, SingleShardTransactionCommitsOnePhase) {
   EXPECT_TRUE(f.client->outcomes.at(1));
   f.sim->RunFor(500 * kMillisecond);  // Let replication settle.
 
-  smr::KvStore shard0 = ReplayGroup(f.ssm->shard_group(0));
+  smr::KvStore shard0 = f.ssm->shard_group(0)->FreshestKv();
   EXPECT_EQ(shard0.Get(key).value_or("NIL"), "v1");
   // One-phase: no durable prepare record, no decision record.
   EXPECT_FALSE(shard0.Get(PrepareKey(1)).has_value());
-  smr::KvStore decisions = ReplayGroup(f.ssm->decision_group());
+  smr::KvStore decisions = f.ssm->decision_group()->FreshestKv();
   EXPECT_FALSE(decisions.Get(DecisionKey(1)).has_value());
   EXPECT_TRUE(f.ssm->Violations().empty());
 }
@@ -125,9 +114,9 @@ TEST(ShardTest, CrossShardTransactionCommitsAtomically) {
 
   // Both shards applied their slice; the decision group holds COMMIT;
   // each shard carries the durable prepare record.
-  smr::KvStore shard0 = ReplayGroup(f.ssm->shard_group(0));
-  smr::KvStore shard1 = ReplayGroup(f.ssm->shard_group(1));
-  smr::KvStore decisions = ReplayGroup(f.ssm->decision_group());
+  smr::KvStore shard0 = f.ssm->shard_group(0)->FreshestKv();
+  smr::KvStore shard1 = f.ssm->shard_group(1)->FreshestKv();
+  smr::KvStore decisions = f.ssm->decision_group()->FreshestKv();
   EXPECT_EQ(shard0.Get(k0).value_or("NIL"), "v1");
   EXPECT_EQ(shard1.Get(k1).value_or("NIL"), "v1");
   EXPECT_EQ(decisions.Get(DecisionKey(1)).value_or("NIL"), "C");
@@ -155,9 +144,9 @@ TEST(ShardTest, ConflictingTransactionAborts) {
 
   // Atomicity of the abort: NONE of tx 2's writes exist anywhere, and
   // the decision group records the abort.
-  smr::KvStore shard0 = ReplayGroup(f.ssm->shard_group(0));
-  smr::KvStore shard1 = ReplayGroup(f.ssm->shard_group(1));
-  smr::KvStore decisions = ReplayGroup(f.ssm->decision_group());
+  smr::KvStore shard0 = f.ssm->shard_group(0)->FreshestKv();
+  smr::KvStore shard1 = f.ssm->shard_group(1)->FreshestKv();
+  smr::KvStore decisions = f.ssm->decision_group()->FreshestKv();
   EXPECT_EQ(shard0.Get(shared).value_or("NIL"), "v1");
   EXPECT_EQ(shard1.Get(k1b).value_or("NIL"), "NIL");
   EXPECT_EQ(decisions.Get(DecisionKey(2)).value_or("NIL"), "A");
@@ -186,9 +175,9 @@ TEST(ShardTest, CoordinatorCrashMidTransactionStaysAtomic) {
   f.sim->RunFor(2 * kSecond);
 
   bool committed = f.client->outcomes.at(1);
-  smr::KvStore shard0 = ReplayGroup(f.ssm->shard_group(0));
-  smr::KvStore shard1 = ReplayGroup(f.ssm->shard_group(1));
-  smr::KvStore decisions = ReplayGroup(f.ssm->decision_group());
+  smr::KvStore shard0 = f.ssm->shard_group(0)->FreshestKv();
+  smr::KvStore shard1 = f.ssm->shard_group(1)->FreshestKv();
+  smr::KvStore decisions = f.ssm->decision_group()->FreshestKv();
   std::string decision = decisions.Get(DecisionKey(1)).value_or("NIL");
   // Whatever was decided, it is (a) recorded durably, (b) consistent
   // with the client-visible outcome, and (c) applied on ALL shards or
@@ -216,10 +205,14 @@ TEST(ShardTest, WorkloadDriverRunsMixedLoad) {
   wo.key_space = 200;   // Miss-heavy: reads range far beyond...
   wo.write_space = 40;  // ...the keys writes can touch.
   WorkloadDriver* driver = SpawnWorkload(f.sim.get(), f.ssm.get(), wo);
+  std::map<uint64_t, bool> outcomes;
+  driver->SetOutcomeFn(
+      [&](uint64_t tx_id, bool committed) { outcomes[tx_id] = committed; });
   f.sim->Start();  // Start the newly spawned workload processes.
 
   ASSERT_TRUE(
       f.sim->RunUntil([&] { return driver->done(); }, f.sim->now() + 120 * kSecond));
+  EXPECT_FALSE(outcomes.empty());
   const WorkloadStats& stats = driver->stats();
   EXPECT_EQ(stats.completed(), wo.ops);
   EXPECT_GT(stats.reads.completed, 0);
@@ -229,12 +222,12 @@ TEST(ShardTest, WorkloadDriverRunsMixedLoad) {
   EXPECT_TRUE(f.ssm->Violations().empty());
 
   // Every committed cross-shard transaction is all-or-nothing across its
-  // shards; spot-check with the driver's outcome log against replayed
-  // shard state: a committed tx's value appears under the keys it wrote
-  // unless a later committed tx overwrote them — so just assert no
-  // group-level violations and consistent decision records.
-  smr::KvStore decisions = ReplayGroup(f.ssm->decision_group());
-  for (const auto& [tx_id, committed] : driver->outcomes()) {
+  // shards; spot-check the outcomes the driver reported against the
+  // decision group's state: a committed tx's value appears under the keys
+  // it wrote unless a later committed tx overwrote them — so just assert
+  // no group-level violations and consistent decision records.
+  const smr::KvStore& decisions = f.ssm->decision_group()->FreshestKv();
+  for (const auto& [tx_id, committed] : outcomes) {
     std::string d = decisions.Get(DecisionKey(tx_id)).value_or("NIL");
     if (d != "NIL") {
       EXPECT_EQ(d == "C", committed) << "tx " << tx_id;
@@ -260,7 +253,7 @@ TEST(ShardTest, ReadYourWritesInsideOneTransaction) {
   EXPECT_TRUE(reads[1].found);
   EXPECT_EQ(reads[1].value, "v1");
   f.sim->RunFor(500 * kMillisecond);
-  smr::KvStore shard0 = ReplayGroup(f.ssm->shard_group(0));
+  smr::KvStore shard0 = f.ssm->shard_group(0)->FreshestKv();
   EXPECT_EQ(shard0.Get(key).value_or("NIL"), "v1");
   EXPECT_TRUE(f.ssm->Violations().empty());
 }
@@ -288,9 +281,9 @@ TEST(ShardTest, CasValidatesAtPrepareAndMismatchAborts) {
                               f.sim->now() + 5 * kSecond));
   EXPECT_TRUE(f.client->outcomes.at(3));
   f.sim->RunFor(1 * kSecond);
-  smr::KvStore shard0 = ReplayGroup(f.ssm->shard_group(0));
+  smr::KvStore shard0 = f.ssm->shard_group(0)->FreshestKv();
   EXPECT_EQ(shard0.Get(key).value_or("NIL"), "v3");
-  smr::KvStore decisions = ReplayGroup(f.ssm->decision_group());
+  smr::KvStore decisions = f.ssm->decision_group()->FreshestKv();
   EXPECT_EQ(decisions.Get(DecisionKey(3)).value_or("NIL"), "C");
   EXPECT_EQ(decisions.Get(DecisionKey(2)).value_or("NIL"), "A");
   EXPECT_TRUE(f.ssm->Violations().empty());
@@ -318,7 +311,7 @@ TEST(ShardTest, SnapshotReadTakesNoLocksAndWritesNoRecords) {
     EXPECT_EQ(f.ssm->tx_manager(s)->prepares(), 0);
   }
   f.sim->RunFor(500 * kMillisecond);
-  smr::KvStore decisions = ReplayGroup(f.ssm->decision_group());
+  smr::KvStore decisions = f.ssm->decision_group()->FreshestKv();
   EXPECT_FALSE(decisions.Get(DecisionKey(1)).has_value());
   EXPECT_TRUE(f.ssm->Violations().empty());
 }

@@ -703,12 +703,12 @@ TEST(LeaderPipelineTest, RetryReRegistersReplyAddressWithoutSecondEntry) {
   EXPECT_EQ(h.log.size(), 1u);
   EXPECT_EQ(h.pipeline.inflight_ops(), 1u);
   EXPECT_TRUE(h.sent.empty());
-  h.pipeline.ApplyEntry(h.log[0]);
+  h.pipeline.ApplyEntry(0, h.log[0]);
   ASSERT_EQ(h.sent.size(), 1u);
   EXPECT_EQ(h.sent[0].first, 6);
   EXPECT_EQ(h.sent[0].second->result, "1");
   EXPECT_EQ(h.pipeline.inflight_ops(), 0u);
-  EXPECT_EQ(h.pipeline.executed().size(), 1u);
+  EXPECT_EQ(h.pipeline.kv().Get("x").value_or("NIL"), "1");
   // A retry after apply is answered from the dedup cache.
   h.pipeline.Admit(5, Cmd(1, 1, "INC x"), true);
   EXPECT_EQ(h.log.size(), 1u);

@@ -10,7 +10,8 @@
 ///
 ///   1. create a roster of replicas inside a simulation,
 ///   2. submit a command (build the protocol's request message),
-///   3. read the committed prefix (for invariant checks / introspection),
+///   3. read the committed prefix and the freshest state (for invariant
+///      checks / introspection),
 ///   4. a leader hint (where to send the next request).
 ///
 /// Groups are obtained from a name-keyed registry ("raft",
@@ -180,16 +181,18 @@ class LogReplicaGroup : public ReplicaGroup {
   }
 
   const smr::KvStore& FreshestKv() const override {
-    return replicas_[static_cast<size_t>(ledger_.Freshest())]->kv();
+    return replicas_[static_cast<size_t>(ledger_->Freshest())]->kv();
   }
 
-  /// The group's apply ledger (for tests).
-  const smr::ApplyLedger& ledger() const { return ledger_; }
+  /// The group's apply ledger (valid after Create; for tests).
+  const smr::ApplyLedger& ledger() const { return *ledger_; }
 
   std::vector<std::string> Violations() const override {
     std::vector<std::string> all = probe_violations_;
-    all.insert(all.end(), ledger_.violations().begin(),
-               ledger_.violations().end());
+    if (ledger_.has_value()) {
+      all.insert(all.end(), ledger_->violations().begin(),
+                 ledger_->violations().end());
+    }
     for (const Replica* r : replicas_) {
       const std::string who = "replica " + std::to_string(r->id());
       for (const std::string& v : r->violations()) {
@@ -210,15 +213,15 @@ class LogReplicaGroup : public ReplicaGroup {
   /// the group's apply ledger.
   template <class Options>
   void SpawnReplicas(sim::Simulation* sim, const Options& options) {
-    ledger_ = smr::ApplyLedger(members_);
+    ledger_.emplace(members_);
     for (size_t i = 0; i < members_.size(); ++i) {
       replicas_.push_back(sim->Spawn<Replica>(options));
-      replicas_.back()->ReportAppliesTo(&ledger_, static_cast<int>(i));
+      replicas_.back()->ReportAppliesTo(&*ledger_, static_cast<int>(i));
     }
   }
 
   std::vector<Replica*> replicas_;
-  smr::ApplyLedger ledger_;
+  std::optional<smr::ApplyLedger> ledger_;  ///< Set by SpawnReplicas.
   /// Breaches Probe() found, reported ahead of the replicas' own.
   std::vector<std::string> probe_violations_;
 };

@@ -102,30 +102,6 @@ bool AppliedAnywhere(const consensus::ReplicaGroup* group,
   return false;
 }
 
-/// Reports every pair of the group's replicas whose committed prefixes
-/// diverge, labelled `label`.
-void PrefixCheck(const consensus::ReplicaGroup* group,
-                 const std::string& label, Observation* o) {
-  std::vector<std::vector<smr::Command>> prefixes;
-  for (size_t i = 0; i < group->members().size(); ++i) {
-    prefixes.push_back(group->CommittedPrefix(static_cast<int>(i)));
-  }
-  for (size_t i = 0; i < prefixes.size(); ++i) {
-    for (size_t j = i + 1; j < prefixes.size(); ++j) {
-      size_t common = std::min(prefixes[i].size(), prefixes[j].size());
-      for (size_t k = 0; k < common; ++k) {
-        if (!(prefixes[i][k] == prefixes[j][k])) {
-          o->self_reported.push_back(
-              label + ": replicas " + std::to_string(i) + " and " +
-              std::to_string(j) + " diverge at log index " +
-              std::to_string(k));
-          break;
-        }
-      }
-    }
-  }
-}
-
 /// Records the decision group's write-once record of each planned
 /// transaction as a verdict at the group's first member, and returns
 /// the recorded outcomes (true = commit).
@@ -369,14 +345,9 @@ class ShardScenarioAdapter : public ProtocolAdapter {
 
     if (puts_own_values_) ObserveAppliedState(decisions, decided, &o);
 
-    // Per-group prefix consistency (groups have unrelated logs, so they
-    // cannot share Observation::logs — that invariant compares all
-    // pairs). Report divergences through the self-reported channel.
-    for (int g = 0; g < ssm_->total_groups(); ++g) {
-      PrefixCheck(ssm_->shard_group(g), "group " + std::to_string(g), &o);
-    }
-    PrefixCheck(ssm_->decision_group(), "decision group", &o);
-
+    // Per-group agreement (groups have unrelated logs, so they cannot
+    // share Observation::logs) is each group's apply ledger, reported
+    // with the system's own violations.
     for (const std::string& v : ssm_->Violations()) {
       o.self_reported.push_back("shard system: " + v);
     }

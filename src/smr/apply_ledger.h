@@ -20,9 +20,11 @@ namespace consensus40::smr {
 /// so the ledger holds about the slowest member's lag, not the history.
 class ApplyLedger {
  public:
-  ApplyLedger() = default;
   /// `members` are the reporters' node ids, in member order.
   explicit ApplyLedger(std::vector<sim::NodeId> members);
+  // Replicas hold its address.
+  ApplyLedger(const ApplyLedger&) = delete;
+  ApplyLedger& operator=(const ApplyLedger&) = delete;
 
   /// Member `member` (an index into the members) applied an entry with
   /// `digest` at `position`.

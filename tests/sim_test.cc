@@ -345,6 +345,122 @@ TEST(SimulationTest, CancelAfterFireIsNoopAndLeavesNoResidue) {
   EXPECT_EQ(second, 1);
 }
 
+// A cancel unlinks the timer's event and destroys its closure on the spot,
+// not when the timer's deadline comes round.
+TEST(SimulationTest, CancelledTimerClosureIsDestroyedAtCancel) {
+  auto sim_owner = Simulation::Builder(1).AutoStart(false).Build();
+  Simulation& sim = *sim_owner;
+  TimerHost* host = sim.Spawn<TimerHost>();
+  sim.Start();
+  auto token = std::make_shared<int>(0);
+  const uint64_t id = host->Arm(100, [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  host->Cancel(id);
+  EXPECT_EQ(token.use_count(), 1);
+  sim.RunFor(200);
+  EXPECT_EQ(*token, 0);
+}
+
+// Cancelled timers are not events: a queue holding only them is empty to
+// Step, and the run loops still end exactly where they promise.
+TEST(SimulationTest, QueueOfCancelledTimersHoldsNoEvent) {
+  auto sim_owner = Simulation::Builder(1).AutoStart(false).Build();
+  Simulation& sim = *sim_owner;
+  TimerHost* host = sim.Spawn<TimerHost>();
+  sim.Start();
+  bool fired = false;
+  auto arm_and_cancel = [&](Duration d) {
+    host->Cancel(host->Arm(d, [&] { fired = true; }));
+  };
+  arm_and_cancel(10 * kMillisecond);
+  arm_and_cancel(20 * kMillisecond);
+  EXPECT_FALSE(sim.Step());
+  EXPECT_EQ(sim.now(), 0);
+
+  arm_and_cancel(30 * kMillisecond);
+  sim.RunFor(50 * kMillisecond);
+  EXPECT_EQ(sim.now(), 50 * kMillisecond);
+
+  arm_and_cancel(20 * kMillisecond);  // Due at 70 ms.
+  int evaluations = 0;
+  EXPECT_FALSE(sim.RunUntil(
+      [&] {
+        ++evaluations;
+        return false;
+      },
+      100 * kMillisecond));
+  EXPECT_EQ(sim.now(), 100 * kMillisecond);
+  EXPECT_EQ(evaluations, 1) << "a cancelled timer ran as an event";
+  EXPECT_FALSE(fired);
+}
+
+// Same-time FIFO holds whichever event of a bucket a cancel removes: the
+// head, one in the middle, the tail, and (from a handler) the event that
+// has just become the head after a pop.
+TEST(SimulationTest, SameTimeFifoSurvivesCancelsAnywhereInABucket) {
+  auto sim_owner = Simulation::Builder(1).AutoStart(false).Build();
+  Simulation& sim = *sim_owner;
+  TimerHost* host = sim.Spawn<TimerHost>();
+  sim.Start();
+  std::vector<int> order;
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(host->Arm(10, [&order, i] { order.push_back(i); }));
+  }
+  host->Cancel(ids[0]);  // Head.
+  host->Cancel(ids[3]);  // Middle.
+  host->Cancel(ids[5]);  // Tail.
+  host->Arm(10, [&order] { order.push_back(6); });  // Behind the new tail.
+  sim.RunFor(10);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 6}));
+
+  // At t=20 the first handler cancels its successor (the head once the
+  // handler's own event is popped) and the bucket's tail.
+  order.clear();
+  uint64_t next = 0, last = 0;
+  host->Arm(10, [&] {
+    order.push_back(0);
+    host->Cancel(next);
+    host->Cancel(last);
+  });
+  next = host->Arm(10, [&order] { order.push_back(1); });
+  host->Arm(10, [&order] { order.push_back(2); });
+  last = host->Arm(10, [&order] { order.push_back(3); });
+  while (sim.Step()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 2}));
+  EXPECT_EQ(sim.now(), 20);
+}
+
+// A bucket emptied by cancels stays queued at its place in the order; a
+// schedule at its timestamp joins it, so FIFO holds across the revival,
+// both for a bucket emptied ahead of time and for the one being drained.
+TEST(SimulationTest, SameTimeFifoWhenACancelEmptiesABucket) {
+  auto sim_owner = Simulation::Builder(1).AutoStart(false).Build();
+  Simulation& sim = *sim_owner;
+  TimerHost* host = sim.Spawn<TimerHost>();
+  sim.Start();
+  std::vector<int> order;
+  const uint64_t doomed = host->Arm(20, [&order] { order.push_back(-1); });
+  sim.ScheduleAt(15, [&] {
+    host->Cancel(doomed);  // Empties the t=20 bucket.
+    sim.ScheduleAt(20, [&order] { order.push_back(0); });
+    host->Arm(5, [&order] { order.push_back(1); });
+  });
+  uint64_t a = 0, b = 0;
+  sim.ScheduleAt(30, [&] {
+    order.push_back(2);
+    host->Cancel(a);  // Empties the bucket being drained...
+    host->Cancel(b);
+    sim.ScheduleAt(30, [&order] { order.push_back(3); });  // ...and refills it.
+    host->Arm(0, [&order] { order.push_back(4); });
+  });
+  a = host->Arm(30, [&order] { order.push_back(-2); });
+  b = host->Arm(30, [&order] { order.push_back(-3); });
+  sim.RunFor(100);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
 // Regression: spawning while a partition is in effect used to read past the
 // end of the partition map. The new node must start isolated and join the
 // topology only on the next Partition()/Heal().

@@ -110,8 +110,8 @@ class WorkloadDriver : public sim::Process {
 
   bool done() const { return stats_.completed() >= options_.ops; }
   const WorkloadStats& stats() const { return stats_; }
-  /// Called with (tx id, committed) for every transaction outcome the
-  /// driver records (for checkers; the driver keeps no outcome log).
+  /// Called with (tx id, committed) for every transaction outcome this
+  /// process records (for checkers; it keeps no outcome log).
   using OutcomeFn = std::function<void(uint64_t tx_id, bool committed)>;
   void SetOutcomeFn(OutcomeFn fn) { on_outcome_ = std::move(fn); }
   /// The driver's current routing view (for tests).

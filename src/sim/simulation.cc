@@ -50,7 +50,8 @@ void Simulation::Start() {
 }
 
 bool Simulation::Step() {
-  if (!PruneDeadBuckets()) return false;
+  if (dead_buckets_ > 0) DropDeadBuckets();
+  if (bucket_heap_.empty()) return false;
   const BucketRef top = bucket_heap_.front();
   TimeBucket& bucket = buckets_[top.bucket];
   const uint32_t index = bucket.head;
@@ -65,37 +66,35 @@ bool Simulation::Step() {
 void Simulation::PopBucket(const BucketRef& top) {
   std::pop_heap(bucket_heap_.begin(), bucket_heap_.end(), BucketAfter());
   bucket_heap_.pop_back();
-  TimeCacheEntry& cached = time_cache_[TimeCacheIndex(top.time)];
-  if (cached.time == top.time && cached.bucket == top.bucket) {
-    cached.time = kNoCachedTime;
-  }
-  buckets_.Free(top.bucket);
+  FreeBucket(top);
 }
 
-bool Simulation::PruneDeadBuckets() {
-  if (dead_buckets_ == 0) return !bucket_heap_.empty();
+void Simulation::FreeBucket(const BucketRef& ref) {
+  TimeCacheEntry& cached = time_cache_[TimeCacheIndex(ref.time)];
+  if (cached.time == ref.time && cached.bucket == ref.bucket) {
+    cached.time = kNoCachedTime;
+  }
+  buckets_.Free(ref.bucket);
+}
+
+void Simulation::DropDeadBuckets() {
   if (2 * dead_buckets_ > bucket_heap_.size()) {
     // Compaction: (time, seq) is a total order, so rebuilding the heap
     // from the live buckets changes no pop order.
     std::erase_if(bucket_heap_, [this](const BucketRef& ref) {
       if (buckets_[ref.bucket].head != kNilIndex) return false;
-      TimeCacheEntry& cached = time_cache_[TimeCacheIndex(ref.time)];
-      if (cached.time == ref.time && cached.bucket == ref.bucket) {
-        cached.time = kNoCachedTime;
-      }
-      buckets_.Free(ref.bucket);
+      FreeBucket(ref);
       return true;
     });
     std::make_heap(bucket_heap_.begin(), bucket_heap_.end(), BucketAfter());
     dead_buckets_ = 0;
-    return !bucket_heap_.empty();
+    return;
   }
   // Dead buckets are at most half the heap here, so a live one remains.
   while (buckets_[bucket_heap_.front().bucket].head == kNilIndex) {
     PopBucket(BucketRef(bucket_heap_.front()));
     --dead_buckets_;
   }
-  return true;
 }
 
 void Simulation::Dispatch(uint32_t index) {
@@ -190,8 +189,7 @@ void Simulation::ScheduleSlot(Time t, uint32_t index) {
   bucket.time = t;
   bucket.head = bucket.tail = index;
   bucket.seq = next_bucket_seq_++;
-  slot.bucket = b;
-  slot.prev = kNilIndex;
+  slot.bucket = b;  // The head: `prev` is never read.
   bucket_heap_.push_back(BucketRef{t, bucket.seq, b});
   std::push_heap(bucket_heap_.begin(), bucket_heap_.end(), BucketAfter());
   cached.time = t;
@@ -203,7 +201,9 @@ void Simulation::RunFor(Duration d) {
   // Same semantics as repeated Step(), but the inner loop drains a whole
   // bucket without re-consulting the heap: one top()/pop() per *timestamp*
   // rather than per event.
-  while (PruneDeadBuckets()) {
+  for (;;) {
+    if (dead_buckets_ > 0) DropDeadBuckets();
+    if (bucket_heap_.empty()) break;
     const BucketRef top = bucket_heap_.front();
     if (top.time > end) break;
     now_ = top.time;
@@ -212,7 +212,7 @@ void Simulation::RunFor(Duration d) {
       // cancel what is left of it, and grow the slab under us.
       TimeBucket& bucket = buckets_[top.bucket];
       const uint32_t index = bucket.head;
-      if (index == kNilIndex) break;  // Cancelled empty; pruned above.
+      if (index == kNilIndex) break;  // Cancelled empty; dropped above.
       bucket.head = events_[index].next;
       if (bucket.head == kNilIndex) {
         PopBucket(top);
@@ -227,7 +227,9 @@ void Simulation::RunFor(Duration d) {
 
 bool Simulation::RunUntil(const std::function<bool()>& pred, Time deadline) {
   if (pred()) return true;
-  while (PruneDeadBuckets() && bucket_heap_.front().time <= deadline) {
+  for (;;) {
+    if (dead_buckets_ > 0) DropDeadBuckets();
+    if (bucket_heap_.empty() || bucket_heap_.front().time > deadline) break;
     Step();
     if (pred()) return true;
   }

@@ -552,10 +552,11 @@ class Simulation {
   void ScheduleSlot(Time t, uint32_t index);
   /// Pops the top bucket off the heap and frees it.
   void PopBucket(const BucketRef& top);
-  /// Between events: drops dead buckets from the top of the heap, or all
-  /// of them once they outnumber the live ones. Returns whether any event
-  /// is pending.
-  bool PruneDeadBuckets();
+  /// Frees a bucket that has left the heap, and its time-cache entry.
+  void FreeBucket(const BucketRef& ref);
+  /// Between events, while dead buckets exist: drops those at the top of
+  /// the heap, or all of them once they outnumber the live ones.
+  void DropDeadBuckets();
   void ReleasePayload(uint32_t payload);
   void Dispatch(uint32_t index);
 

@@ -222,8 +222,8 @@ TEST(ShardTest, WorkloadDriverRunsMixedLoad) {
   EXPECT_TRUE(f.ssm->Violations().empty());
 
   // Every committed cross-shard transaction is all-or-nothing across its
-  // shards; spot-check the outcomes the driver reported against the
-  // decision group's state: a committed tx's value appears under the keys
+  // shards; spot-check the reported outcomes against the decision
+  // group's state: a committed tx's value appears under the keys
   // it wrote unless a later committed tx overwrote them — so just assert
   // no group-level violations and consistent decision records.
   const smr::KvStore& decisions = f.ssm->decision_group()->FreshestKv();

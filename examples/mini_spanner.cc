@@ -77,20 +77,6 @@ class DemoClient : public sim::Process {
   std::map<uint64_t, bool> outcomes_;
 };
 
-/// Replays the longest committed prefix across a group's replicas — the
-/// group's authoritative key-value state.
-smr::KvStore Replay(const consensus::ReplicaGroup* group) {
-  std::vector<smr::Command> best;
-  for (size_t i = 0; i < group->members().size(); ++i) {
-    auto prefix = group->CommittedPrefix(static_cast<int>(i));
-    if (prefix.size() > best.size()) best = std::move(prefix);
-  }
-  smr::KvStore kv;
-  smr::DedupingExecutor dedup;
-  for (const smr::Command& cmd : best) dedup.Apply(&kv, cmd);
-  return kv;
-}
-
 }  // namespace
 
 int main() {
@@ -149,8 +135,7 @@ int main() {
                      [&] { sim->Restart(ssm.coordinator_id()); });
   sim->RunUntil([&] { return client->Resolved(4); },
                 sim->now() + 120 * sim::kSecond);
-  smr::KvStore decisions = Replay(ssm.decision_group());
-  auto d4 = decisions.Get(shard::DecisionKey(4));
+  auto d4 = ssm.decision_group()->FreshestKv().Get(shard::DecisionKey(4));
   std::printf("tx4 %s; replicated decision record: %s\n\n",
               !client->Resolved(4)      ? "BLOCKED"
               : client->Committed(4)    ? "committed"
@@ -159,7 +144,7 @@ int main() {
 
   sim->RunFor(3 * sim::kSecond);  // Drain commit broadcasts.
   auto lookup = [&](const std::string& key) {
-    auto v = Replay(ssm.shard_group(ssm.ShardOf(key))).Get(key);
+    auto v = ssm.shard_group(ssm.ShardOf(key))->FreshestKv().Get(key);
     return v ? *v : std::string("-");
   };
   std::printf("final replicated state: alice=%s bob=%s\n",

@@ -1,7 +1,8 @@
 // The apply ledger (smr/apply_ledger.h): the online agreement check that
 // replaced the replicas' executed-command histories. Unit cases drive a
-// ledger directly with real entry digests; group cases run Raft and
-// Multi-Paxos groups whose replicas report to their facade's ledger.
+// ledger directly with real entry digests or through leader pipelines;
+// group cases run Raft and Multi-Paxos groups whose replicas report to
+// their facade's ledger.
 
 #include "smr/apply_ledger.h"
 
@@ -16,11 +17,11 @@
 #include "raft/raft.h"
 #include "sim/simulation.h"
 #include "smr/command.h"
+#include "smr/pipeline.h"
 
 namespace consensus40::smr {
 namespace {
 
-using sim::kMillisecond;
 using sim::kSecond;
 
 /// The entry every honest member applies at `position`.
@@ -42,8 +43,7 @@ void ApplyHonest(ApplyLedger* ledger, int member, uint64_t from, uint64_t to) {
 
 TEST(ApplyLedgerTest, CorruptedApplyIsFlaggedAtItsPosition) {
   // The corrupted op differs from the honest one in its value only.
-  const uint64_t corrupt =
-      Entry(Command{7, 5, "PUT k4 x"}).Digest();
+  const uint64_t corrupt = Entry(Command{7, 5, "PUT k4 x"}).Digest();
   ASSERT_NE(corrupt, Honest(4));
   for (int corrupt_first : {0, 1}) {
     ApplyLedger ledger = Ledger(3);
@@ -65,6 +65,32 @@ TEST(ApplyLedgerTest, CorruptedApplyIsFlaggedAtItsPosition) {
     EXPECT_NE(v.find("12"), std::string::npos) << "names the follower: " << v;
     EXPECT_EQ(ledger.size(), 0u);
   }
+}
+
+// The pipelines' own reports: a follower whose pipeline applies a
+// corrupted op is flagged at that position, and an install moves its
+// frontier without a report.
+TEST(ApplyLedgerTest, PipelinesReportAppliesAndInstalls) {
+  ApplyLedger ledger = Ledger(2);
+  LeaderPipeline leader({}, {});
+  LeaderPipeline follower({}, {});
+  leader.ReportAppliesTo(&ledger, 0);
+  follower.ReportAppliesTo(&ledger, 1);
+  for (uint64_t p = 0; p < 6; ++p) {
+    const Entry entry(Command{7, p + 1, "PUT k" + std::to_string(p) + " v"});
+    leader.ApplyEntry(p, entry);
+    follower.ApplyEntry(p, p == 3 ? Entry(Command{7, 4, "PUT k3 x"}) : entry);
+  }
+  ASSERT_EQ(ledger.violations().size(), 1u);
+  EXPECT_NE(ledger.violations()[0].find("log position 3"), std::string::npos)
+      << ledger.violations()[0];
+  for (uint64_t p = 6; p < 10; ++p) {
+    leader.ApplyEntry(p, Entry(Command{7, p + 1, "PUT k v"}));
+  }
+  EXPECT_EQ(ledger.size(), 4u);
+  follower.Install(leader.Capture(), 10);
+  EXPECT_EQ(ledger.size(), 0u);
+  EXPECT_EQ(ledger.violations().size(), 1u);
 }
 
 TEST(ApplyLedgerTest, SnapshotInstallSkipsWithoutFalseReports) {
@@ -150,14 +176,12 @@ struct GroupRun {
   }
 
   const ApplyLedger& ledger() const {
-    if (const auto* raft = dynamic_cast<
-            const consensus::LogReplicaGroup<raft::RaftReplica>*>(group.get())) {
+    using RaftFacade = consensus::LogReplicaGroup<raft::RaftReplica>;
+    using PaxosFacade = consensus::LogReplicaGroup<paxos::MultiPaxosReplica>;
+    if (const auto* raft = dynamic_cast<const RaftFacade*>(group.get())) {
       return raft->ledger();
     }
-    return dynamic_cast<
-               const consensus::LogReplicaGroup<paxos::MultiPaxosReplica>&>(
-               *group)
-        .ledger();
+    return dynamic_cast<const PaxosFacade&>(*group).ledger();
   }
 
   int SnapshotsInstalled(sim::NodeId id) const {

@@ -546,6 +546,20 @@ void CrosswordReplica::LearnChosen(uint64_t index, const smr::Entry& entry) {
     return;
   }
   SlotState& slot = Slot(index);
+  // Our accepted window of the chosen round starts with the fragment we
+  // serve pullers (the shard at our position): keep that intact shard
+  // instead of coding the value again on the first pull.
+  const smr::ShardSet* window = slot.value.shard_set();
+  if (window != nullptr && !slot.chosen_ballot.IsZero() &&
+      slot.accept_num == slot.chosen_ballot) {
+    for (const smr::Shard& shard : window->shards) {
+      if (shard.index == PositionOf(id()) &&
+          smr::Fnv1a(shard.bytes) == shard.check) {
+        slot.own_fragment =
+            smr::Entry::Shards(smr::ShardSet{window->header, {shard}});
+      }
+    }
+  }
   slot.chosen = true;
   slot.has_value = true;
   slot.value = entry;  // Hold the full value: we can serve pulls from it.

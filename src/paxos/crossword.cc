@@ -222,7 +222,6 @@ void CrosswordReplica::AcceptSlot(uint64_t index, const smr::Entry& entry) {
   slot.accept_num = my_ballot_;
   slot.value = entry;  // The leader always self-accepts the FULL value.
   slot.has_value = true;
-  slot.coded.reset();
   // No-ops ship full: recovery rounds should never depend on pulls. The
   // payload the coder would code is the entry less its 16-byte header.
   const bool noop = entry.kind() == smr::Entry::Kind::kNoop;
@@ -253,7 +252,7 @@ void CrosswordReplica::StartRound(uint64_t index, int c) {
   MaybeChoose(index);  // q2 may already be met (single-node cluster).
 }
 
-void CrosswordReplica::SendRound(uint64_t index, SlotState& slot,
+void CrosswordReplica::SendRound(uint64_t index, const SlotState& slot,
                                  bool resend_only) {
   if (slot.c >= k_) {
     if (resend_only) {
@@ -278,10 +277,7 @@ void CrosswordReplica::SendRound(uint64_t index, SlotState& slot,
   // window starting at shard p. Any s distinct windows jointly cover
   // min(n, s + c - 1) distinct shards, which q2(c) turns into the
   // any-majority-reconstructs invariant.
-  if (!slot.coded.has_value()) {
-    slot.coded = smr::ShardCommand(slot.value, k_, n_);
-  }
-  const smr::ShardedCommand& sc = *slot.coded;
+  smr::ShardedCommand sc = smr::ShardCommand(slot.value, k_, n_);
   const int p0 = PositionOf(id());
   for (size_t p = 0; p < options_.members.size(); ++p) {
     sim::NodeId m = options_.members[p];
@@ -352,7 +348,6 @@ void CrosswordReplica::ResendInFlight() {
       // Re-propose the SAME value as full copies under the same ballot:
       // q2 drops to a bare majority and liveness matches classic Paxos.
       ++escalations_;
-      it->second.coded.reset();  // Full copies from here on.
       StartRound(index, k_);
     } else {
       SendRound(index, it->second, /*resend_only=*/true);
@@ -563,7 +558,6 @@ void CrosswordReplica::LearnChosen(uint64_t index, const smr::Entry& entry) {
   slot.chosen = true;
   slot.has_value = true;
   slot.value = entry;  // Hold the full value: we can serve pulls from it.
-  slot.coded.reset();  // No more resends.
   log_.Set(index, entry);
   auto pit = pending_recon_.find(index);
   if (pit != pending_recon_.end()) {

@@ -85,7 +85,7 @@ class CrosswordReplica : public smr::PipelineProcess {
   /// The client commands of the applied slots still in the log, in order
   /// (as in Multi-Paxos).
   std::vector<smr::Command> CommittedCommands() const {
-    return log_.AppliedCommands();
+    return log_.CommittedPrefix();
   }
   /// Reports every applied slot to `ledger` as its member `member`.
   void ReportAppliesTo(smr::ApplyLedger* ledger, int member) {
@@ -131,11 +131,9 @@ class CrosswordReplica : public smr::PipelineProcess {
     int c = 0;            ///< Shards per acceptor this round.
     int q2 = 0;           ///< Accepts needed this round.
     sim::Time proposed_at = 0;
-    /// Leader-side: the coded shards of `value`, kept for the resends of
-    /// an unchosen sharded round; dropped when the slot is chosen.
-    std::optional<smr::ShardedCommand> coded;
-    /// This replica's diagonal fragment of the chosen value, coded on the
-    /// first pull that asks for it; it goes with the slot at truncation.
+    /// This replica's diagonal fragment of the chosen value: its accepted
+    /// shard when it holds that intact, else coded on the first pull that
+    /// asks for it; it goes with the slot at truncation.
     std::optional<smr::Entry> own_fragment;
   };
 
@@ -163,7 +161,7 @@ class CrosswordReplica : public smr::PipelineProcess {
   void StartRound(uint64_t index, int c);
   /// Ships the slot's current round — to everyone, or only to members
   /// that have not acked it yet.
-  void SendRound(uint64_t index, SlotState& slot, bool resend_only);
+  void SendRound(uint64_t index, const SlotState& slot, bool resend_only);
   /// Commits the slot if its current round has reached q2.
   void MaybeChoose(uint64_t index);
   /// Reconstructs and learns `index` if its assembler is complete.

@@ -88,7 +88,7 @@ class MultiPaxosReplica : public smr::PipelineProcess {
   /// batches' commands in place: the whole history until a checkpoint
   /// truncates the log or a snapshot is installed.
   std::vector<smr::Command> CommittedCommands() const {
-    return log_.AppliedCommands();
+    return log_.CommittedPrefix();
   }
   /// Reports every applied slot to `ledger` as its member `member`.
   void ReportAppliesTo(smr::ApplyLedger* ledger, int member) {

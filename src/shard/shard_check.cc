@@ -14,8 +14,10 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "check/adapters.h"
@@ -90,16 +92,17 @@ class ShardTxClient : public sim::Process {
   std::map<uint64_t, uint64_t> retry_timers_;
 };
 
-/// Whether some replica of `group` applied a command whose op is `op`.
-bool AppliedAnywhere(const consensus::ReplicaGroup* group,
-                     const std::string& op) {
+/// The ops of every command some replica of `group` applied.
+std::unordered_set<std::string> AppliedOps(
+    const consensus::ReplicaGroup* group) {
+  std::unordered_set<std::string> ops;
   for (size_t i = 0; i < group->members().size(); ++i) {
     for (const smr::Command& cmd :
          group->CommittedPrefix(static_cast<int>(i))) {
-      if (cmd.op == op) return true;
+      ops.insert(cmd.op);
     }
   }
-  return false;
+  return ops;
 }
 
 /// Records the decision group's write-once record of each planned
@@ -389,6 +392,9 @@ class ShardScenarioAdapter : public ProtocolAdapter {
     for (int g = 0; g < ssm_->total_groups(); ++g) {
       kvs.push_back(&ssm_->shard_group(g)->FreshestKv());
     }
+    // Each pre-move owner's applied ops, gathered on first use.
+    std::vector<std::optional<std::unordered_set<std::string>>> applied(
+        kvs.size());
     for (const ShardTxClient::Planned& p : plan_) {
       const uint64_t tx = p.tx_id;
       for (const TxOp& op : p.ops) {
@@ -407,9 +413,13 @@ class ShardScenarioAdapter : public ProtocolAdapter {
         auto d = decided.find(tx);
         if (present || d == decided.end() || !d->second) continue;
         auto old_v = kvs[initial_owner]->Get(op.key);
-        if ((!old_v.has_value() || *old_v != op.value) &&
-            AppliedAnywhere(ssm_->shard_group(static_cast<int>(initial_owner)),
-                            "PUT " + op.key + " " + op.value)) {
+        if (old_v.has_value() && *old_v == op.value) continue;
+        std::optional<std::unordered_set<std::string>>& ops =
+            applied[initial_owner];
+        if (!ops.has_value()) {
+          ops = AppliedOps(ssm_->shard_group(static_cast<int>(initial_owner)));
+        }
+        if (ops->count("PUT " + op.key + " " + op.value) > 0) {
           o->self_reported.push_back(
               "reshard: lost write: tx " + std::to_string(tx) +
               " decided commit and logged its write at the pre-move owner "

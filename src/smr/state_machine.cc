@@ -414,16 +414,8 @@ void ReplicatedLog::ApplyCommitted(KvStore* kv, DedupingExecutor* dedup,
 }
 
 std::vector<Command> ReplicatedLog::CommittedPrefix() const {
-  return CommandsBelow(commit_frontier_);
-}
-
-std::vector<Command> ReplicatedLog::AppliedCommands() const {
-  return CommandsBelow(applied_frontier_);
-}
-
-std::vector<Command> ReplicatedLog::CommandsBelow(uint64_t end) const {
   std::vector<Command> out;
-  for (uint64_t i = start_; i < end; ++i) {
+  for (uint64_t i = start_; i < commit_frontier_; ++i) {
     const Entry* entry = Get(i);
     if (entry == nullptr) break;
     const std::span<const Command> cmds = entry->commands();

@@ -235,13 +235,8 @@ class ReplicatedLog {
   /// All committed client commands in order, batches' commands in place
   /// (dense retained prefix only: starts at start(), stops at a gap).
   std::vector<Command> CommittedPrefix() const;
-  /// The same for the applied slots still held: [start(), applied_frontier()).
-  std::vector<Command> AppliedCommands() const;
 
  private:
-  /// Client commands of the dense retained prefix [start(), end).
-  std::vector<Command> CommandsBelow(uint64_t end) const;
-
   std::map<uint64_t, Entry> slots_;
   uint64_t start_ = 0;            ///< Slots [0, start_) truncated away.
   uint64_t commit_frontier_ = 0;  ///< Committed slots are [0, commit_frontier_).

@@ -70,11 +70,13 @@ void Simulation::PopBucket(const BucketRef& top) {
 }
 
 void Simulation::FreeBucket(const BucketRef& ref) {
-  TimeCacheEntry& cached = time_cache_[TimeCacheIndex(ref.time)];
-  if (cached.time == ref.time && cached.bucket == ref.bucket) {
-    cached.time = kNoCachedTime;
-  }
+  Uncache(ref.time, ref.bucket);
   buckets_.Free(ref.bucket);
+}
+
+void Simulation::Uncache(Time t, uint32_t bucket) {
+  TimeCacheEntry& cached = time_cache_[TimeCacheIndex(t)];
+  if (cached.time == t && cached.bucket == bucket) cached.time = kNoCachedTime;
 }
 
 void Simulation::DropDeadBuckets() {
@@ -164,23 +166,20 @@ void Simulation::ReleasePayload(uint32_t payload) {
   }
 }
 
+template <bool kCancellable>
 void Simulation::ScheduleSlot(Time t, uint32_t index) {
   assert(t >= now_);
   EventSlot& slot = events_[index];
   slot.next = kNilIndex;
   TimeCacheEntry& cached = time_cache_[TimeCacheIndex(t)];
   if (cached.time == t) {
+    // A cancel that empties a bucket uncaches it, so this one is live.
     TimeBucket& bucket = buckets_[cached.bucket];
-    slot.bucket = cached.bucket;
-    slot.prev = bucket.tail;
-    if (bucket.head == kNilIndex) {
-      // Emptied by cancels but still in the heap at its place in the
-      // order: the event joins it, and the bucket is live again.
-      bucket.head = index;
-      --dead_buckets_;
-    } else {
-      events_[bucket.tail].next = index;
+    if constexpr (kCancellable) {
+      slot.bucket = cached.bucket;
+      slot.prev = bucket.tail;
     }
+    events_[bucket.tail].next = index;
     bucket.tail = index;
     return;
   }
@@ -189,7 +188,7 @@ void Simulation::ScheduleSlot(Time t, uint32_t index) {
   bucket.time = t;
   bucket.head = bucket.tail = index;
   bucket.seq = next_bucket_seq_++;
-  slot.bucket = b;  // The head: `prev` is never read.
+  if constexpr (kCancellable) slot.bucket = b;  // The head: no `prev`.
   bucket_heap_.push_back(BucketRef{t, bucket.seq, b});
   std::push_heap(bucket_heap_.begin(), bucket_heap_.end(), BucketAfter());
   cached.time = t;
@@ -354,7 +353,7 @@ void Simulation::QueueMessageEvent(NodeId from, NodeId to, uint32_t payload,
   slot.payload = payload;
   slot.trace = AllocateTrace(envelope_id);
   slot.epoch = epochs_[to];  // Drop on crash/restart in flight.
-  ScheduleSlot(now_ + delay, index);
+  ScheduleSlot</*kCancellable=*/false>(now_ + delay, index);
 }
 
 void Simulation::SendMessage(NodeId from, NodeId to, MessagePtr msg) {
@@ -399,7 +398,7 @@ void Simulation::SendMessage(NodeId from, NodeId to, MessagePtr msg) {
   slot.trace = AllocateTrace(envelope_id);
   slot.epoch = epochs_[to];
   slot.msg = std::move(msg);
-  ScheduleSlot(now_ + ser + delay, index);
+  ScheduleSlot</*kCancellable=*/false>(now_ + ser + delay, index);
 }
 
 void Simulation::MulticastMessage(NodeId from,
@@ -459,7 +458,7 @@ void Simulation::ScheduleAt(Time t, std::function<void()> fn) {
   EventSlot& slot = events_[index];
   slot.kind = EventKind::kCallback;
   slot.payload = cb;
-  ScheduleSlot(t, index);
+  ScheduleSlot</*kCancellable=*/false>(t, index);
 }
 
 void Simulation::ScheduleAfter(Duration d, std::function<void()> fn) {
@@ -476,7 +475,7 @@ uint64_t Simulation::SetProcessTimer(NodeId owner, Duration delay,
   slot.to = owner;
   slot.payload = cb;
   slot.epoch = epochs_[owner];
-  ScheduleSlot(now_ + delay, index);
+  ScheduleSlot</*kCancellable=*/true>(now_ + delay, index);
   return events_.HandleFor(index);
 }
 
@@ -500,7 +499,12 @@ void Simulation::CancelProcessTimer(uint64_t timer_id) {
   } else {
     bucket.tail = head ? kNilIndex : slot->prev;
   }
-  if (bucket.head == kNilIndex) ++dead_buckets_;
+  if (bucket.head == kNilIndex) {
+    // Dead. It leaves the time cache, so a later schedule at its time
+    // opens a fresh bucket and the schedule path never meets a dead one.
+    Uncache(bucket.time, slot->bucket);
+    ++dead_buckets_;
+  }
   // Free both slots before the closure dies: its captures' destructors
   // may re-enter the scheduler.
   std::function<void()> fn = std::move(callbacks_[slot->payload]);

@@ -476,9 +476,9 @@ class Simulation {
                                      ///< messages, callback slot for timers
                                      ///< and callbacks; kNil for unicast.
     uint32_t next = kNilIndex;       ///< FIFO chain within a time bucket.
-    uint32_t prev = kNilIndex;       ///< Back link, read only by a cancel;
-                                     ///< stale while the event is the head.
-    uint32_t bucket = kNilIndex;     ///< The time bucket holding the event.
+    uint32_t prev = kNilIndex;       ///< Timers: back link, read only by a
+                                     ///< cancel; stale while at the head.
+    uint32_t bucket = kNilIndex;     ///< Timers: the bucket holding it.
     uint32_t trace = kNilIndex;      ///< TraceInfo slot; messages only, and
                                      ///< only while a trace hook is set.
     EventKind kind = EventKind::kCallback;
@@ -504,8 +504,8 @@ class Simulation {
   /// min-heap over *buckets* (ordered by time, then creation order), so a
   /// burst of same-time events — a multicast fan-out, a synchronous round —
   /// costs one heap operation total instead of one per event. A bucket
-  /// whose events were all cancelled is dead (head == kNil) until it is
-  /// dropped or a schedule at its time revives it.
+  /// whose events were all cancelled is dead (head == kNil): it leaves the
+  /// time cache at once, so nothing joins it, and the heap later.
   struct TimeBucket {
     Time time = 0;
     uint32_t head = kNilIndex;
@@ -549,11 +549,16 @@ class Simulation {
   uint32_t AllocateTrace(uint64_t envelope_id);
   void QueueMessageEvent(NodeId from, NodeId to, uint32_t payload,
                          uint64_t envelope_id, Duration delay);
+  /// Appends the event to the FIFO bucket of time `t`; a cancellable
+  /// event (a timer) also records its bucket and back link.
+  template <bool kCancellable>
   void ScheduleSlot(Time t, uint32_t index);
   /// Pops the top bucket off the heap and frees it.
   void PopBucket(const BucketRef& top);
   /// Frees a bucket that has left the heap, and its time-cache entry.
   void FreeBucket(const BucketRef& ref);
+  /// Clears the time-cache entry of time `t` if it names `bucket`.
+  void Uncache(Time t, uint32_t bucket);
   /// Between events, while dead buckets exist: drops those at the top of
   /// the heap, or all of them once they outnumber the live ones.
   void DropDeadBuckets();

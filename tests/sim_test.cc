@@ -432,9 +432,9 @@ TEST(SimulationTest, SameTimeFifoSurvivesCancelsAnywhereInABucket) {
   EXPECT_EQ(sim.now(), 20);
 }
 
-// A bucket emptied by cancels stays queued at its place in the order; a
-// schedule at its timestamp joins it, so FIFO holds across the revival,
-// both for a bucket emptied ahead of time and for the one being drained.
+// A bucket emptied by cancels stays queued at its place in the order, and
+// a later schedule at its timestamp lands behind it: FIFO holds both for a
+// bucket emptied ahead of time and for the one being drained.
 TEST(SimulationTest, SameTimeFifoWhenACancelEmptiesABucket) {
   auto sim_owner = Simulation::Builder(1).AutoStart(false).Build();
   Simulation& sim = *sim_owner;
@@ -450,9 +450,9 @@ TEST(SimulationTest, SameTimeFifoWhenACancelEmptiesABucket) {
   uint64_t a = 0, b = 0;
   sim.ScheduleAt(30, [&] {
     order.push_back(2);
-    host->Cancel(a);  // Empties the bucket being drained...
-    host->Cancel(b);
-    sim.ScheduleAt(30, [&order] { order.push_back(3); });  // ...and refills it.
+    host->Cancel(a);  // Empties the bucket being drained, then
+    host->Cancel(b);  // schedules at its time.
+    sim.ScheduleAt(30, [&order] { order.push_back(3); });
     host->Arm(0, [&order] { order.push_back(4); });
   });
   a = host->Arm(30, [&order] { order.push_back(-2); });

@@ -70,13 +70,11 @@ void Simulation::PopBucket(const BucketRef& top) {
 }
 
 void Simulation::FreeBucket(const BucketRef& ref) {
-  Uncache(ref.time, ref.bucket);
+  TimeCacheEntry& cached = time_cache_[TimeCacheIndex(ref.time)];
+  if (cached.time == ref.time && cached.bucket == ref.bucket) {
+    cached.time = kNoCachedTime;
+  }
   buckets_.Free(ref.bucket);
-}
-
-void Simulation::Uncache(Time t, uint32_t bucket) {
-  TimeCacheEntry& cached = time_cache_[TimeCacheIndex(t)];
-  if (cached.time == t && cached.bucket == bucket) cached.time = kNoCachedTime;
 }
 
 void Simulation::DropDeadBuckets() {
@@ -173,13 +171,19 @@ void Simulation::ScheduleSlot(Time t, uint32_t index) {
   slot.next = kNilIndex;
   TimeCacheEntry& cached = time_cache_[TimeCacheIndex(t)];
   if (cached.time == t) {
-    // A cancel that empties a bucket uncaches it, so this one is live.
     TimeBucket& bucket = buckets_[cached.bucket];
     if constexpr (kCancellable) {
       slot.bucket = cached.bucket;
       slot.prev = bucket.tail;
     }
-    events_[bucket.tail].next = index;
+    if (bucket.head == kNilIndex) {
+      // Emptied by cancels but still in the heap at its place in the
+      // order: the event joins it, and the bucket is live again.
+      bucket.head = index;
+      --dead_buckets_;
+    } else {
+      events_[bucket.tail].next = index;
+    }
     bucket.tail = index;
     return;
   }
@@ -499,12 +503,7 @@ void Simulation::CancelProcessTimer(uint64_t timer_id) {
   } else {
     bucket.tail = head ? kNilIndex : slot->prev;
   }
-  if (bucket.head == kNilIndex) {
-    // Dead. It leaves the time cache, so a later schedule at its time
-    // opens a fresh bucket and the schedule path never meets a dead one.
-    Uncache(bucket.time, slot->bucket);
-    ++dead_buckets_;
-  }
+  if (bucket.head == kNilIndex) ++dead_buckets_;
   // Free both slots before the closure dies: its captures' destructors
   // may re-enter the scheduler.
   std::function<void()> fn = std::move(callbacks_[slot->payload]);

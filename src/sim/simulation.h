@@ -504,8 +504,8 @@ class Simulation {
   /// min-heap over *buckets* (ordered by time, then creation order), so a
   /// burst of same-time events — a multicast fan-out, a synchronous round —
   /// costs one heap operation total instead of one per event. A bucket
-  /// whose events were all cancelled is dead (head == kNil): it leaves the
-  /// time cache at once, so nothing joins it, and the heap later.
+  /// whose events were all cancelled is dead (head == kNil) until it is
+  /// dropped or a schedule at its time revives it.
   struct TimeBucket {
     Time time = 0;
     uint32_t head = kNilIndex;
@@ -557,8 +557,6 @@ class Simulation {
   void PopBucket(const BucketRef& top);
   /// Frees a bucket that has left the heap, and its time-cache entry.
   void FreeBucket(const BucketRef& ref);
-  /// Clears the time-cache entry of time `t` if it names `bucket`.
-  void Uncache(Time t, uint32_t bucket);
   /// Between events, while dead buckets exist: drops those at the top of
   /// the heap, or all of them once they outnumber the live ones.
   void DropDeadBuckets();

@@ -432,9 +432,9 @@ TEST(SimulationTest, SameTimeFifoSurvivesCancelsAnywhereInABucket) {
   EXPECT_EQ(sim.now(), 20);
 }
 
-// A bucket emptied by cancels stays queued at its place in the order, and
-// a later schedule at its timestamp lands behind it: FIFO holds both for a
-// bucket emptied ahead of time and for the one being drained.
+// A bucket emptied by cancels stays queued at its place in the order; a
+// schedule at its timestamp joins it, so FIFO holds across the revival,
+// both for a bucket emptied ahead of time and for the one being drained.
 TEST(SimulationTest, SameTimeFifoWhenACancelEmptiesABucket) {
   auto sim_owner = Simulation::Builder(1).AutoStart(false).Build();
   Simulation& sim = *sim_owner;
@@ -450,15 +450,45 @@ TEST(SimulationTest, SameTimeFifoWhenACancelEmptiesABucket) {
   uint64_t a = 0, b = 0;
   sim.ScheduleAt(30, [&] {
     order.push_back(2);
-    host->Cancel(a);  // Empties the bucket being drained, then
-    host->Cancel(b);  // schedules at its time.
-    sim.ScheduleAt(30, [&order] { order.push_back(3); });
+    host->Cancel(a);  // Empties the bucket being drained...
+    host->Cancel(b);
+    sim.ScheduleAt(30, [&order] { order.push_back(3); });  // ...refills it.
     host->Arm(0, [&order] { order.push_back(4); });
   });
   a = host->Arm(30, [&order] { order.push_back(-2); });
   b = host->Arm(30, [&order] { order.push_back(-3); });
   sim.RunFor(100);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// Callbacks and messages cannot be cancelled and keep no back link, so a
+// timer's neighbours in a bucket may be of either kind. FIFO holds for
+// cancels before, between and behind callbacks, also in a bucket that a
+// callback revived.
+TEST(SimulationTest, CancelsNextToCallbacksKeepFifo) {
+  auto sim_owner = Simulation::Builder(1).AutoStart(false).Build();
+  Simulation& sim = *sim_owner;
+  TimerHost* host = sim.Spawn<TimerHost>();
+  sim.Start();
+  std::vector<int> order;
+  const uint64_t head = host->Arm(10, [&order] { order.push_back(-1); });
+  sim.ScheduleAt(10, [&order] { order.push_back(0); });
+  const uint64_t between = host->Arm(10, [&order] { order.push_back(-2); });
+  sim.ScheduleAt(10, [&order] { order.push_back(1); });
+  host->Arm(10, [&order] { order.push_back(2); });
+  const uint64_t tail = host->Arm(10, [&order] { order.push_back(-3); });
+  host->Cancel(between);
+  host->Cancel(head);
+  host->Cancel(tail);
+  sim.ScheduleAt(10, [&order] { order.push_back(3); });
+  const uint64_t doomed = host->Arm(20, [&order] { order.push_back(-4); });
+  host->Cancel(doomed);  // Empties the t=20 bucket; a callback revives it.
+  sim.ScheduleAt(20, [&order] { order.push_back(4); });
+  const uint64_t behind = host->Arm(20, [&order] { order.push_back(-5); });
+  host->Arm(20, [&order] { order.push_back(5); });
+  host->Cancel(behind);
+  sim.RunFor(30);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 // Regression: spawning while a partition is in effect used to read past the
